@@ -17,8 +17,6 @@ are machine-bound and too noisy to gate on):
   per loss, ``bench-timings.json``)
 * ``speedup_compiled`` / ``speedup_early_exit`` (``bench-timings.json``)
 * ``examples_per_sec`` / ``speedup_vs_naive`` (``BENCH_serve.json``)
-* ``examples_per_sec`` / ``speedup_vs_numpy`` per kernel provider
-  (``BENCH_provider.json``, e.g. ``providers.threaded.speedup_vs_numpy``)
 * ``compile_coverage`` — compiled / total training batches of the grid's
   dropout-bearing compiled spec (``grid-timing.json``); a drop means batches
   started falling back to the eager path
@@ -58,15 +56,11 @@ TRACKED_METRICS: Dict[str, str] = {
     "speedup_early_exit": "higher",
     "examples_per_sec": "higher",
     "speedup_vs_naive": "higher",
-    "speedup_vs_numpy": "higher",
     "compile_coverage": "higher",
     "p50_ms": "lower",
     "p99_ms": "lower",
     "pad_waste_pct": "lower",
 }
-
-#: legacy tuple view (key iteration order) kept for callers/tests.
-TRACKED_KEYS = tuple(TRACKED_METRICS)
 
 
 def metric_direction(metric: str) -> str:
@@ -84,7 +78,7 @@ def extract_metrics(data: Any, prefix: str = "") -> Dict[str, float]:
     if isinstance(data, dict):
         for key, value in data.items():
             path = f"{prefix}.{key}" if prefix else key
-            if key in TRACKED_KEYS and isinstance(value, (int, float)):
+            if key in TRACKED_METRICS and isinstance(value, (int, float)):
                 metrics[path] = float(value)
             elif isinstance(value, dict):
                 metrics.update(extract_metrics(value, path))

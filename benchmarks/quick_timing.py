@@ -18,12 +18,9 @@ eager-vs-compiled speedup) to the path given as the first argument (default:
 ``bench-timings.json``), a compiled-**training** report (one PGD
 adversarial-training epoch, eager vs ``Trainer(compile=True)``:
 ``train_speedup_compiled`` + ``train_matches_eager``) to the second
-(default: ``BENCH_train.json``), a per-loss compiled-training report
+(default: ``BENCH_train.json``), and a per-loss compiled-training report
 (TRADES / MART / IB-RAR, whose side terms now run as in-plan nodes) to the
-third (default: ``BENCH_losses.json``), and a kernel-provider matrix
-(compiled eval replay throughput per registered provider — serial numpy
-vs threaded vs optional numba — with the speedup over numpy) to the fourth
-(default: ``BENCH_provider.json``).  The CI quick-bench job uploads all
+third (default: ``BENCH_losses.json``).  The CI quick-bench job uploads all
 of them as artifacts and *soft-fails* on compiled-path regressions: if a
 compiled mode is slower than its eager counterpart (< 1.0x) a GitHub
 warning annotation is emitted, but the exit code stays 0.
@@ -32,7 +29,6 @@ warning annotation is emitted, but the exit code stays 0.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 
@@ -110,56 +106,10 @@ def bench_losses(dataset) -> dict:
     return report
 
 
-def bench_providers(dataset, model, batch: int = 64, repeats: int = 20) -> dict:
-    """Compiled eval replay throughput for every registered kernel provider.
-
-    Compiles the conv-heavy eval forward once per provider, warms the plan
-    (so the loop times pure kernel replays — no tracing, no allocation),
-    and reports examples/sec plus the speedup over the serial ``numpy``
-    reference provider.  ``matches_numpy`` checks the replayed logits
-    against the numpy provider's bit-for-bit.
-    """
-    from repro.compile import available_providers, compile_model
-
-    images = np.ascontiguousarray(dataset.x_test[:batch])
-    report = {
-        "cpu_count": os.cpu_count() or 1,
-        "batch": int(len(images)),
-        "repeats": int(repeats),
-        "providers": {},
-    }
-    # numpy first: it is the reference for both timings and logits.
-    names = sorted(available_providers(), key=lambda n: (n != "numpy", n))
-    timings = {}
-    reference_logits = None
-    for name in names:
-        compiled = compile_model(model, images, provider=name)
-        compiled.warm([images])
-        logits = np.array(compiled(images), copy=True)
-        start = time.perf_counter()
-        for _ in range(repeats):
-            compiled(images)
-        elapsed = time.perf_counter() - start
-        timings[name] = elapsed
-        if reference_logits is None:
-            reference_logits = logits
-        report["providers"][name] = {
-            "seconds": round(elapsed, 4),
-            "examples_per_sec": round(len(images) * repeats / max(elapsed, 1e-9), 1),
-            "matches_numpy": bool(np.array_equal(logits, reference_logits)),
-        }
-    for name, entry in report["providers"].items():
-        entry["speedup_vs_numpy"] = round(
-            timings["numpy"] / max(timings[name], 1e-9), 3
-        )
-    return report
-
-
 def main() -> None:
     output_path = sys.argv[1] if len(sys.argv) > 1 else "bench-timings.json"
     train_output_path = sys.argv[2] if len(sys.argv) > 2 else "BENCH_train.json"
     losses_output_path = sys.argv[3] if len(sys.argv) > 3 else "BENCH_losses.json"
-    provider_output_path = sys.argv[4] if len(sys.argv) > 4 else "BENCH_provider.json"
     dataset = synthetic_cifar10(n_train=300, n_test=120, image_size=16, seed=0)
     model = SmallCNN(num_classes=10, image_size=16, seed=0)
     optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9, weight_decay=1e-3)
@@ -209,15 +159,12 @@ def main() -> None:
     report["train_speedup_compiled"] = train_report["train_speedup_compiled"]
     report["train_matches_eager"] = train_report["train_matches_eager"]
     losses_report = bench_losses(dataset)
-    provider_report = bench_providers(dataset, model)
     with open(output_path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
     with open(train_output_path, "w", encoding="utf-8") as handle:
         json.dump(train_report, handle, indent=2, sort_keys=True)
     with open(losses_output_path, "w", encoding="utf-8") as handle:
         json.dump(losses_report, handle, indent=2, sort_keys=True)
-    with open(provider_output_path, "w", encoding="utf-8") as handle:
-        json.dump(provider_report, handle, indent=2, sort_keys=True)
     print(
         f"wrote {output_path} (early-exit speedup: {report['speedup_early_exit']}x, "
         f"compiled speedup: {report['speedup_compiled']}x, "
@@ -235,16 +182,6 @@ def main() -> None:
             f"matches: {entry['train_matches_eager']}"
         )
     print(f"wrote {losses_output_path}")
-    for name, entry in sorted(provider_report["providers"].items()):
-        print(
-            f"{name:>10}: {entry['examples_per_sec']:.0f} examples/s  "
-            f"{entry['speedup_vs_numpy']}x vs numpy  "
-            f"matches: {entry['matches_numpy']}"
-        )
-    print(
-        f"wrote {provider_output_path} ({provider_report['cpu_count']} cores, "
-        f"batch {provider_report['batch']})"
-    )
     if not report["compiled_matches_eager"]:
         print("::warning title=compiled-mismatch::compiled accuracies differ from eager early-exit")
     if report["speedup_compiled"] < 1.0:
@@ -273,19 +210,6 @@ def main() -> None:
             print(
                 f"::warning title=compiled-{name}-regression::compiled {name} training "
                 f"slower than eager ({entry['train_speedup_compiled']}x < 1.0x)"
-            )
-    for name, entry in provider_report["providers"].items():
-        if not entry["matches_numpy"]:
-            print(
-                f"::warning title=provider-{name}-mismatch::{name} provider logits "
-                "differ from the numpy reference"
-            )
-        if name != "numpy" and entry["speedup_vs_numpy"] < 1.0:
-            # Soft failure: expected on single-core runners, worth a look on CI.
-            print(
-                f"::warning title=provider-{name}-regression::{name} provider slower "
-                f"than serial numpy ({entry['speedup_vs_numpy']}x < 1.0x on "
-                f"{provider_report['cpu_count']} cores)"
             )
 
 

@@ -45,23 +45,15 @@ Entry points:
   the training loop in; per-batch eager fallback keeps it always safe and
   ``TrainingHistory.compile_stats`` reports the split.
 * :mod:`repro.compile.kernels` — fused sign/step/project elementwise chains
-  shared by the FGSM/PGD/NIFGSM/MIFGSM update rules.
-* :mod:`repro.compile.backends` — the kernel-provider registry behind every
-  plan: ``numpy`` (serial reference), ``threaded`` (worker-pool row
-  sharding), optional ``numba`` (JIT elementwise chains).  Select with
-  ``REPRO_PROVIDER``, :func:`use_provider`, or the ``provider=`` argument
-  on ``compile_model`` / ``CompiledTrainer`` / ``Trainer`` /
-  ``ExperimentSpec``; unsupported ops fall back per op to the reference.
+  shared by the FGSM/PGD/NIFGSM/MIFGSM update rules, plus the pooled
+  RBF-Gram, centered-trace and dropout-mask kernels the plan nodes share
+  with the gradient-free Gram cache.
+
+Every plan replays one serial set of NumPy ``out=`` kernels, bound as
+closures by the :class:`Plan` executor's per-op binders; BLAS threads the
+GEMMs that dominate conv and affine time.
 """
 
-from .backends import (
-    KernelProvider,
-    available_providers,
-    get_provider,
-    register_provider,
-    resolve_provider_name,
-    use_provider,
-)
 from .cache import SignatureCache
 from .graph import CompileError, Graph, Node, capture_forward
 from .executor import Plan
@@ -79,20 +71,14 @@ __all__ = [
     "CompiledTrainer",
     "Graph",
     "GramCache",
-    "KernelProvider",
     "Node",
     "Plan",
     "SignatureCache",
     "TrainingCompileStats",
-    "available_providers",
     "capture_forward",
     "compile_model",
-    "get_provider",
     "linf_step",
     "lookahead_point",
     "lower_to_eval",
     "optimize",
-    "register_provider",
-    "resolve_provider_name",
-    "use_provider",
 ]

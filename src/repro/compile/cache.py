@@ -44,10 +44,9 @@ class SignatureCache:
     """Second-sighting build cache keyed by ``(shape, dtype)`` signatures.
 
     The hit/miss/build/eviction counters live as labeled series on the
-    shared :mod:`repro.obs` registry (``compile.cache.*{cache=...}``); the
-    legacy ``hits``/``misses``/... attributes and :meth:`stats` are thin
-    read-through views over those series, so one registry snapshot sees
-    every cache in the process.
+    shared :mod:`repro.obs` registry (``compile.cache.*{cache=...}``), so one
+    registry snapshot sees every cache in the process; :meth:`stats` reads
+    this cache's series.
     """
 
     def __init__(
@@ -55,14 +54,9 @@ class SignatureCache:
         build: Callable[[np.ndarray], object],
         capacity: int,
         name: str = "cache",
-        namespace: Optional[str] = None,
     ) -> None:
         self._build = build
         self.capacity = capacity
-        #: extra key component (the kernel-provider name): plans built by
-        #: different providers are distinct entries, so a provider switch
-        #: can never replay another provider's plan.
-        self.namespace = namespace
         self.entries: Dict[Key, Optional[object]] = {}
         self._misses: Dict[Key, int] = {}
         labels = {"cache": f"{name}-{next(_instance_ids)}"}
@@ -73,34 +67,9 @@ class SignatureCache:
         self._build_failures = registry.counter("compile.cache.build_failures", labels)
         self._evictions = registry.counter("compile.cache.evictions", labels)
 
-    # -- registry read-through (legacy attribute shapes) -------------------------
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._miss.value
-
-    @property
-    def builds(self) -> int:
-        return self._builds.value
-
-    @property
-    def build_failures(self) -> int:
-        return self._build_failures.value
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions.value
-
     @staticmethod
     def key(sample: np.ndarray) -> Key:
         return (sample.shape, sample.dtype.str)
-
-    def _key(self, sample: np.ndarray):
-        base = (sample.shape, sample.dtype.str)
-        return base if self.namespace is None else base + (self.namespace,)
 
     @property
     def live_entries(self) -> int:
@@ -114,18 +83,18 @@ class SignatureCache:
     def stats(self) -> Dict[str, int]:
         """Counter snapshot for telemetry (the serve ``stats`` endpoint)."""
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "builds": self.builds,
-            "build_failures": self.build_failures,
-            "evictions": self.evictions,
+            "hits": self._hits.value,
+            "misses": self._miss.value,
+            "builds": self._builds.value,
+            "build_failures": self._build_failures.value,
+            "evictions": self._evictions.value,
             "live_entries": self.live_entries,
             "capacity": self.capacity,
         }
 
     def get(self, sample: np.ndarray):
         """The cached entry for this signature, or ``None`` (never builds)."""
-        return self.entries.get(self._key(sample))
+        return self.entries.get(self.key(sample))
 
     def failed(self, sample: np.ndarray) -> bool:
         """Whether this signature's build failed (a memoized ``None`` entry).
@@ -134,12 +103,12 @@ class SignatureCache:
         first-sighting deferral, so fallback telemetry only counts batches
         that will stay eager forever.
         """
-        key = self._key(sample)
+        key = self.key(sample)
         return key in self.entries and self.entries[key] is None
 
     def insert(self, sample: np.ndarray, entry) -> None:
         """Pre-seed the cache (a caller-built first plan skips the policy)."""
-        self.entries[self._key(sample)] = entry
+        self.entries[self.key(sample)] = entry
 
     def warm(self, sample: np.ndarray) -> bool:
         """Build this signature *now*, bypassing the second-sighting policy.
@@ -150,7 +119,7 @@ class SignatureCache:
         present), ``False`` when the build failed, the failure was already
         memoized, or the cache is at capacity.
         """
-        key = self._key(sample)
+        key = self.key(sample)
         if key in self.entries:
             return self.entries[key] is not None
         if self.live_entries >= self.capacity:
@@ -166,7 +135,7 @@ class SignatureCache:
         at capacity, or when the build failed (memoized — deterministic
         failures such as an untraceable forward never retry).
         """
-        key = self._key(sample)
+        key = self.key(sample)
         if key in self.entries:
             entry = self.entries[key]
             if entry is not None:
@@ -195,5 +164,5 @@ class SignatureCache:
         return entry
 
     def evict(self, sample: np.ndarray) -> None:
-        if self.entries.pop(self._key(sample), None) is not None:
+        if self.entries.pop(self.key(sample), None) is not None:
             self._evictions.inc()

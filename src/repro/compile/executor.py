@@ -48,14 +48,12 @@ cross-entropy and seeds the backward pass with the closed-form
 from __future__ import annotations
 
 from time import perf_counter as _perf_counter
-from types import SimpleNamespace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from ..obs.profiler import PROFILER as _PROFILER
-from .backends import get_provider, resolve_provider_name
 from .graph import CompileError, Graph, LEAF_OPS as _LEAF_OPS, Node
 from .passes import bn_scale_shift
 from .pool import BufferPool
@@ -113,13 +111,11 @@ class Plan:
     grad_aux:
         Aux names to include in the differentiation set; their accumulated
         gradients are read back through :meth:`aux_grad`.
-    provider:
-        Kernel-provider name (see :mod:`repro.compile.backends`).  ``None``
-        resolves through ``use_provider`` scopes and the ``REPRO_PROVIDER``
-        environment variable, defaulting to the serial ``numpy`` reference.
-        The binders keep all wiring; the provider only supplies ``step()``
-        bodies, falling back per op to the reference kernels.
     """
+
+    #: the kernel set every plan replays: the one serial set of NumPy
+    #: ``out=`` kernels bound below.
+    provider_name = "numpy"
 
     def __init__(
         self,
@@ -129,16 +125,12 @@ class Plan:
         seed_ids: Sequence[int] = (),
         aux: Optional[Mapping[str, np.ndarray]] = None,
         grad_aux: Sequence[str] = (),
-        provider: Optional[str] = None,
     ) -> None:
         if grad not in ("input", "params", "both"):
             raise ValueError(f"unknown grad mode '{grad}'; use 'input', 'params' or 'both'")
         self.graph = graph
         self.grad_mode = grad
         self.pool = pool or BufferPool()
-        #: resolved kernel-provider name; joins cache keys and profiles.
-        self.provider_name = resolve_provider_name(provider)
-        self.provider = get_provider(self.provider_name)
         #: node id -> forward value (const arrays, bound buffers, or views).
         self.values: Dict[int, np.ndarray] = {}
         #: node id -> gradient accumulator (shared across backward programs).
@@ -208,30 +200,9 @@ class Plan:
         allocations, nbytes = self.pool.snapshot()
         return {
             "signature": self.signature,
-            "provider": self.provider_name,
             "ops": self._profile.as_dict(),
             "pool": {"allocations": allocations, "bytes": nbytes},
         }
-
-    # ------------------------------------------------------------------ #
-    # kernel-provider dispatch
-    # ------------------------------------------------------------------ #
-    def _kernel(self, node: Node, kind: str, ctx, suffix: str = "") -> Callable[[], None]:
-        """A provider-served step for ``kind`` over a bound kernel context.
-
-        Records which provider actually served the op in ``node.meta``
-        (``"_provider"`` forward, ``"_provider.bwd"`` backward) so profile
-        rows can be labelled ``kind@provider`` and parity tests can assert
-        per-op fallback.  Only non-default servings are recorded — plain
-        labels mean the serial reference ran.
-        """
-        step, served = self.provider.kernel(kind, ctx)
-        key = "_provider" + suffix
-        if served != "numpy":
-            node.meta[key] = served
-        else:
-            node.meta.pop(key, None)
-        return step
 
     # ------------------------------------------------------------------ #
     # binding
@@ -273,10 +244,8 @@ class Plan:
             step, out = binder(self, node)
             self.values[node.id] = out
             if step is not None:
-                served = node.meta.get("_provider")
-                label = f"{node.op}@{served}" if served else node.op
                 self._forward_steps.append(step)
-                self._forward_meta.append((label, out.nbytes))
+                self._forward_meta.append((node.op, out.nbytes))
 
         aux_grad_ids = tuple(graph.aux[name] for name in self._grad_aux)
         if self.grad_mode == "input":
@@ -349,10 +318,8 @@ class Plan:
                 raise CompileError(f"op '{node.op}' has no compiled backward kernel")
             step = binder(self, node)
             if step is not None:
-                served = node.meta.get("_provider.bwd")
-                label = node.op + ".bwd" + (f"@{served}" if served else "")
                 steps.append(step)
-                meta.append((label, self.values[node.id].nbytes))
+                meta.append((node.op + ".bwd", self.values[node.id].nbytes))
         return {
             "steps": steps,
             "meta": meta,
@@ -577,20 +544,18 @@ def _bind_conv2d(plan: Plan, node: Node):
     else:
         mask2d = None
 
-    ctx = SimpleNamespace(
-        x=x,
-        patches=patches,
-        interior=interior,
-        cols=cols,
-        cols6=cols6,
-        w_t=w_t,
-        out2d=out2d,
-        bias=bias,
-        fuse_relu=fuse_relu,
-        mask2d=mask2d,
-        n=n,
-    )
-    return plan._kernel(node, "conv2d", ctx), out
+    def step() -> None:
+        if interior is not None:
+            interior[...] = x
+        cols6[...] = patches
+        np.matmul(cols, w_t, out=out2d)
+        if bias is not None:
+            np.add(out2d, bias, out=out2d)
+        if fuse_relu:
+            np.maximum(out2d, 0.0, out=out2d)
+            np.greater(out2d, 0.0, out=mask2d)
+
+    return step, out
 
 
 def _bind_affine(plan: Plan, node: Node):
@@ -599,8 +564,14 @@ def _bind_affine(plan: Plan, node: Node):
     bias = plan.values[node.inputs[2]]
     fuse_relu = node.meta.get("fuse_relu", False)
     out = plan.pool.empty(node.shape, node.dtype)
-    ctx = SimpleNamespace(x=x, weight_t=weight_t, bias=bias, fuse_relu=fuse_relu, out=out)
-    return plan._kernel(node, "affine", ctx), out
+
+    def step() -> None:
+        np.matmul(x, weight_t, out=out)
+        np.add(out, bias, out=out)
+        if fuse_relu:
+            np.maximum(out, 0.0, out=out)
+
+    return step, out
 
 
 def _bind_matmul(plan: Plan, node: Node):
@@ -610,8 +581,13 @@ def _bind_matmul(plan: Plan, node: Node):
         raise CompileError("compiled matmul supports 2-D operands only")
     fuse_relu = node.meta.get("fuse_relu", False)
     out = plan.pool.empty(node.shape, node.dtype)
-    ctx = SimpleNamespace(a=a, b=b, fuse_relu=fuse_relu, out=out)
-    return plan._kernel(node, "matmul", ctx), out
+
+    def step() -> None:
+        np.matmul(a, b, out=out)
+        if fuse_relu:
+            np.maximum(out, 0.0, out=out)
+
+    return step, out
 
 
 def _bind_binary(ufunc):
@@ -867,38 +843,57 @@ def _bind_detach(plan: Plan, node: Node):
 def _bind_ew(plan: Plan, node: Node):
     x = plan.values[node.inputs[0]]
     out = plan.pool.empty(node.shape, node.dtype)
-    # Resolve the chain to concrete arrays/masks here (wiring), then hand the
-    # provider a spec list; masks stay in the optimizer-pass step dicts too,
-    # because ``_back_ew`` reads them from there.
-    specs: List[dict] = []
+    ops: List[Callable[[], None]] = []
     for step in node.meta["steps"]:
         kind = step["op"]
-        spec = {"op": kind}
         if kind in _EW_BINARY_UFUNC:
-            spec["const_value"] = plan.values[step["const"]]
+            const = plan.values[step["const"]]
+            ops.append(_make_ew_binary(_EW_BINARY_UFUNC[kind], out, const))
         elif kind == "neg":
-            pass
+            ops.append(lambda out=out: np.negative(out, out=out))
         elif kind == "relu":
             mask = plan.pool.empty(node.shape, bool)
-            step["_mask"] = mask
-            spec["_mask"] = mask
+            step["_mask"] = mask  # ``_back_ew`` reads the masks from the step dicts
+            ops.append(_make_ew_relu(out, mask))
         elif kind == "clip":
             mask = plan.pool.empty(node.shape, bool)
             scratch_mask = plan.pool.empty(node.shape, bool)
             step["_mask"] = mask
-            spec["_mask"] = mask
-            spec["_scratch_mask"] = scratch_mask
-            spec["low"] = step["low"]
-            spec["high"] = step["high"]
+            ops.append(_make_ew_clip(out, mask, scratch_mask, step["low"], step["high"]))
         else:  # pragma: no cover - the pass only emits the kinds above
             raise CompileError(f"unknown elementwise step '{kind}'")
-        specs.append(spec)
 
-    ctx = SimpleNamespace(x=x, out=out, steps=specs)
-    return plan._kernel(node, "ew", ctx), out
+    def run() -> None:
+        np.copyto(out, x)
+        for op in ops:
+            op()
+
+    return run, out
 
 
 _EW_BINARY_UFUNC = {"add": np.add, "mul": np.multiply, "div": np.divide}
+
+
+def _make_ew_binary(ufunc, out, const):
+    return lambda: ufunc(out, const, out=out)
+
+
+def _make_ew_relu(out, mask):
+    def run() -> None:
+        np.maximum(out, 0.0, out=out)
+        np.greater(out, 0.0, out=mask)
+
+    return run
+
+
+def _make_ew_clip(out, mask, scratch_mask, low, high):
+    def run() -> None:
+        np.greater_equal(out, low, out=mask)
+        np.less_equal(out, high, out=scratch_mask)
+        np.logical_and(mask, scratch_mask, out=mask)
+        np.clip(out, low, high, out=out)
+
+    return run
 
 
 # --------------------------------------------------------------------------- #
@@ -1301,8 +1296,7 @@ def _bind_rbf_gram(plan: Plan, node: Node):
     rbf = RBFGram(plan.pool, n, d, dtype, node.meta.get("sigma"), keep_mask=True)
     out = plan.pool.empty((n, n), dtype)
     node.meta["_rbf"] = rbf
-    ctx = SimpleNamespace(rbf=rbf, x=x, out=out, n=n)
-    return plan._kernel(node, "rbf_gram", ctx), out
+    return (lambda: rbf.run(x, out)), out
 
 
 def _back_rbf_gram(plan: Plan, node: Node):
@@ -1368,8 +1362,7 @@ def _bind_rng_mask(plan: Plan, node: Node):
     dm = DropoutMask(plan.pool, node.shape, node.dtype, node.meta["p"], node.meta["state"])
     out = plan.pool.empty(node.shape, node.dtype)
     node.meta["_rng"] = dm
-    ctx = SimpleNamespace(rng=dm, x=x, out=out)
-    return plan._kernel(node, "rng_mask", ctx), out
+    return (lambda: dm.run(x, out)), out
 
 
 def _back_rng_mask(plan: Plan, node: Node):
@@ -1408,8 +1401,7 @@ def _bind_hsic_trace(plan: Plan, node: Node):
     trace = CenteredTrace(plan.pool, m, dtype)
     out = plan.pool.empty((), dtype)
     node.meta["_hsic"] = trace
-    ctx = SimpleNamespace(trace=trace, kx=kx, ky=ky, out=out, m=m)
-    return plan._kernel(node, "hsic_trace", ctx), out
+    return (lambda: trace.run(kx, ky, out)), out
 
 
 def _back_hsic_trace(plan: Plan, node: Node):
@@ -1669,27 +1661,26 @@ def _back_conv2d(plan: Plan, node: Node):
             def col_of(ki: int, kj: int):
                 return gc[:, :, :, :, ki, kj]
 
-        # Precompute the col2im (scatter target view, column view) pairs in
-        # the serial loop order; every view has batch as its leading axis in
-        # both layouts, so providers may shard them per example.
+        # The col2im (scatter target view, column view) pairs, built once.
         pairs = [
             (slice_of(gpad, ki, kj), col_of(ki, kj))
             for ki in range(kernel)
             for kj in range(kernel)
         ]
-        ctx = SimpleNamespace(
-            refresh=refresh,
-            grad_mat=grad_mat,
-            w_mat=w_mat,
-            grad_cols=grad_cols,
-            gpad=gpad,
-            pairs=pairs,
-            interior=interior,
-            gx=gx,
-            write=write,
-            n=n,
-        )
-        steps.append(plan._kernel(node, "conv2d.bwd.input", ctx, suffix=".bwd"))
+
+        def input_step() -> None:
+            if refresh is not None:
+                refresh()
+            np.matmul(grad_mat, w_mat, out=grad_cols)
+            gpad.fill(0)
+            for target, column in pairs:
+                np.add(target, column, out=target)
+            if write:
+                np.copyto(gx, interior)
+            else:
+                np.add(gx, interior, out=gx)
+
+        steps.append(input_step)
 
     def run() -> None:
         gm_nhwc[...] = g_nhwc

@@ -177,13 +177,6 @@ class RBFGram:
     eager heuristic, no per-batch allocation).  ``keep_mask=True``
     additionally records the pre-clamp ``>= 0`` mask the plan node's
     backward needs; :attr:`c` holds the scale used by the latest run.
-
-    :attr:`shard_hook` lets a kernel provider distribute the row-parallel
-    elementwise stages: when set, each stage is handed to the hook as a
-    ``fn(row_slice)`` callable over a disjoint row range (the Gram matmul
-    and the bandwidth selection stay whole).  ``None`` (the default) runs
-    every stage over the full range — identical ops on identical operands,
-    so serial results are unchanged bit for bit.
     """
 
     def __init__(
@@ -197,8 +190,6 @@ class RBFGram:
     ) -> None:
         self.sigma = sigma
         self.c = 0.0
-        self.n = n
-        self.shard_hook = None
         self._xsq = pool.empty((n, dim), dtype)
         self._sq = pool.empty((n, 1), dtype)
         self._gram = pool.empty((n, n), dtype)
@@ -207,53 +198,22 @@ class RBFGram:
         self._median = MedianBandwidth(pool, n, dim, dtype) if sigma is None else None
 
     def run(self, x: np.ndarray, out: np.ndarray) -> None:
-        hook = self.shard_hook
-        n = self.n
-        xsq, sq, gram, scratch, mask = (
-            self._xsq,
-            self._sq,
-            self._gram,
-            self._scratch,
-            self.mask,
-        )
-        sq_t = sq.T
-
-        def norms(rows: slice) -> None:
-            np.multiply(x[rows], x[rows], out=xsq[rows])
-            np.sum(xsq[rows], axis=1, keepdims=True, out=sq[rows])
-
-        def distances(rows: slice) -> None:
-            np.add(sq[rows], sq_t, out=out[rows])
-            np.multiply(gram[rows], 2.0, out=scratch[rows])
-            np.subtract(out[rows], scratch[rows], out=out[rows])
-            if mask is not None:
-                np.greater_equal(out[rows], 0.0, out=mask[rows])  # pre-clamp values
-            np.maximum(out[rows], 0.0, out=out[rows])
-
-        if hook is None:
-            norms(slice(0, n))
-        else:
-            hook(norms, n)
-        np.matmul(x, x.T, out=gram)
-        if hook is None:
-            distances(slice(0, n))
-        else:
-            hook(distances, n)
+        np.multiply(x, x, out=self._xsq)
+        np.sum(self._xsq, axis=1, keepdims=True, out=self._sq)
+        np.matmul(x, x.T, out=self._gram)
+        np.add(self._sq, self._sq.T, out=out)
+        np.multiply(self._gram, 2.0, out=self._scratch)
+        np.subtract(out, self._scratch, out=out)
+        if self.mask is not None:
+            np.greater_equal(out, 0.0, out=self.mask)  # pre-clamp values
+        np.maximum(out, 0.0, out=out)
         sigma = self.sigma
         if sigma is None:
             sigma = self._median.run(x)
         sigma = max(float(sigma), 1e-6)
         self.c = -1.0 / (2.0 * sigma * sigma)
-        c = self.c
-
-        def scale(rows: slice) -> None:
-            np.multiply(out[rows], c, out=out[rows])
-            np.exp(out[rows], out=out[rows])
-
-        if hook is None:
-            scale(slice(0, n))
-        else:
-            hook(scale, n)
+        np.multiply(out, self.c, out=out)
+        np.exp(out, out=out)
 
 
 class CenteredTrace:

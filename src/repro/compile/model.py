@@ -20,7 +20,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..nn.tensor import Tensor, get_default_dtype, no_grad
-from .backends import resolve_provider_name
 from .cache import SignatureCache
 from .executor import Plan
 from .graph import CompileError, capture_forward
@@ -77,11 +76,6 @@ class CompiledModel:
         Compile new plans for unseen input signatures on first use.
     max_plans:
         Bound on cached plans; further signatures run eagerly.
-    provider:
-        Kernel-provider name (:mod:`repro.compile.backends`); ``None``
-        resolves through ``use_provider`` scopes / ``REPRO_PROVIDER`` at
-        construction time, **once**, so every plan this model builds — and
-        its cache keys — use one stable provider.
 
     A plan snapshots the module's parameters (and channel mask) at compile
     time.  After mutating the module, call :meth:`invalidate` — or compile a
@@ -96,20 +90,16 @@ class CompiledModel:
         fuse: bool = True,
         auto_compile: bool = True,
         max_plans: int = 8,
-        provider: Optional[str] = None,
     ) -> None:
         self.module = module
         self.fold_bn = fold_bn
         self.fuse = fuse
         self.auto_compile = auto_compile
         self.max_plans = max_plans
-        self.provider = resolve_provider_name(provider)
         self.stats = CompiledStats()
         #: the shared compile-on-second-sighting policy (one implementation
         #: serves CompiledModel, CompiledTrainer and LiveEvalModel alike).
-        self._cache = SignatureCache(
-            self._build_plan, capacity=max_plans, name="model", namespace=self.provider
-        )
+        self._cache = SignatureCache(self._build_plan, capacity=max_plans, name="model")
         #: signatures whose plan forwards but cannot backward (kept for
         #: forward use; value_and_grad skips them without re-trying).
         self._grad_failed: set = set()
@@ -132,7 +122,7 @@ class CompiledModel:
     def _build_plan(self, sample: np.ndarray) -> Plan:
         graph = capture_forward(self.module, sample)
         graph = optimize(graph, fold_bn=self.fold_bn, fuse=self.fuse)
-        plan = Plan(graph, BufferPool(), provider=self.provider)
+        plan = Plan(graph, BufferPool())
         self.stats.plans_built += 1
         return plan
 

@@ -53,7 +53,6 @@ from ..obs import trace as _trace
 from ..obs.profiler import merge_snapshot as _merge_snapshot
 from ..obs.registry import get_registry
 from . import trace_cache
-from .backends import resolve_provider_name, use_provider
 from .cache import SignatureCache
 from .executor import Plan
 from .graph import CompileError, Graph, capture_forward
@@ -323,16 +322,12 @@ class LiveEvalModel:
     mask or reallocated parameter storage invalidates the cached plans.
     """
 
-    def __init__(self, module, max_plans: int = 8, provider: Optional[str] = None) -> None:
+    def __init__(self, module, max_plans: int = 8) -> None:
         self.module = module
-        self.provider = resolve_provider_name(provider)
-
-        def build(sample: np.ndarray) -> Plan:
-            with use_provider(self.provider):
-                return _attack_plan(self.module, sample)
-
         self._cache = SignatureCache(
-            build, capacity=max_plans, name="live-eval", namespace=self.provider
+            lambda sample: _attack_plan(self.module, sample),
+            capacity=max_plans,
+            name="live-eval",
         )
         self._mask_ref = getattr(module, "channel_mask", None)
 
@@ -947,18 +942,10 @@ class CompiledTrainer:
     masks are baked into graphs as constants.
     """
 
-    def __init__(
-        self,
-        model,
-        optimizer,
-        loss_strategy,
-        max_signatures: int = 4,
-        provider: Optional[str] = None,
-    ) -> None:
+    def __init__(self, model, optimizer, loss_strategy, max_signatures: int = 4) -> None:
         self.model = model
         self.optimizer = optimizer
         self.loss_strategy = loss_strategy
-        self.provider = resolve_provider_name(provider)
         self.adapter = build_adapter(loss_strategy)
         # Compiled training needs in-place updates (live plans alias
         # parameter storage); a custom Optimizer subclass that implements
@@ -967,10 +954,7 @@ class CompiledTrainer:
             self.adapter = None
         self.stats = TrainingCompileStats()
         self._cache = SignatureCache(
-            self._build_context,
-            capacity=max_signatures,
-            name="trainer",
-            namespace=self.provider,
+            self._build_context, capacity=max_signatures, name="trainer"
         )
         self._accums: Dict[int, np.ndarray] = {}
         self._mask_ref = getattr(model, "channel_mask", None)
@@ -982,11 +966,7 @@ class CompiledTrainer:
         self._fallback_counter.inc()
 
     def _build_context(self, sample: np.ndarray) -> _SignatureContext:
-        # Every Plan the adapters build inside the context (training plan,
-        # derived attack plan, loss plans) inherits the trainer's provider
-        # through the thread-local scope — no per-adapter plumbing.
-        with use_provider(self.provider):
-            ctx = _SignatureContext(self.model, sample, self.adapter, self.stats)
+        ctx = _SignatureContext(self.model, sample, self.adapter, self.stats)
         self.stats.plans_built += len(ctx.plans)
         return ctx
 

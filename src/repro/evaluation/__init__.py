@@ -12,7 +12,6 @@ from .robustness import (
     RobustnessReport,
     evaluate_robustness,
     format_table,
-    paper_attack_suite,
     paper_attack_suite_specs,
 )
 
@@ -23,7 +22,6 @@ __all__ = [
     "attack_success_rate",
     "RobustnessReport",
     "evaluate_robustness",
-    "paper_attack_suite",
     "paper_attack_suite_specs",
     "format_table",
     "PAPER_ATTACK_ORDER",

@@ -16,27 +16,23 @@ Since the engine redesign this module is a thin veneer over
   batch (*early exit* — strictly fewer forward passes; accuracies identical
   for deterministic attacks, statistically equivalent for random-start
   ones), and records per-attack timing / forward-pass telemetry on the
-  returned report;
-* :func:`paper_attack_suite` remains as a compatibility shim that binds the
-  spec suite to one model, for callers that still want ``Attack`` instances.
+  returned report.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from ..attacks import Attack, AttackSpec, paper_suite_specs
+from ..attacks import AttackSpec, paper_suite_specs
 from ..attacks.engine import AttackEngine, EngineResult, SuiteLike
 from ..models.base import ImageClassifier
 
 __all__ = [
     "RobustnessReport",
     "evaluate_robustness",
-    "paper_attack_suite",
     "paper_attack_suite_specs",
     "format_table",
 ]
@@ -48,19 +44,6 @@ PAPER_ATTACK_ORDER = ("pgd", "cw", "fgsm", "fab", "nifgsm")
 # The suite defaults (eps = 8/255, alpha = 2/255, pgd_steps = 10, cw_steps = 20,
 # seed = 0) are defined once, in repro.attacks.engine.paper_suite_specs.
 paper_attack_suite_specs = paper_suite_specs
-
-
-def paper_attack_suite(model: ImageClassifier, **suite_kwargs) -> Dict[str, Attack]:
-    """Compatibility shim: the paper suite bound to one model.
-
-    Accepts the :func:`paper_attack_suite_specs` keyword arguments (``eps``,
-    ``alpha``, ``pgd_steps``, ``cw_steps``, ``seed``).  New code should
-    prefer the spec suite, which does not bind a model and is reusable
-    across a whole table.
-    """
-    return OrderedDict(
-        (spec.name, spec.build(model)) for spec in paper_attack_suite_specs(**suite_kwargs)
-    )
 
 
 @dataclass

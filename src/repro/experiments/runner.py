@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..attacks.engine import AttackEngine, EngineResult, ForwardPassCounter
-from ..compile.backends import use_provider
 from ..compile.trace_cache import use_trace_store
 from ..core.ibrar import IBRAR
 from ..data.loaders import ArrayDataset, DataLoader
@@ -160,18 +159,11 @@ class ExperimentRunner:
             training_hash=spec.training_hash,
             content_hash=spec.content_hash,
         )
-        # Scope the spec's kernel provider over the whole fit: every plan the
-        # compiled trainer (or IB-RAR's internal trainer) builds resolves it
-        # from the thread-local scope, no constructor plumbing needed.  The
-        # default is pinned too — the thread-local scope outranks
-        # REPRO_PROVIDER, so the environment cannot select a non-reference
-        # provider for a run whose training_hash is the numpy hash.
-        provider_scope = use_provider(spec.provider)
         # Route capture traces through the shared store: grid workers training
         # the same architecture deserialize one published trace per plan
         # signature instead of each re-tracing it (repro.compile.trace_cache).
         trace_scope = use_trace_store(self.store)
-        with annotation, provider_scope, trace_scope, ForwardPassCounter(model) as counter:
+        with annotation, trace_scope, ForwardPassCounter(model) as counter:
             if config is not None:
                 ibrar = IBRAR(
                     model,
@@ -262,10 +254,7 @@ class ExperimentRunner:
             cascade=spec.eval_cascade,
             compile=spec.eval_compile,
         )
-        # Pinned even at the default so REPRO_PROVIDER cannot skew a run
-        # whose hashes say "numpy" (see :meth:`train`).
-        with use_provider(spec.provider):
-            return engine.run(model, images, labels, method_name=spec.label)
+        return engine.run(model, images, labels, method_name=spec.label)
 
     # -- the end-to-end unit -----------------------------------------------------
     def run(self, spec: ExperimentSpec, force: bool = False) -> ExperimentResult:

@@ -120,14 +120,6 @@ class ExperimentSpec:
         cache entries); when disabled it is omitted from the hashed
         payload, so every pre-existing spec keeps its training hash and
         cached checkpoints.
-    provider:
-        Kernel-provider name for compiled plans
-        (:mod:`repro.compile.backends`): ``"numpy"`` (default), ``"threaded"``,
-        or ``"numba"`` when available.  Applied through a ``use_provider``
-        scope around training and evaluation, so it only matters for specs
-        that compile.  Like ``train_compile``, it joins the hashed payloads
-        only when non-default, keeping every pre-existing spec hash (and
-        cached checkpoint/report) stable.
     name:
         Display label for tables; **excluded** from both content hashes.
     """
@@ -149,7 +141,6 @@ class ExperimentSpec:
     eval_cascade: bool = False
     eval_compile: bool = False
     train_compile: bool = False
-    provider: str = "numpy"
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -188,7 +179,6 @@ class ExperimentSpec:
         if isinstance(attacks, (AttackSpec, str, Mapping)):
             attacks = (attacks,)
         object.__setattr__(self, "attacks", tuple(coerce_spec(a) for a in attacks))
-        object.__setattr__(self, "provider", str(self.provider).lower() or "numpy")
         object.__setattr__(self, "name", str(self.name))
 
     # -- accessors ---------------------------------------------------------------
@@ -246,11 +236,6 @@ class ExperimentSpec:
         # exactly where it was.
         if self.train_compile:
             payload["train_compile"] = True
-        # Non-default kernel providers may reorder float reductions, so they
-        # separate checkpoint/report cache entries; the default is omitted so
-        # pre-existing hashes stay stable.
-        if self.provider != "numpy":
-            payload["provider"] = self.provider
         # The cached-Gram HSIC fast path (PR 4) changed the HSIC estimator's
         # floating-point evaluation order, i.e. the training trajectory of
         # every HSIC-regularized spec.  Version the estimator into those
@@ -305,8 +290,16 @@ class ExperimentSpec:
         # "dtype", "hsic" and "dropout_rng" are derived annotations that
         # as_dict() emits (ambient dtype; HSIC-estimator and dropout-RNG
         # scheme versions) — accepted on input, never stored as fields.
-        known = {"dataset", "model", "loss", "ibrar", "optimizer", "epochs", "batch_size", "seed", "dtype", "hsic", "dropout_rng", "train_compile", "provider", "eval", "name"}
-        unknown = sorted(set(data) - known)
+        known = {"dataset", "model", "loss", "ibrar", "optimizer", "epochs", "batch_size", "seed", "dtype", "hsic", "dropout_rng", "train_compile", "eval", "name"}
+        # Older spec JSON may carry "provider": "numpy"; that is the only
+        # kernel set plans run, so it loads with unchanged hashes.
+        provider = data.get("provider", "numpy")
+        if str(provider).lower() != "numpy":
+            raise ExperimentSpecError(
+                f"kernel provider {provider!r} is not supported: kernel providers were "
+                "removed and every compiled plan runs the serial numpy kernels"
+            )
+        unknown = sorted(set(data) - known - {"provider"})
         if unknown:
             raise ExperimentSpecError(
                 f"unknown experiment spec key(s) {unknown}; accepted: {sorted(known)}"
@@ -361,7 +354,6 @@ class ExperimentSpec:
             eval_cascade=eval_section.get("cascade", False),
             eval_compile=eval_section.get("compile", False),
             train_compile=data.get("train_compile", False),
-            provider=data.get("provider", "numpy"),
             name=data.get("name", ""),
         )
 

@@ -80,15 +80,6 @@ def _span_table(events: Iterable[dict]) -> Optional[str]:
     )
 
 
-def _split_provider(kind: str) -> tuple:
-    # Op labels carry the serving kernel provider in-band ("conv2d@threaded");
-    # unlabelled kinds ran the baseline reference kernels.
-    base, sep, provider = kind.rpartition("@")
-    if sep and base:
-        return base, provider
-    return kind, "numpy"
-
-
 def _op_table(events: Iterable[dict]) -> Optional[str]:
     # Profile events are cumulative per plan and may be flushed more than
     # once per process — keep only the last emission per (pid, plan).
@@ -102,27 +93,22 @@ def _op_table(events: Iterable[dict]) -> Optional[str]:
         else:
             key = index
         latest[key] = event
-    ops: Dict[tuple, Dict[str, float]] = {}
+    ops: Dict[str, Dict[str, float]] = {}
     signatures = set()
     for event in latest.values():
         signatures.add(event.get("signature"))
         for kind, stat in (event.get("ops") or {}).items():
-            target = ops.setdefault(
-                _split_provider(kind), {"calls": 0, "total_ms": 0.0, "bytes": 0}
-            )
+            target = ops.setdefault(kind, {"calls": 0, "total_ms": 0.0, "bytes": 0})
             target["calls"] += stat.get("calls", 0)
             target["total_ms"] += stat.get("total_ms", 0.0)
             target["bytes"] += stat.get("bytes", 0)
     if not ops:
         return None
     rows = []
-    for (kind, provider), stat in sorted(
-        ops.items(), key=lambda item: (item[0][1], -item[1]["total_ms"])
-    ):
+    for kind, stat in sorted(ops.items(), key=lambda item: -item[1]["total_ms"]):
         rows.append(
             [
                 kind,
-                provider,
                 str(int(stat["calls"])),
                 f"{stat['total_ms']:.2f}",
                 f"{stat['total_ms'] / max(stat['calls'], 1):.4f}",
@@ -130,7 +116,7 @@ def _op_table(events: Iterable[dict]) -> Optional[str]:
             ]
         )
     table = _format_table(
-        ["op kind", "provider", "calls", "total_ms", "ms/call", "MB out"], rows
+        ["op kind", "calls", "total_ms", "ms/call", "MB out"], rows
     )
     plans = ", ".join(sorted(s for s in signatures if s))
     return f"{table}\n\nplans profiled: {plans or '(none)'}"
@@ -381,27 +367,18 @@ def runs_diff(
     else:
         print("no metric differences", file=stream)
     if diff["ops"]:
-        split = [(_split_provider(entry["op"]), entry) for entry in diff["ops"]]
         rows = [
             [
-                kind,
-                provider,
+                entry["op"],
                 f"{int(entry['calls_a'])} -> {int(entry['calls_b'])}",
                 f"{entry['total_ms_a']:.2f} -> {entry['total_ms_b']:.2f}",
                 f"{entry['delta_ms']:+.2f}",
                 f"{entry['pct']:+.1f}%" if "pct" in entry else "-",
             ]
-            for (kind, provider), entry in sorted(
-                split, key=lambda item: (item[0][1], -item[1]["total_ms_b"])
-            )
+            for entry in diff["ops"]
         ]
         print("== Plan executor delta (per op kind) ==", file=stream)
-        print(
-            _format_table(
-                ["op kind", "provider", "calls", "total_ms", "delta_ms", "pct"], rows
-            ),
-            file=stream,
-        )
+        print(_format_table(["op kind", "calls", "total_ms", "delta_ms", "pct"], rows), file=stream)
     if warn:
         for problem in _records.regressions(diff, threshold=threshold):
             print(f"::warning title=run-regression::{problem}", file=stream)

@@ -178,7 +178,6 @@ def flush() -> int:
             {
                 "event": "profile",
                 "signature": snap["signature"],
-                "provider": snap.get("provider"),
                 "ops": snap["ops"],
                 "pool": snap.get("pool"),
                 "pid": pid,

@@ -56,12 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--model-capacity", type=int, default=4, help="LRU bound on pinned checkpoints"
     )
     parser.add_argument(
-        "--provider",
-        default=None,
-        help="kernel provider for compiled plans (numpy, threaded, numba; "
-        "default: $REPRO_PROVIDER or numpy)",
-    )
-    parser.add_argument(
         "--preload",
         default=None,
         help="comma-separated training-hash prefixes to resolve at startup",
@@ -93,7 +87,6 @@ async def _serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         model_capacity=args.model_capacity,
         max_queue=args.max_queue,
-        provider=args.provider,
     )
     server.start()
     try:

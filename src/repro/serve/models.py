@@ -39,19 +39,11 @@ class ModelNotFound(KeyError):
 
 
 class _Entry:
-    def __init__(
-        self,
-        model_id: str,
-        module: ImageClassifier,
-        live: bool,
-        provider: Optional[str] = None,
-    ) -> None:
+    def __init__(self, model_id: str, module: ImageClassifier, live: bool) -> None:
         self.model_id = model_id
         self.module = module
         #: registered in-process module (live weights) vs. frozen checkpoint.
         self.live = live
-        #: kernel-provider name every worker view compiles with.
-        self.provider = provider
         #: serializes view construction and bucket warming per worker.
         self.lock = threading.RLock()
         #: serializes whole-model eager instrumentation (robustness jobs
@@ -67,17 +59,10 @@ class _Entry:
             view = self.views.get(worker_id)
             if view is None:
                 if self.live:
-                    view = LiveEvalModel(
-                        self.module,
-                        max_plans=len(buckets.sizes) + 4,
-                        provider=self.provider,
-                    )
+                    view = LiveEvalModel(self.module, max_plans=len(buckets.sizes) + 4)
                 else:
                     view = compile_model(
-                        self.module,
-                        sample,
-                        max_plans=len(buckets.sizes) + 4,
-                        provider=self.provider,
+                        self.module, sample, max_plans=len(buckets.sizes) + 4
                     )
                 self.views[worker_id] = view
             example_shape = tuple(sample.shape[1:])
@@ -130,12 +115,10 @@ class ModelPool:
         store=None,
         capacity: int = 4,
         buckets: Optional[BucketConfig] = None,
-        provider: Optional[str] = None,
     ) -> None:
         self.store = store
         self.capacity = int(capacity)
         self.buckets = buckets or BucketConfig()
-        self.provider = provider
         self._entries: Dict[str, _Entry] = {}
         self._lock = threading.Lock()
         self._tick = 0
@@ -146,7 +129,7 @@ class ModelPool:
         """Serve an in-process module under ``name`` (pinned, live weights)."""
         module.eval()
         with self._lock:
-            self._entries[name] = _Entry(name, module, live=True, provider=self.provider)
+            self._entries[name] = _Entry(name, module, live=True)
 
     def get(self, model_id: str) -> _Entry:
         """The entry for a registered name or stored training-hash prefix."""
@@ -184,7 +167,7 @@ class ModelPool:
         if module is None:
             raise ModelNotFound(f"checkpoint '{full_hash}' is missing or corrupt")
         module.eval()
-        return _Entry(full_hash, module, live=False, provider=self.provider)
+        return _Entry(full_hash, module, live=False)
 
     def _evict_lru(self) -> None:
         """Drop least-recently-used checkpoint entries past capacity (locked).

@@ -262,7 +262,6 @@ class RobustnessServer:
         max_queue: Optional[int] = None,
         stall_after_s: float = 5.0,
         window_s: float = 60.0,
-        provider: Optional[str] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("at least one worker thread is required")
@@ -271,12 +270,7 @@ class RobustnessServer:
         self.queue = RequestQueue(
             self.buckets, max_wait=max_wait_ms / 1e3, max_depth=max_queue
         )
-        self.pool = ModelPool(
-            store=store,
-            capacity=model_capacity,
-            buckets=self.buckets,
-            provider=provider,
-        )
+        self.pool = ModelPool(store=store, capacity=model_capacity, buckets=self.buckets)
         self.stats = ServerStats(window_s=window_s)
         self.workers = int(workers)
         self.stall_after_s = float(stall_after_s)

@@ -137,7 +137,6 @@ class Trainer:
         epoch_callback: Optional[Callable[["Trainer", EpochRecord], None]] = None,
         verbose: bool = False,
         compile: bool = False,
-        provider: Optional[str] = None,
     ) -> None:
         self.model = model
         self.loss_strategy = loss_strategy or CrossEntropyLoss()
@@ -148,9 +147,6 @@ class Trainer:
         self.epoch_callback = epoch_callback
         self.verbose = verbose
         self.compile = bool(compile)
-        #: kernel-provider name for compiled plans (None = resolve at build
-        #: time through use_provider scopes / REPRO_PROVIDER).
-        self.provider = provider
         self.history = TrainingHistory()
         self._compiled_trainer = None
         self._retired_compile_stats = None  # counters from replaced instances
@@ -214,7 +210,7 @@ class Trainer:
             from ..compile.training import CompiledTrainer
 
             self._compiled_trainer = CompiledTrainer(
-                self.model, self.optimizer, self.loss_strategy, provider=self.provider
+                self.model, self.optimizer, self.loss_strategy
             )
         return self._compiled_trainer.train_batch(images, labels)
 
@@ -229,7 +225,7 @@ class Trainer:
         if self._live_eval is None:
             from ..compile.training import LiveEvalModel
 
-            self._live_eval = LiveEvalModel(self.model, provider=self.provider)
+            self._live_eval = LiveEvalModel(self.model)
         return self._live_eval
 
     def _run_eval_hook(self, hook, compiled) -> Optional[float]:

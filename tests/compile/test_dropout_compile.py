@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compile.backends import use_provider
 from repro.compile.training import CompiledTrainer
 from repro.core.config import IBRARConfig
 from repro.core.ibrar import IBRAR
@@ -34,7 +33,7 @@ def dropout_vgg(seed: int = 7):
     )
 
 
-def fit_vgg(dataset, compile, provider=None, epochs=2, strategy=None, momentum=0.9):
+def fit_vgg(dataset, compile, epochs=2, strategy=None, momentum=0.9):
     model = dropout_vgg()
     optimizer = SGD(model.parameters(), lr=0.05, momentum=momentum)
     trainer = Trainer(
@@ -51,11 +50,7 @@ def fit_vgg(dataset, compile, provider=None, epochs=2, strategy=None, momentum=0
         drop_last=True,
         seed=3,
     )
-    if provider is not None:
-        with use_provider(provider):
-            history = trainer.fit(loader, epochs=epochs)
-    else:
-        history = trainer.fit(loader, epochs=epochs)
+    history = trainer.fit(loader, epochs=epochs)
     return model, history, trainer
 
 
@@ -79,14 +74,6 @@ class TestDropoutTrainingParity:
         # The acceptance bound: compiled trajectories track eager to <= 1e-12.
         assert max_state_diff(eager_model.state_dict(), compiled_model.state_dict()) <= 1e-12
 
-    def test_vgg_dropout_numpy_threaded_bitwise_identical(self, dataset):
-        numpy_model, _, _ = fit_vgg(dataset, compile=True, provider="numpy")
-        threaded_model, _, _ = fit_vgg(dataset, compile=True, provider="threaded")
-        numpy_state = numpy_model.state_dict()
-        threaded_state = threaded_model.state_dict()
-        for key, value in numpy_state.items():
-            assert np.array_equal(value, threaded_state[key]), key
-
     def test_dropout_state_advances_identically(self, dataset):
         eager_model, _, _ = fit_vgg(dataset, compile=False, epochs=1)
         compiled_model, _, _ = fit_vgg(dataset, compile=True, epochs=1)
@@ -97,7 +84,7 @@ class TestDropoutTrainingParity:
 
 
 class TestMIOnAdversarialCompiled:
-    def _run(self, dataset, compile, provider=None):
+    def _run(self, dataset, compile):
         model = dropout_vgg()
         ibrar = IBRAR(
             model,
@@ -106,15 +93,7 @@ class TestMIOnAdversarialCompiled:
             lr=0.05,
             compile=compile,
         )
-        if provider is not None:
-            with use_provider(provider):
-                result = ibrar.fit(
-                    dataset.x_train, dataset.y_train, epochs=2, batch_size=16, seed=0
-                )
-        else:
-            result = ibrar.fit(
-                dataset.x_train, dataset.y_train, epochs=2, batch_size=16, seed=0
-            )
+        result = ibrar.fit(dataset.x_train, dataset.y_train, epochs=2, batch_size=16, seed=0)
         return model, result.history
 
     def test_compiled_matches_eager(self, dataset):
@@ -129,14 +108,6 @@ class TestMIOnAdversarialCompiled:
             eager_history.train_loss, compiled_history.train_loss, rtol=1e-10
         )
         assert max_state_diff(eager_model.state_dict(), compiled_model.state_dict()) <= 1e-12
-
-    def test_numpy_threaded_bitwise_identical(self, dataset):
-        numpy_model, _ = self._run(dataset, compile=True, provider="numpy")
-        threaded_model, _ = self._run(dataset, compile=True, provider="threaded")
-        numpy_state = numpy_model.state_dict()
-        threaded_state = threaded_model.state_dict()
-        for key, value in numpy_state.items():
-            assert np.array_equal(value, threaded_state[key]), key
 
 
 class TestRngMaskKernel:

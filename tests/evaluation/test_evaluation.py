@@ -14,7 +14,6 @@ from repro.evaluation import (
     clean_accuracy,
     evaluate_robustness,
     format_table,
-    paper_attack_suite,
     paper_attack_suite_specs,
 )
 
@@ -66,9 +65,9 @@ class TestRobustnessReport:
     def test_mean_adversarial_empty(self):
         assert RobustnessReport("x", 0.5).mean_adversarial() == 0.0
 
-    def test_paper_attack_suite_contains_all_five(self, trained_small_cnn):
-        suite = paper_attack_suite(trained_small_cnn, pgd_steps=2, cw_steps=2)
-        assert set(suite) == set(PAPER_ATTACK_ORDER)
+    def test_paper_attack_suite_contains_all_five(self):
+        specs = paper_attack_suite_specs(pgd_steps=2, cw_steps=2)
+        assert tuple(spec.name for spec in specs) == PAPER_ATTACK_ORDER
 
     def test_evaluate_robustness_custom_suite(self, trained_small_cnn, tiny_dataset):
         suite = {"fgsm": FGSM(trained_small_cnn), "pgd": PGD(trained_small_cnn, steps=2)}
@@ -82,17 +81,6 @@ class TestRobustnessReport:
         assert report.method == "CE"
         assert set(report.adversarial) == {"fgsm", "pgd"}
         assert all(0.0 <= v <= 1.0 for v in report.adversarial.values())
-
-    def test_paper_attack_suite_specs_match_shim(self, trained_small_cnn):
-        specs = paper_attack_suite_specs(pgd_steps=2, cw_steps=2)
-        shim = paper_attack_suite(trained_small_cnn, pgd_steps=2, cw_steps=2)
-        assert [s.name for s in specs] == list(shim)
-        # The shim is literally the spec suite bound to one model: every
-        # hyperparameter a spec pins is found on the built attack (a built
-        # attack's own spec additionally records the constructor defaults).
-        for spec in specs:
-            built = shim[spec.name]
-            assert all(getattr(built, key) == value for key, value in spec.params)
 
     def test_evaluate_robustness_with_specs_records_engine_result(
         self, trained_small_cnn, tiny_dataset

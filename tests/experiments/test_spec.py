@@ -131,6 +131,16 @@ class TestValidation:
         with pytest.raises(ExperimentSpecError, match="momentumm"):
             tiny_spec(optimizer={"momentumm": 0.9})
 
+    def test_legacy_numpy_provider_key_loads_and_others_rejected(self):
+        data = tiny_spec(train_compile=True).as_dict()
+        legacy = dict(data, provider="numpy")
+        plain = ExperimentSpec.from_dict(data)
+        revived = ExperimentSpec.from_dict(legacy)
+        assert revived.training_hash == plain.training_hash
+        assert revived.content_hash == plain.content_hash
+        with pytest.raises(ExperimentSpecError, match="providers were removed"):
+            ExperimentSpec.from_dict(dict(data, provider="threaded"))
+
     def test_bad_ibrar_config_rejected_at_construction(self):
         with pytest.raises(ValueError):
             tiny_spec(ibrar={"alpha": -1.0})

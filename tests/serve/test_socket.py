@@ -102,7 +102,10 @@ def test_concurrent_mixed_clients_end_to_end(running_server, small_cnn, tiny_dat
     allocations_after_warmup = server.pool.pool_allocations()
     assert allocations_after_warmup > 0  # plans were actually built
 
-    # Steady state: 3 concurrent clients, mixed kinds, varied sizes.
+    # Steady state: 3 concurrent clients, mixed kinds, varied sizes.  The
+    # offline model is not thread-safe (its outputs live in plan-owned
+    # buffers), so every expected result is computed here, serially, before
+    # the client threads start.
     rng = np.random.default_rng(42)
     plans = []
     for client_index in range(3):
@@ -111,7 +114,12 @@ def test_concurrent_mixed_clients_end_to_end(running_server, small_cnn, tiny_dat
             n = int(rng.integers(1, BUCKETS[-1] + 1))
             picks = rng.integers(0, len(images_pool), size=n)
             kind = "classify" if (client_index + request_index) % 2 else "attack"
-            workload.append((kind, images_pool[picks].copy(), labels_pool[picks].copy()))
+            images, labels = images_pool[picks].copy(), labels_pool[picks].copy()
+            if kind == "classify":
+                want = offline_classify(images)
+            else:
+                want = offline_attack(images, labels)
+            workload.append((kind, images, labels, want))
         plans.append(workload)
 
     failures = []
@@ -119,15 +127,13 @@ def test_concurrent_mixed_clients_end_to_end(running_server, small_cnn, tiny_dat
     def run_client(workload):
         try:
             with SocketServeClient("127.0.0.1", port) as client:
-                for kind, images, labels in workload:
+                for kind, images, labels, want in workload:
                     if kind == "classify":
                         got = client.classify("cnn", images)["predictions"]
-                        want = offline_classify(images)
                     else:
                         got = client.attack("cnn", ATTACK_SPEC, images, labels)[
                             "adversarial"
                         ]
-                        want = offline_attack(images, labels)
                     if got.tobytes() != want.tobytes():
                         failures.append(f"{kind} result diverged from offline engine")
         except Exception as error:  # surfaced after join
