@@ -16,9 +16,11 @@ forwards (batch-stat batch norm with in-place running updates) captured with
 **live parameters**, a full parameter-gradient backward into pooled buffers
 (or the fused input+param backward, ``grad="both"``), fused in-place
 optimizer kernels, and adapters building the paper's composite losses (CE,
-PGD-AT, TRADES, MART, IB-RAR) **fully in plan** — the fused softmax-CE seed
-plus softmax-KL, MART margin-weighting and RBF-Gram/HSIC-trace plan nodes
-over aliased aux inputs, zero eager graph nodes per compiled step.  Dropout compiles in training
+PGD-AT, TRADES, MART, IB-RAR) **fully in plan** — the fused softmax-CE seed,
+the TRADES KL and MART objective traced from their eager code by
+:meth:`Graph.append_traced` onto the generic kernels, and RBF-Gram/HSIC-trace
+plan nodes, all over aliased aux inputs, zero eager graph nodes per compiled
+step.  Dropout compiles in training
 mode as an ``rng_mask`` plan node: masks are counter-based (Philox over
 ``seed x layer-id x step``, state in the module's ``rng_state`` buffer) and
 share the eager ``F.dropout`` mask-fill, so eager and compiled masks are

@@ -32,7 +32,10 @@ precomputed Gram matrix).  Each binds to a caller-supplied alias or to a
 pooled buffer filled through :meth:`Plan.set_aux`; names listed in
 ``grad_aux`` additionally receive gradient accumulators, which is how an
 in-plan loss term hands its gradient to the plan that produced the aliased
-buffer (TRADES' KL gradient with respect to the clean logits).
+buffer (TRADES' KL gradient with respect to the clean logits).  Loss terms
+other than the fused CE and the IB-RAR HSIC nodes are traced from their
+eager code (:meth:`~repro.compile.graph.Graph.append_traced`), so they bind
+the same generic per-primitive kernels as the model itself.
 
 Live-parameter plans (graphs captured with ``live_params=True``) alias
 ``param.data`` directly and re-read it on every replay — one plan survives
@@ -102,7 +105,8 @@ class Plan:
         input+param backward program plus a fast input-only program.
     seed_ids:
         Node ids that may receive external gradient seeds through
-        :meth:`run_backward` (hidden-output nodes, in-plan loss scalars).
+        :meth:`run_backward` (hidden-output nodes, in-plan loss scalars) —
+        named graph outputs, or nodes upstream of the output.
         Registering them as extra contributors keeps the dead-write
         elimination from overwriting injected seeds.
     aux:
@@ -812,6 +816,13 @@ def _bind_sum(plan: Plan, node: Node):
     return (lambda: np.sum(x, axis=axis, keepdims=keepdims, out=out)), out
 
 
+def _bind_max(plan: Plan, node: Node):
+    x = plan.values[node.inputs[0]]
+    axis, keepdims = node.meta["axis"], node.meta["keepdims"]
+    out = plan.pool.empty(node.shape, node.dtype)
+    return (lambda: np.max(x, axis=axis, keepdims=keepdims, out=out)), out
+
+
 def _bind_reshape(plan: Plan, node: Node):
     x = plan.values[node.inputs[0]]
     view = x.reshape(node.meta["shape"])
@@ -897,386 +908,13 @@ def _make_ew_clip(out, mask, scratch_mask, low, high):
 
 
 # --------------------------------------------------------------------------- #
-# in-plan loss nodes (softmax-KL, MART terms, RBF Gram, centered HSIC trace)
+# in-plan IB-RAR nodes (RBF Gram, centered HSIC trace) and counter dropout
 #
-# Each fused node replays the exact primitive sequence the eager loss
-# composition executes — same ufuncs, same stabilizations, same evaluation
-# order — through pooled ``out=`` buffers, so compiled loss values track the
-# eager ones to the last accumulation-order bit and the whole loss runs with
-# zero steady-state allocations and zero eager graph nodes.
+# The HSIC nodes replay the eager ``repro.ib.hsic`` primitive sequence
+# through pooled ``out=`` buffers (the arithmetic lives once, in
+# :mod:`repro.compile.kernels`); every other loss term is traced from its
+# eager code and runs on the generic per-primitive kernels.
 # --------------------------------------------------------------------------- #
-class _SoftmaxLogCore:
-    """Pooled replay of ``F.log_softmax`` (optionally with ``exp`` probs).
-
-    Mirrors the eager op chain: row max (detached), shifted logits, exp,
-    row sum, log, shifted-minus-logsum; :meth:`grad_logits` applies the
-    exact eager backward of that chain.
-    """
-
-    def __init__(self, pool: BufferPool, n: int, k: int, dtype, with_prob: bool) -> None:
-        self.max = pool.empty((n, 1), dtype)
-        self.shift = pool.empty((n, k), dtype)
-        self.e = pool.empty((n, k), dtype)
-        self.s = pool.empty((n, 1), dtype)
-        self.logs = pool.empty((n, 1), dtype)
-        self.log = pool.empty((n, k), dtype)
-        self.prob = pool.empty((n, k), dtype) if with_prob else None
-
-    def forward(self, x: np.ndarray) -> None:
-        np.max(x, axis=1, keepdims=True, out=self.max)
-        np.subtract(x, self.max, out=self.shift)
-        np.exp(self.shift, out=self.e)
-        np.sum(self.e, axis=1, keepdims=True, out=self.s)
-        np.log(self.s, out=self.logs)
-        np.subtract(self.shift, self.logs, out=self.log)
-        if self.prob is not None:
-            np.exp(self.log, out=self.prob)
-
-    def grad_logits(
-        self,
-        grad_log: np.ndarray,
-        scratch_nk: np.ndarray,
-        scratch_n1: np.ndarray,
-        out: np.ndarray,
-    ) -> None:
-        """``out = grad_log + e * (-(sum(grad_log, axis=1)) / s)`` (max detached)."""
-        np.sum(grad_log, axis=1, keepdims=True, out=scratch_n1)
-        np.negative(scratch_n1, out=scratch_n1)
-        np.divide(scratch_n1, self.s, out=scratch_n1)
-        np.multiply(self.e, scratch_n1, out=scratch_nk)
-        np.add(grad_log, scratch_nk, out=out)
-
-    def grad_probs_div(
-        self,
-        grad_probs: np.ndarray,
-        scratch_nk: np.ndarray,
-        scratch2_nk: np.ndarray,
-        scratch_n1: np.ndarray,
-        scratch2_n1: np.ndarray,
-        out: np.ndarray,
-    ) -> None:
-        """Logits grad through the ``probs = e / s`` form (``F.softmax``).
-
-        Replays the eager div/sum/exp backward: ``grad_e = grad/s``,
-        ``grad_s = sum(-grad * e / s^2)``, ``grad_e += grad_s`` broadcast,
-        ``out = grad_e * e``.
-        """
-        np.divide(grad_probs, self.s, out=scratch_nk)
-        np.multiply(grad_probs, self.e, out=scratch2_nk)
-        np.negative(scratch2_nk, out=scratch2_nk)
-        np.multiply(self.s, self.s, out=scratch_n1)
-        np.divide(scratch2_nk, scratch_n1, out=scratch2_nk)
-        np.sum(scratch2_nk, axis=1, keepdims=True, out=scratch2_n1)
-        np.add(scratch_nk, scratch2_n1, out=scratch_nk)
-        np.multiply(scratch_nk, self.e, out=out)
-
-
-def _bind_softmax_kl(plan: Plan, node: Node):
-    """Mean ``KL(softmax(p) || softmax(q))`` of two logits inputs.
-
-    The two orientations are the two input slots: gradients are emitted for
-    whichever of ``p`` and ``q`` lies on the differentiation path.
-    """
-    p_val = plan.values[node.inputs[0]]
-    q_val = plan.values[node.inputs[1]]
-    n, k = p_val.shape
-    dtype = node.dtype
-    p_core = _SoftmaxLogCore(plan.pool, n, k, dtype, with_prob=True)
-    q_core = _SoftmaxLogCore(plan.pool, n, k, dtype, with_prob=False)
-    diff = plan.pool.empty((n, k), dtype)
-    prod = plan.pool.empty((n, k), dtype)
-    per = plan.pool.empty((n,), dtype)
-    out = plan.pool.empty((), dtype)
-    node.meta["_kl"] = (p_core, q_core, diff, per)
-
-    def step() -> None:
-        p_core.forward(p_val)
-        q_core.forward(q_val)
-        np.subtract(p_core.log, q_core.log, out=diff)
-        np.multiply(p_core.prob, diff, out=prod)
-        np.sum(prod, axis=1, out=per)
-        np.sum(per, out=out)
-        np.multiply(out, 1.0 / n, out=out)
-
-    return step, out
-
-
-def _back_softmax_kl(plan: Plan, node: Node):
-    p_id, q_id = node.inputs
-    p_core, q_core, diff, per = node.meta["_kl"]
-    n, k = diff.shape
-    dtype = diff.dtype
-    g = plan.grads[node.id]
-    need_p = p_id in plan._diff
-    need_q = q_id in plan._diff
-    gscal = plan.pool.empty((), dtype)
-    s1 = plan.pool.empty((n, k), dtype)
-    s2 = plan.pool.empty((n, k), dtype)
-    s3 = plan.pool.empty((n, k), dtype)
-    v = plan.pool.empty((n, 1), dtype)
-    steps: List[Callable[[], None]] = []
-    if need_q:
-        write_q, gq = plan._sink(q_id)
-        target_q = gq if write_q else plan.pool.empty((n, k), dtype)
-
-        def q_step() -> None:
-            np.multiply(p_core.prob, gscal, out=s2)  # grad wrt (p_log - q_log)
-            np.negative(s2, out=s2)  # grad wrt q_log
-            q_core.grad_logits(s2, s3, v, target_q)
-            if not write_q:
-                np.add(gq, target_q, out=gq)
-
-        steps.append(q_step)
-    if need_p:
-        write_p, gp = plan._sink(p_id)
-        target_p = gp if write_p else plan.pool.empty((n, k), dtype)
-
-        def p_step() -> None:
-            np.multiply(p_core.prob, gscal, out=s2)  # grad wrt the log diff
-            np.multiply(diff, gscal, out=s1)  # grad wrt p_prob
-            np.multiply(s1, p_core.prob, out=s1)  # through exp(p_log)
-            np.add(s2, s1, out=s1)  # total grad wrt p_log
-            p_core.grad_logits(s1, s3, v, target_p)
-            if not write_p:
-                np.add(gp, target_p, out=gp)
-
-        steps.append(p_step)
-
-    def run() -> None:
-        np.multiply(g, 1.0 / n, out=gscal)  # mean reduction seed, per example
-        for step in steps:
-            step()
-
-    return run
-
-
-def _bind_mart_boosted_ce(plan: Plan, node: Node):
-    """MART's boosted CE: ``mean(-log(p_y + eps) - log(1 - max_wrong + eps))``.
-
-    Inputs: adversarial logits and the one-hot ``true_mask`` aux.  The
-    margin weighting (the ``max_wrong`` term) reproduces the eager
-    ``(probs + mask * -1e9).max(axis=1)`` composition, tie counts included.
-    """
-    adv = plan.values[node.inputs[0]]
-    mask = plan.values[node.inputs[1]]
-    n, k = adv.shape
-    dtype = node.dtype
-    pool = plan.pool
-    buffers = {
-        "maxb": pool.empty((n, 1), dtype),
-        "shift": pool.empty((n, k), dtype),
-        "e": pool.empty((n, k), dtype),
-        "s": pool.empty((n, 1), dtype),
-        "probs": pool.empty((n, k), dtype),
-        "pm": pool.empty((n, k), dtype),
-        "adv_true": pool.empty((n,), dtype),
-        "wrong": pool.empty((n, k), dtype),
-        "wm": pool.empty((n,), dtype),
-        "t1": pool.empty((n,), dtype),
-        "l1": pool.empty((n,), dtype),
-        "t2": pool.empty((n,), dtype),
-        "l2": pool.empty((n,), dtype),
-        "vec": pool.empty((n,), dtype),
-    }
-    out = pool.empty((), dtype)
-    node.meta["_mart_bce"] = buffers
-    b = buffers
-
-    def step() -> None:
-        np.max(adv, axis=1, keepdims=True, out=b["maxb"])
-        np.subtract(adv, b["maxb"], out=b["shift"])
-        np.exp(b["shift"], out=b["e"])
-        np.sum(b["e"], axis=1, keepdims=True, out=b["s"])
-        np.divide(b["e"], b["s"], out=b["probs"])
-        np.multiply(b["probs"], mask, out=b["pm"])
-        np.sum(b["pm"], axis=1, out=b["adv_true"])
-        np.multiply(mask, -1e9, out=b["wrong"])
-        np.add(b["probs"], b["wrong"], out=b["wrong"])
-        np.max(b["wrong"], axis=1, out=b["wm"])
-        np.add(b["adv_true"], 1e-12, out=b["t1"])
-        np.log(b["t1"], out=b["l1"])
-        np.negative(b["wm"], out=b["t2"])
-        np.add(b["t2"], 1.0, out=b["t2"])
-        np.add(b["t2"], 1e-12, out=b["t2"])
-        np.log(b["t2"], out=b["l2"])
-        np.negative(b["l1"], out=b["vec"])
-        np.subtract(b["vec"], b["l2"], out=b["vec"])
-        np.sum(b["vec"], out=out)
-        np.multiply(out, 1.0 / n, out=out)
-
-    return step, out
-
-
-def _back_mart_boosted_ce(plan: Plan, node: Node):
-    adv_id = node.inputs[0]
-    if adv_id not in plan._diff:
-        return None
-    mask = plan.values[node.inputs[1]]
-    b = node.meta["_mart_bce"]
-    n, k = b["shift"].shape
-    dtype = b["shift"].dtype
-    g = plan.grads[node.id]
-    pool = plan.pool
-    gscal = pool.empty((), dtype)
-    gneg = pool.empty((), dtype)
-    ga = pool.empty((n, 1), dtype)
-    gwm = pool.empty((n, 1), dtype)
-    wmk = pool.empty((n, 1), dtype)
-    eqmask = pool.empty((n, k), bool)
-    counts = pool.empty((n, 1), dtype)
-    gw = pool.empty((n, k), dtype)
-    sc = pool.empty((n, k), dtype)
-    sc2 = pool.empty((n, k), dtype)
-    v1 = pool.empty((n, 1), dtype)
-    v2 = pool.empty((n, 1), dtype)
-    t1_col = b["t1"].reshape(n, 1)
-    t2_col = b["t2"].reshape(n, 1)
-    write, gx = plan._sink(adv_id)
-    target = gx if write else pool.empty((n, k), dtype)
-
-    def run() -> None:
-        np.multiply(g, 1.0 / n, out=gscal)
-        np.negative(gscal, out=gneg)  # grad of both -log terms
-        np.divide(gneg, t1_col, out=ga)  # grad wrt adv_true
-        np.divide(gneg, t2_col, out=gwm)
-        np.negative(gwm, out=gwm)  # grad wrt max_wrong
-        # eager max backward: first-equal mask, tie counts clipped at 1
-        np.max(b["wrong"], axis=1, keepdims=True, out=wmk)
-        np.equal(b["wrong"], wmk, out=eqmask)
-        np.sum(eqmask, axis=1, keepdims=True, out=counts)
-        np.maximum(counts, 1.0, out=counts)
-        np.multiply(eqmask, gwm, out=gw)
-        np.divide(gw, counts, out=gw)
-        # grad wrt probs: the margin branch plus the true-class branch
-        np.multiply(mask, ga, out=sc)
-        np.add(gw, sc, out=gw)
-        # softmax (e / s) backward into the logits
-        np.divide(gw, b["s"], out=sc)
-        np.multiply(gw, b["e"], out=sc2)
-        np.negative(sc2, out=sc2)
-        np.multiply(b["s"], b["s"], out=v1)
-        np.divide(sc2, v1, out=sc2)
-        np.sum(sc2, axis=1, keepdims=True, out=v2)
-        np.add(sc, v2, out=sc)
-        np.multiply(sc, b["e"], out=target)
-        if not write:
-            np.add(gx, target, out=gx)
-
-    return run
-
-
-def _bind_mart_weighted_kl(plan: Plan, node: Node):
-    """MART's misclassification-weighted KL:
-    ``mean(KL_i(clean || adv) * (1 - p_clean[y]))``.
-
-    The clean softmax probabilities reuse the KL core's exp/sum buffers
-    through the eager ``e / s`` division, exactly like ``F.softmax``.
-    """
-    clean = plan.values[node.inputs[0]]
-    adv = plan.values[node.inputs[1]]
-    mask = plan.values[node.inputs[2]]
-    n, k = clean.shape
-    dtype = node.dtype
-    pool = plan.pool
-    p_core = _SoftmaxLogCore(pool, n, k, dtype, with_prob=True)
-    q_core = _SoftmaxLogCore(pool, n, k, dtype, with_prob=False)
-    buffers = {
-        "diff": pool.empty((n, k), dtype),
-        "prod": pool.empty((n, k), dtype),
-        "per": pool.empty((n,), dtype),
-        "cprobs": pool.empty((n, k), dtype),
-        "pm": pool.empty((n, k), dtype),
-        "ct": pool.empty((n,), dtype),
-        "w": pool.empty((n,), dtype),
-        "weighted": pool.empty((n,), dtype),
-    }
-    out = pool.empty((), dtype)
-    node.meta["_mart_wkl"] = (p_core, q_core, buffers)
-    b = buffers
-
-    def step() -> None:
-        p_core.forward(clean)
-        q_core.forward(adv)
-        np.subtract(p_core.log, q_core.log, out=b["diff"])
-        np.multiply(p_core.prob, b["diff"], out=b["prod"])
-        np.sum(b["prod"], axis=1, out=b["per"])
-        np.divide(p_core.e, p_core.s, out=b["cprobs"])
-        np.multiply(b["cprobs"], mask, out=b["pm"])
-        np.sum(b["pm"], axis=1, out=b["ct"])
-        np.negative(b["ct"], out=b["w"])
-        np.add(b["w"], 1.0, out=b["w"])
-        np.multiply(b["per"], b["w"], out=b["weighted"])
-        np.sum(b["weighted"], out=out)
-        np.multiply(out, 1.0 / n, out=out)
-
-    return step, out
-
-
-def _back_mart_weighted_kl(plan: Plan, node: Node):
-    clean_id, adv_id = node.inputs[0], node.inputs[1]
-    mask = plan.values[node.inputs[2]]
-    p_core, q_core, b = node.meta["_mart_wkl"]
-    n, k = b["diff"].shape
-    dtype = b["diff"].dtype
-    g = plan.grads[node.id]
-    need_clean = clean_id in plan._diff
-    need_adv = adv_id in plan._diff
-    pool = plan.pool
-    gscal = pool.empty((), dtype)
-    gkl = pool.empty((n, 1), dtype)
-    gw = pool.empty((n, 1), dtype)
-    s1 = pool.empty((n, k), dtype)
-    s2 = pool.empty((n, k), dtype)
-    s3 = pool.empty((n, k), dtype)
-    s4 = pool.empty((n, k), dtype)
-    v1 = pool.empty((n, 1), dtype)
-    v2 = pool.empty((n, 1), dtype)
-    w_col = b["w"].reshape(n, 1)
-    per_col = b["per"].reshape(n, 1)
-    steps: List[Callable[[], None]] = []
-    if need_adv:
-        write_a, ga = plan._sink(adv_id)
-        target_a = ga if write_a else pool.empty((n, k), dtype)
-
-        def adv_step() -> None:
-            np.multiply(p_core.prob, gkl, out=s2)  # grad wrt the log diff
-            np.negative(s2, out=s2)  # grad wrt q_log
-            q_core.grad_logits(s2, s3, v1, target_a)
-            if not write_a:
-                np.add(ga, target_a, out=ga)
-
-        steps.append(adv_step)
-    if need_clean:
-        write_c, gc = plan._sink(clean_id)
-        target_c = gc if write_c else pool.empty((n, k), dtype)
-
-        def clean_step() -> None:
-            # weight branch: grad wrt clean_true -> softmax probs -> logits
-            np.multiply(per_col, gscal, out=gw)  # grad wrt w
-            np.negative(gw, out=gw)  # grad wrt clean_true
-            np.multiply(mask, gw, out=s1)  # grad wrt clean probs
-            p_core.grad_probs_div(s1, s2, s3, v1, v2, target_c)
-            # KL branch: p-side grad through p_log
-            np.multiply(p_core.prob, gkl, out=s2)  # grad wrt the log diff
-            np.multiply(b["diff"], gkl, out=s1)  # grad wrt p_prob
-            np.multiply(s1, p_core.prob, out=s1)  # through exp(p_log)
-            np.add(s2, s1, out=s1)  # total grad wrt p_log
-            p_core.grad_logits(s1, s3, v1, s4)
-            np.add(target_c, s4, out=target_c)
-            if not write_c:
-                np.add(gc, target_c, out=gc)
-
-        steps.append(clean_step)
-
-    def run() -> None:
-        np.multiply(g, 1.0 / n, out=gscal)
-        np.multiply(w_col, gscal, out=gkl)  # per-example KL grad
-        for step in steps:
-            step()
-
-    return run
-
-
 def _bind_rbf_gram(plan: Plan, node: Node):
     """Gaussian (RBF) Gram matrix of a flattened activation batch.
 
@@ -1506,14 +1144,12 @@ _FORWARD = {
     "max_pool2d": _bind_max_pool,
     "avg_pool2d": _bind_avg_pool,
     "sum": _bind_sum,
+    "max": _bind_max,
     "reshape": _bind_reshape,
     "transpose": _bind_transpose,
     "pad2d": _bind_pad2d,
     "detach": _bind_detach,
     "ew": _bind_ew,
-    "softmax_kl": _bind_softmax_kl,
-    "mart_boosted_ce": _bind_mart_boosted_ce,
-    "mart_weighted_kl": _bind_mart_weighted_kl,
     "rbf_gram": _bind_rbf_gram,
     "hsic_trace": _bind_hsic_trace,
     "rng_mask": _bind_rng_mask,
@@ -2127,6 +1763,34 @@ def _back_sum(plan: Plan, node: Node):
     return lambda: np.add(gx, g_view, out=gx)
 
 
+def _back_max(plan: Plan, node: Node):
+    """Eager :meth:`Tensor.max` backward: tied maxima split the gradient evenly."""
+    x = plan.values[node.inputs[0]]
+    axis = node.meta["axis"]
+    if axis is not None:
+        axis = tuple(a % x.ndim for a in (axis if isinstance(axis, tuple) else (axis,)))
+    kept = tuple(
+        1 if axis is None or i in axis else size for i, size in enumerate(x.shape)
+    )
+    out = plan.values[node.id].reshape(kept)
+    g = plan.grads[node.id].reshape(kept)
+    mask = plan.pool.empty(x.shape, bool)
+    counts = plan.pool.empty(kept, node.dtype)
+    write, gx = plan._sink(node.inputs[0])
+    target = gx if write else plan.pool.empty(x.shape, node.dtype)
+
+    def run() -> None:
+        np.equal(x, out, out=mask)
+        np.sum(mask, axis=axis, keepdims=True, out=counts)
+        np.maximum(counts, 1.0, out=counts)
+        np.multiply(mask, g, out=target)
+        np.divide(target, counts, out=target)
+        if not write:
+            np.add(gx, target, out=gx)
+
+    return run
+
+
 def _back_reshape(plan: Plan, node: Node):
     g = plan.grads[node.id]
     write, gx = plan._sink(node.inputs[0])
@@ -2218,13 +1882,11 @@ _BACKWARD = {
     "max_pool2d": _back_max_pool,
     "avg_pool2d": _back_avg_pool,
     "sum": _back_sum,
+    "max": _back_max,
     "reshape": _back_reshape,
     "transpose": _back_transpose,
     "pad2d": _back_pad2d,
     "ew": _back_ew,
-    "softmax_kl": _back_softmax_kl,
-    "mart_boosted_ce": _back_mart_boosted_ce,
-    "mart_weighted_kl": _back_mart_weighted_kl,
     "rbf_gram": _back_rbf_gram,
     "hsic_trace": _back_hsic_trace,
     "rng_mask": _back_rng_mask,

@@ -12,12 +12,17 @@ to eager execution for anything else (see :class:`repro.compile.CompiledModel`).
 Parameter values are snapshotted at capture time: a compiled plan is a frozen
 view of the weights, which is exactly what attack-time evaluation wants —
 recompile (one traced forward) after mutating the module.
+
+The same walk extends a graph with an eager loss function applied to its
+nodes (:meth:`Graph.append_traced`), so a compiled loss is the traced eager
+code rather than a second, hand-written definition.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -130,7 +135,11 @@ class Graph:
         The chosen leaves (the input, the live parameters, and/or the
         ``extra`` leaf ids — differentiated aux inputs) seed the set; an op
         joins it when any of its inputs is in it, except across ``detach``
-        (an explicit gradient stop).
+        (an explicit gradient stop).  A node must also lead, without
+        crossing a ``detach``, to a root of the graph — the output or a
+        named output, where gradient seeds enter: an op consumed only
+        through a ``detach`` (the row max of a stabilized softmax) never
+        receives a gradient and stays out.
         """
         path: Set[int] = set()
         if include_input:
@@ -143,7 +152,11 @@ class Graph:
                 continue
             if any(i in path for i in node.inputs):
                 path.add(node.id)
-        return path
+        reaches = {self.output_id, *self.outputs.values()}
+        for node in reversed(self.nodes):
+            if node.id in reaches and node.op not in LEAF_OPS:
+                reaches.update(node.inputs)
+        return path & reaches
 
     def rebuild(self) -> "Graph":
         """Re-derive the id index and re-sort topologically (after passes).
@@ -217,6 +230,44 @@ class Graph:
         if name is not None:
             self.outputs[name] = node_id
         return node_id
+
+    def append_traced(
+        self,
+        fn: Callable[..., Tensor],
+        bindings: Mapping[str, int],
+        name: Optional[str] = None,
+    ) -> int:
+        """Append the ops of an eager Tensor function applied to existing nodes.
+
+        ``fn`` runs once under tracing, called with one keyword argument per
+        ``bindings`` entry: a placeholder Tensor shaped like the bound node
+        (the graph output, an :meth:`add_aux` leaf, ...).  The recorded ops
+        are lifted by the walk :func:`capture_forward` uses, with each
+        placeholder resolving to its bound node and every other leaf
+        snapshotted as a constant.  Returns the result's node id, registered
+        as the named output ``name`` when given.  A loss written once as
+        eager code thus compiles with no executor code of its own: each
+        primitive it records already has a forward and a backward kernel.
+        """
+        placeholders: Dict[str, Tensor] = {}
+        ids: Dict[int, int] = {}
+        for key, node_id in bindings.items():
+            node = self.node(node_id)
+            tensor = Tensor(np.zeros(node.shape, dtype=node.dtype))
+            placeholders[key] = tensor
+            ids[id(tensor)] = node_id
+        # Placeholder values are zeros; only the recorded ops matter, so
+        # warnings about their arithmetic (log(0), ...) are silenced.
+        with _tensor_mod.trace(), np.errstate(all="ignore"):
+            result = fn(**placeholders)
+        if not isinstance(result, Tensor):
+            raise CompileError(f"traced function returned {type(result).__name__}, expected a Tensor")
+        nodes, (result_id,) = _lift([result], ids, self._next_id(), _const_leaf)
+        for node in nodes:
+            self._append(node)
+        if name is not None:
+            self.outputs[name] = result_id
+        return result_id
 
 
 def _topo_sort(by_id: Dict[int, Node], roots: List[int], input_id: int) -> List[Node]:
@@ -317,9 +368,51 @@ def capture_forward(
     if not isinstance(out, Tensor):
         raise CompileError(f"forward returned {type(out).__name__}, expected a Tensor")
 
-    nodes: List[Node] = []
+    def leaf(tensor: Tensor, node_id: int) -> Node:
+        if tensor is x:
+            return Node(node_id, "input", (), {}, tensor.shape, tensor.dtype)
+        if live_params and isinstance(tensor, Parameter):
+            # Live leaf: the plan aliases (and re-reads) param.data.
+            return Node(node_id, "param", (), {"parameter": tensor}, tensor.shape, tensor.dtype)
+        return _const_leaf(tensor, node_id)
+
     ids: Dict[int, int] = {}  # id(tensor) -> node id
-    next_id = 0
+    nodes, (output_id, *hidden_ids) = _lift([out, *hidden.values()], ids, 0, leaf)
+    if id(x) not in ids:
+        raise CompileError("the module's output does not depend on its input")
+    if not training and any(
+        n.op == "batch_norm2d" and n.meta.get("training") for n in nodes
+    ):
+        raise CompileError("cannot capture a training-mode batch norm")
+    outputs = dict(zip(hidden, hidden_ids))
+    return Graph(nodes, ids[id(x)], output_id, outputs)
+
+
+def _const_leaf(tensor: Tensor, node_id: int) -> Node:
+    """Snapshot an untraced tensor: a parameter, a buffer-derived literal, or
+    a value produced outside the traced region."""
+    return Node(
+        node_id, "const", (), {}, tensor.shape, tensor.dtype,
+        value=np.array(tensor.data, copy=True),
+    )
+
+
+def _lift(
+    roots: Sequence[Tensor],
+    ids: Dict[int, int],
+    next_id: int,
+    leaf: Callable[[Tensor, int], Node],
+) -> Tuple[List[Node], List[int]]:
+    """Lift traced tensors and their recorded ancestry into graph nodes.
+
+    The one walk behind :func:`capture_forward` and
+    :meth:`Graph.append_traced`.  ``ids`` maps ``id(tensor)`` to the node id
+    of every tensor that already has a node and is extended in place;
+    tensors without a recorded op become ``leaf(tensor, node_id)``.  New
+    nodes are numbered from ``next_id`` and returned in post-order (a
+    topological order), followed by the node id of each root.
+    """
+    nodes: List[Node] = []
 
     def visit(tensor: Tensor) -> int:
         nonlocal next_id
@@ -328,39 +421,9 @@ def capture_forward(
             return ids[key]
         parents = getattr(tensor, "_op_parents", None)
         op = getattr(tensor, "_op", None)
-        if tensor is x:
-            node = Node(next_id, "input", (), {}, tensor.shape, tensor.dtype)
-        elif op is None or parents is None:
-            if live_params and isinstance(tensor, Parameter):
-                # Live leaf: the plan aliases (and re-reads) param.data.
-                node = Node(
-                    next_id,
-                    "param",
-                    (),
-                    {"parameter": tensor},
-                    tensor.shape,
-                    tensor.dtype,
-                )
-            else:
-                # Leaf constant: a parameter, a buffer-derived literal, or a
-                # value produced outside the traced region.  Snapshot it.
-                node = Node(
-                    next_id,
-                    "const",
-                    (),
-                    {},
-                    tensor.shape,
-                    tensor.dtype,
-                    value=np.array(tensor.data, copy=True),
-                )
+        if op is None or parents is None:
+            node = leaf(tensor, next_id)
         else:
-            if (
-                op == "batch_norm2d"
-                and tensor._op_meta
-                and tensor._op_meta["training"]
-                and not training
-            ):
-                raise CompileError("cannot capture a training-mode batch norm")
             input_ids = tuple(visit(parent) for parent in parents)
             node = Node(
                 next_id,
@@ -376,16 +439,11 @@ def capture_forward(
         return node.id
 
     # The walk recurses one frame per graph edge; deep models (ResNet-34 at
-    # full depth) can exceed the default limit, so raise it for the capture.
-    import sys
-
+    # full depth) can exceed the default limit, so raise it for the walk.
     limit = sys.getrecursionlimit()
     try:
         sys.setrecursionlimit(max(limit, 10000))
-        output_id = visit(out)
-        outputs = {name: visit(tensor) for name, tensor in hidden.items()}
+        root_ids = [visit(root) for root in roots]
     finally:
         sys.setrecursionlimit(limit)
-    if id(x) not in ids:
-        raise CompileError("the module's output does not depend on its input")
-    return Graph(nodes, ids[id(x)], output_id, outputs)
+    return nodes, root_ids

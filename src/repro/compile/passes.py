@@ -208,7 +208,7 @@ def fold_batchnorm(graph: Graph) -> Graph:
         node.inputs = tuple(_resolve(rewired, i) for i in node.inputs)
     output_id = _resolve(rewired, graph.output_id)
     outputs = {k: _resolve(rewired, v) for k, v in graph.outputs.items()}
-    return Graph(nodes, graph.input_id, output_id, outputs).rebuild()
+    return Graph(nodes, graph.input_id, output_id, outputs, graph.aux).rebuild()
 
 
 def _resolve(rewired: Dict[int, int], node_id: int) -> int:
@@ -262,7 +262,7 @@ def fuse_relu(graph: Graph) -> Graph:
         node.inputs = tuple(_resolve(rewired, i) for i in node.inputs)
     outputs = {k: _resolve(rewired, v) for k, v in graph.outputs.items()}
     return Graph(
-        graph.nodes, graph.input_id, _resolve(rewired, graph.output_id), outputs
+        graph.nodes, graph.input_id, _resolve(rewired, graph.output_id), outputs, graph.aux
     ).rebuild()
 
 

@@ -18,13 +18,17 @@ a plan *context* built from **exactly one traced capture** of the model:
 
 Loss strategies are mapped to *adapters* that build the **entire loss in
 plan**: the classification term runs as the fused softmax-CE seed, and the
-composite side terms — TRADES' and MART's softmax-KL in both orientations,
-MART's margin weighting, IB-RAR's RBF Gram matrices and one-sided-centered
-HSIC traces — are appended to the captured graphs as plan nodes reading the
+composite side terms are appended to the captured graphs reading the
 logits/hidden buffers directly (cross-plan logits flow through aliased
 ``aux`` inputs; per-batch one-hot masks and input/label Gram matrices fill
-pooled buffers).  A compiled step therefore records **zero eager graph
-nodes and zero steady-state pool allocations** across the whole loss.
+pooled buffers).  TRADES' KL and the MART objective are *traced from their
+eager code* (:func:`~repro.nn.functional.kl_div_with_logits`,
+:meth:`~repro.training.adversarial.MARTLoss.objective`) by
+:meth:`~repro.compile.graph.Graph.append_traced`, so each loss's math lives
+once and the adapters only wire plans together; IB-RAR's RBF Gram matrices
+and one-sided-centered HSIC traces are dedicated plan nodes.  A compiled
+step therefore records **zero eager graph nodes and zero steady-state pool
+allocations** across the whole loss.
 Parameter gradients from every backward replay are summed into
 per-parameter accumulators, and the optimizer applies them with its fused
 in-place :meth:`~repro.nn.optim.Optimizer.step_with_grads` kernels — which
@@ -167,24 +171,20 @@ def _attack_plan(model, sample: np.ndarray) -> Plan:
     return Plan(graph, grad="input")
 
 
-def _logits_signature(graph: Graph) -> Tuple[int, int, np.dtype]:
-    n, k = graph.output_node.shape
-    return n, k, graph.output_node.dtype
+def _trace_kl(graph: Graph) -> int:
+    """Trace TRADES' ``KL(clean || output)`` onto ``graph``; returns its node id.
 
-
-def _append_kl(graph: Graph, aux_name: str, aux_first: bool) -> Tuple[int, int]:
-    """Append ``softmax_kl`` between an aux logits leaf and the graph output.
-
-    ``aux_first=True`` puts the aux in the ``p`` slot (``KL(aux || out)``,
-    the TRADES orientation — anchor clean logits, differentiate the
-    adversarial side); ``False`` swaps the orientation.  Returns
-    ``(aux_id, kl_id)``.
+    The clean side is a ``clean_logits`` aux leaf (the adapter aliases it to
+    the clean plan's logits buffer); the math is the eager
+    :func:`~repro.nn.functional.kl_div_with_logits`, traced.
     """
-    n, k, dtype = _logits_signature(graph)
-    aux_id = graph.add_aux(aux_name, (n, k), dtype)
-    inputs = (aux_id, graph.output_id) if aux_first else (graph.output_id, aux_id)
-    kl_id = graph.add_op("softmax_kl", inputs, (), dtype, name="kl")
-    return aux_id, kl_id
+    logits = graph.output_node
+    clean_id = graph.add_aux("clean_logits", logits.shape, logits.dtype)
+    return graph.append_traced(
+        F.kl_div_with_logits,
+        {"p_logits": clean_id, "q_logits": graph.output_id},
+        name="kl",
+    )
 
 
 def _supports_fused_step(optimizer) -> bool:
@@ -520,14 +520,15 @@ class _PGDAdversarialAdapter:
 class _TRADESAdapter:
     """TRADES, fully in plan: KL inner maximization + in-plan CE/KL outer.
 
-    The adversarial plan's graph carries the robust KL term as a
-    ``softmax_kl`` node whose ``p`` side is an aux leaf **aliasing the
-    clean plan's logits buffer** — no copies, no eager graphs.  Seeding
-    that node with ``beta`` yields the parameter gradients of the robust
-    term plus, through the aux gradient accumulator, the KL gradient with
-    respect to the clean logits, which joins the fused-CE seed in the clean
-    plan's backward.  The attack plan (same capture, eval-lowered) carries
-    its own KL node against the same aliased anchor for the inner loop.
+    The adversarial plan's graph carries the robust KL term, traced from
+    the eager :func:`~repro.nn.functional.kl_div_with_logits`, whose ``p``
+    side is an aux leaf **aliasing the clean plan's logits buffer** — no
+    copies, no eager graphs.  Seeding the KL with ``beta`` yields the
+    parameter gradients of the robust term plus, through the aux gradient
+    accumulator, the KL gradient with respect to the clean logits, which
+    joins the fused-CE seed in the clean plan's backward.  The attack plan
+    (same capture, eval-lowered) carries its own traced KL against the same
+    aliased anchor for the inner loop.
     """
 
     needs_hidden_seeds = False
@@ -542,7 +543,7 @@ class _TRADESAdapter:
         dtype = clean_logits.dtype
 
         graph_b = _train_graph(captured)
-        _, kl_id = _append_kl(graph_b, "clean_logits", aux_first=True)
+        kl_id = _trace_kl(graph_b)
         ctx.train_b = ctx.register(
             Plan(
                 graph_b.rebuild(),
@@ -555,7 +556,7 @@ class _TRADESAdapter:
         ctx.ids["kl"] = kl_id
 
         attack_graph, _ = _eval_graph(captured)
-        _, attack_kl_id = _append_kl(attack_graph, "clean_logits", aux_first=True)
+        attack_kl_id = _trace_kl(attack_graph)
         ctx.attack = ctx.register(
             Plan(
                 attack_graph.rebuild(),
@@ -621,15 +622,14 @@ class _TRADESAdapter:
 
 
 class _MARTAdapter:
-    """MART, fully in plan: boosted CE + misclassification-weighted KL.
+    """MART, fully in plan: the eager :meth:`MARTLoss.objective`, traced.
 
-    The clean plan's graph carries both loss terms as plan nodes — the
-    ``mart_boosted_ce`` margin weighting and the ``mart_weighted_kl``
-    (the reverse KL orientation, per-example, weighted by ``1 - p_clean[y]``)
-    — over two aux leaves: the adversarial logits (aliasing the adversarial
-    plan's output buffer) and a pooled one-hot ``true_mask`` filled in
-    place per batch.  One seed at the in-plan total drives the whole
-    backward; the adversarial plan is seeded with the aux gradient.
+    The clean plan's graph carries the whole objective — boosted CE and
+    misclassification-weighted KL — over two aux leaves: the adversarial
+    logits (aliasing the adversarial plan's output buffer) and a pooled
+    one-hot ``true_mask`` filled in place per batch.  One seed at the
+    in-plan total drives the whole backward; the adversarial plan is
+    seeded with the aux gradient.
     """
 
     needs_hidden_seeds = False
@@ -638,25 +638,21 @@ class _MARTAdapter:
         self.strategy = strategy
 
     def build(self, ctx: _SignatureContext, captured: Graph) -> None:
-        s = self.strategy
         # Eager MART forwards the adversarial batch first, then the clean
-        # one; the loss nodes live on the (later) clean plan.
+        # one; the loss lives on the (later) clean plan.
         ctx.train_b = ctx.register(Plan(_train_graph(captured), grad="params"))
         adv_logits = ctx.train_b.values[ctx.train_b.graph.output_id]
         graph_a = _train_graph(captured)
-        n, k, dtype = _logits_signature(graph_a)
-        adv_id = graph_a.add_aux("adv_logits", (n, k), dtype)
-        mask_id = graph_a.add_aux("true_mask", (n, k), dtype)
-        bce_id = graph_a.add_op(
-            "mart_boosted_ce", (adv_id, mask_id), (), dtype, name="boosted_ce"
+        logits = graph_a.output_node
+        total_id = graph_a.append_traced(
+            self.strategy.objective,
+            {
+                "adv_logits": graph_a.add_aux("adv_logits", logits.shape, logits.dtype),
+                "clean_logits": graph_a.output_id,
+                "true_mask": graph_a.add_aux("true_mask", logits.shape, logits.dtype),
+            },
+            name="total",
         )
-        wkl_id = graph_a.add_op(
-            "mart_weighted_kl", (graph_a.output_id, adv_id, mask_id), (), dtype,
-            name="weighted_kl",
-        )
-        beta_id = graph_a.add_const(np.asarray(s.beta, dtype=dtype))
-        scaled_id = graph_a.add_op("mul", (wkl_id, beta_id), (), dtype)
-        total_id = graph_a.add_op("add", (bce_id, scaled_id), (), dtype, name="total")
         ctx.train_a = ctx.register(
             Plan(
                 graph_a.rebuild(),
@@ -668,8 +664,8 @@ class _MARTAdapter:
         )
         ctx.ids["total"] = total_id
         ctx.attack = ctx.register(Plan(_eval_graph(captured)[0], grad="input"))
-        ctx.one = ctx.scalar(1.0, dtype)
-        ctx.arange = np.arange(n)
+        ctx.one = ctx.scalar(1.0, logits.dtype)
+        ctx.arange = np.arange(logits.shape[0])
 
     def _generate(self, trainer, ctx, images, labels) -> np.ndarray:
         """One fresh MART generation (CE-guided PGD, forced random start)."""

@@ -284,6 +284,14 @@ def runs_show(run_ref: str, store_root: Optional[str] = None, stream=None) -> in
     return 0
 
 
+def _latest_of_series(earlier: List[dict], record: dict) -> Optional[dict]:
+    """The newest of ``earlier`` (oldest first) sharing ``record``'s kind and label."""
+    series = (record.get("kind"), record.get("label"))
+    return next(
+        (r for r in reversed(earlier) if (r.get("kind"), r.get("label")) == series), None
+    )
+
+
 def runs_diff(
     ref_a: Optional[str] = None,
     ref_b: Optional[str] = None,
@@ -292,10 +300,14 @@ def runs_diff(
     warn: bool = False,
     stream=None,
 ) -> int:
-    """Diff two run records (default: the two most recent of the same kind).
+    """Diff two run records of the same kind and label.
 
-    With fewer than two comparable records the command reports so and
-    exits 0 — the CI soft gate must pass on the first ever run.
+    With no refs, diffs the newest pair of records sharing a kind and a
+    label (so a cold/warm pair of one grid is not diffed against a
+    different grid recorded after it); with one ref, diffs that record
+    against the newest earlier record of its kind and label.  With no
+    such pair the command reports so and exits 0 — the CI soft gate must
+    pass on the first ever run.
     """
     from . import records as _records
 
@@ -318,26 +330,26 @@ def runs_diff(
                     return 2
                 earlier = [
                     r for r in stored
-                    if r.get("kind") == record_b.get("kind")
-                    and r.get("run_id") != record_b.get("run_id")
+                    if r.get("run_id") != record_b.get("run_id")
                     and (r.get("created") or 0) <= (record_b.get("created") or 0)
                 ]
-                if not earlier:
-                    print("nothing to diff against (single record)", file=stream)
-                    return 0
-                record_a = earlier[-1]
+                record_a = _latest_of_series(earlier, record_b)
             else:
                 if not stored:
                     print(f"no run records in {store.root}", file=stream)
                     return 0
-                record_b = stored[-1]
-                earlier = [
-                    r for r in stored[:-1] if r.get("kind") == record_b.get("kind")
-                ]
-                if not earlier:
-                    print("nothing to diff against (single record)", file=stream)
-                    return 0
-                record_a = earlier[-1]
+                record_a = None
+                for index in range(len(stored) - 1, 0, -1):
+                    record_b = stored[index]
+                    record_a = _latest_of_series(stored[:index], record_b)
+                    if record_a is not None:
+                        break
+            if record_a is None:
+                print(
+                    "nothing to diff against (no earlier record of the same kind and label)",
+                    file=stream,
+                )
+                return 0
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -417,9 +429,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     show_parser.add_argument("run", help="run id (or unique prefix)")
     show_parser.add_argument("--store", default=None, help="artifact store root")
     diff_parser = runs_sub.add_parser(
-        "diff", help="metric and per-op-kind deltas between two records"
+        "diff",
+        help="metric and per-op-kind deltas between two records",
+        description=(
+            "Diff two run records.  With no refs, diffs the newest pair of "
+            "records sharing a kind and a label; with one ref, diffs that "
+            "record against the newest earlier record of its kind and label."
+        ),
     )
-    diff_parser.add_argument("run_a", nargs="?", default=None, help="older record")
+    diff_parser.add_argument(
+        "run_a", nargs="?", default=None,
+        help="older record (alone: the newer record, paired with the newest "
+        "earlier record of its kind and label)",
+    )
     diff_parser.add_argument("run_b", nargs="?", default=None, help="newer record")
     diff_parser.add_argument("--store", default=None, help="artifact store root")
     diff_parser.add_argument(

@@ -226,15 +226,21 @@ class MARTLoss:
         return attack.attack(images, labels)
 
     def __call__(self, model: ImageClassifier, images: np.ndarray, labels: np.ndarray) -> Tensor:
-        n = len(labels)
-        num_classes = model.num_classes
         adversarial = self.generate(model, images, labels)
         adv_logits = model.forward(Tensor(adversarial))
         clean_logits = model.forward(Tensor(images))
+        true_mask = Tensor(F.one_hot(labels, model.num_classes))
+        return self.objective(adv_logits, clean_logits, true_mask)
+
+    def objective(self, adv_logits: Tensor, clean_logits: Tensor, true_mask: Tensor) -> Tensor:
+        """The MART loss of adversarial and clean logits under a one-hot label mask.
+
+        The one definition of the objective: eager training calls it
+        directly and compiled training traces it into the clean plan.
+        """
         adv_probs = F.softmax(adv_logits, axis=1)
         clean_probs = F.softmax(clean_logits, axis=1)
 
-        true_mask = Tensor(F.one_hot(labels, num_classes))
         adv_true = (adv_probs * true_mask).sum(axis=1)
         # Largest wrong-class probability under the adversarial prediction.
         adv_wrong_max = (adv_probs + true_mask * (-1e9)).max(axis=1)

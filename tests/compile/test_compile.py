@@ -17,6 +17,7 @@ from repro.compile import (
     optimize,
 )
 from repro.compile.executor import Plan
+from repro.compile.graph import Graph, Node
 from repro.experiments import ExperimentSpec
 from repro.models import MLP, SmallCNN, ResNet18, VGG16
 from repro.models.base import ImageClassifier
@@ -97,6 +98,33 @@ class TestPasses:
         assert np.allclose(plan.forward(x), eager.data)
         eager.backward()
         assert np.allclose(plan.backward(np.ones(())), x_t.grad)
+
+    def test_relu_fusion_keeps_aux_inputs(self, rng):
+        # fuse_relu rebuilds the graph; its aux leaves must survive so a
+        # plan can still bind and differentiate them.
+        nodes = [
+            Node(0, "input", (), {}, (4, 5), np.float64),
+            Node(1, "aux", (), {"name": "other"}, (4, 5), np.float64),
+            Node(2, "add", (0, 1), {}, (4, 5), np.float64),
+            Node(3, "relu", (2,), {}, (4, 5), np.float64),
+        ]
+        optimized = optimize(Graph(nodes, input_id=0, output_id=3, aux={"other": 1}))
+        assert optimized.aux == {"other": 1}
+        x, other = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+        plan = Plan(optimized, aux={"other": other}, grad_aux=("other",))
+        assert np.array_equal(plan.forward(x), np.maximum(x + other, 0.0))
+        plan.backward(np.ones((4, 5)))
+        assert np.array_equal(plan.aux_grad("other"), (x + other > 0).astype(np.float64))
+
+    def test_bn_folding_keeps_aux_inputs(self, small_cnn, batch):
+        small_cnn.eval()
+        graph = capture_forward(small_cnn, batch)
+        logits = graph.output_node
+        aux_id = graph.add_aux("other", logits.shape, logits.dtype)
+        graph.add_op("add", (graph.output_id, aux_id), logits.shape, logits.dtype, name="sum")
+        optimized = optimize(graph, fold_bn=True)
+        assert "batch_norm2d" not in optimized.op_counts()
+        assert optimized.aux == {"other": aux_id}
 
     def test_elementwise_chain_fusion(self, rng):
         class Chain(Module):

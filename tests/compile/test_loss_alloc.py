@@ -1,8 +1,8 @@
 """Allocation and capture-count regressions for the in-plan losses.
 
-* A warm compiled TRADES / IB-RAR step must record **zero eager graph
-  nodes** (``op_counter`` — every loss term is a plan node now) and **zero
-  steady-state pool allocations**.
+* A warm compiled TRADES / MART / IB-RAR step must record **zero eager
+  graph nodes** (``op_counter`` — every loss term is traced into the plan)
+  and **zero steady-state pool allocations**.
 * PGD-AT performs exactly **one plan-pair capture per signature**
   (``TrainingCompileStats.captures``), with the attack plan derived from
   the training capture by the ``lower_to_eval`` pass; on a mode-invariant
@@ -12,6 +12,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.core.config import IBRARConfig
 from repro.core.losses import AdversarialMILoss
@@ -19,7 +20,7 @@ from repro.compile.training import CompiledTrainer
 from repro.models import MLP, SmallCNN
 from repro.nn.optim import SGD
 from repro.nn.tensor import op_counter
-from repro.training.adversarial import PGDAdversarialLoss, TRADESLoss
+from repro.training.adversarial import MARTLoss, PGDAdversarialLoss, TRADESLoss
 
 
 def _compiled(strategy, model=None):
@@ -49,8 +50,9 @@ class TestZeroSteadyStateLoss:
         assert ops.count == 0, f"{ops.count} eager graph nodes built in a compiled step"
         assert trainer.pool_allocations - before == 0
 
-    def test_trades_step_is_allocation_free(self):
-        trainer = _compiled(TRADESLoss(steps=2, seed=0))
+    @pytest.mark.parametrize("strategy_cls", [TRADESLoss, MARTLoss], ids=["trades", "mart"])
+    def test_step_is_allocation_free(self, strategy_cls):
+        trainer = _compiled(strategy_cls(steps=2, seed=0))
         images, labels = _warm(trainer)
         self._assert_steady(trainer, images, labels)
 

@@ -1,12 +1,13 @@
 """Differential-parity suite: compiled training == eager, per loss family.
 
 For every loss family the paper trains with ({CE, PGD-AT, TRADES, MART,
-MILoss, IB-RAR}) crossed with a small CNN and a resnet-style model from the
-registry, two training epochs run compiled and eager from identical seeds
-and the suite asserts:
+MILoss, IB-RAR over PGD-AT, TRADES and MART}) crossed with a small CNN and
+a resnet-style model from the registry, two training epochs run compiled
+and eager from identical seeds and the suite asserts:
 
-* parameter trajectories match within 1e-12 (the in-plan losses replay the
-  eager primitive sequences, so the observed drift is ~1e-15);
+* parameter trajectories match within 1e-12 (the in-plan losses are traced
+  from, or replay, the eager primitive sequences, so the observed drift is
+  ~1e-15);
 * per-batch loss values match;
 * the Eq. (3) channel-mask refresh behaves identically.
 
@@ -48,6 +49,16 @@ LOSSES = {
         IBRARConfig(alpha=0.05, beta=0.01),
         num_classes=classes,
         adversarial_strategy=PGDAdversarialLoss(steps=2, seed=0),
+    ),
+    "ibrar_trades": lambda classes: AdversarialMILoss(
+        IBRARConfig(alpha=0.05, beta=0.01),
+        num_classes=classes,
+        adversarial_strategy=TRADESLoss(steps=2, seed=0),
+    ),
+    "ibrar_mart": lambda classes: AdversarialMILoss(
+        IBRARConfig(alpha=0.05, beta=0.01),
+        num_classes=classes,
+        adversarial_strategy=MARTLoss(steps=2, seed=0),
     ),
 }
 

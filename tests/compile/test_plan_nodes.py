@@ -1,12 +1,15 @@
-"""Finite-difference gradcheck for the in-plan loss nodes and fused backward.
+"""Finite-difference gradcheck for the in-plan loss terms and fused backward.
 
-Every node :mod:`repro.compile.executor` gained for the in-plan losses —
-``softmax_kl`` (both KL orientations), the MART margin weighting and
-weighted KL, the RBF Gram matrix and the one-sided-centered HSIC trace —
-is checked against central finite differences of the plan's own forward,
-through tiny hand-built graphs.  The fused input+param backward
-(``grad="both"``) is checked end to end on a captured model: the input
-gradient and every parameter gradient come out of the *same* plan.
+The TRADES KL and the MART objective are traced from their eager code by
+:meth:`~repro.compile.graph.Graph.append_traced` and run on the generic
+per-primitive kernels; each traced loss is checked against central finite
+differences of the plan's own forward (with the input in every logits slot)
+and against the eager value.  A tie test pins the ``max`` kernel's eager
+gradient split through MART's margin term.  The IB-RAR nodes — the RBF Gram
+matrix and the one-sided-centered HSIC trace — are checked through tiny
+hand-built graphs.  The fused input+param backward (``grad="both"``) is
+checked end to end on a captured model: the input gradient and every
+parameter gradient come out of the *same* plan.
 """
 
 from __future__ import annotations
@@ -28,18 +31,7 @@ from repro.models import MLP
 from repro.nn import Tensor
 from repro.nn import functional as F
 from repro.ib.hsic import gaussian_kernel, hsic, normalized_hsic
-
-
-def _loss_graph(n, k, op, aux_specs, extra_inputs=(), meta=None):
-    """input (n, k) + aux leaves + one scalar loss node reading them."""
-    nodes = [Node(0, "input", (), {}, (n, k), np.float64)]
-    aux = {}
-    for index, (name, shape) in enumerate(aux_specs, start=1):
-        nodes.append(Node(index, "aux", (), {"name": name}, shape, np.float64))
-        aux[name] = index
-    loss_id = len(nodes)
-    nodes.append(Node(loss_id, op, (0, *extra_inputs), dict(meta or {}), (), np.float64))
-    return Graph(nodes, input_id=0, output_id=loss_id, aux=aux)
+from repro.training.adversarial import MARTLoss
 
 
 def _run(plan, x):
@@ -48,106 +40,128 @@ def _run(plan, x):
     return plan
 
 
+def _traced_plan(fn, input_name, shape, others=None, grad_aux=()):
+    """Plan of ``fn`` traced with ``input_name`` bound to a ``shape`` input leaf.
+
+    ``others`` maps each remaining argument to its array, bound as a
+    same-named aux leaf; names in ``grad_aux`` are differentiated.
+    """
+    others = others or {}
+    graph = Graph([Node(0, "input", (), {}, shape, np.float64)], input_id=0, output_id=0)
+    bindings = {input_name: 0}
+    for name, value in others.items():
+        bindings[name] = graph.add_aux(name, value.shape, np.float64)
+    graph.output_id = graph.append_traced(fn, bindings)
+    return Plan(graph, grad="input", aux=others, grad_aux=grad_aux)
+
+
+def _check_traced(fn, input_name, x, others, grad_aux):
+    """Gradcheck the input and every ``grad_aux`` leaf; return the plan's value."""
+    plan = _traced_plan(fn, input_name, x.shape, others, grad_aux)
+
+    def value():
+        return float(_run(plan, x).values[plan.graph.output_id])
+
+    value()
+    pairs = [(input_name, x, np.array(plan.grads[0]))]
+    pairs += [(name, others[name], np.array(plan.aux_grad(name))) for name in grad_aux]
+    ok, message = plan_gradcheck(value, pairs)
+    assert ok, message
+    return value()
+
+
 class TestSoftmaxKL:
-    def _check(self, aux_first: bool):
+    """TRADES' KL, traced from ``F.kl_div_with_logits`` in both orientations."""
+
+    def _check(self, input_name: str, other_name: str):
         rng = np.random.default_rng(0)
-        n, k = 5, 4
-        x = rng.normal(size=(n, k))
-        other = rng.normal(size=(n, k))
-        # The input takes the p slot or the q slot depending on orientation.
-        nodes = [
-            Node(0, "input", (), {}, (n, k), np.float64),
-            Node(1, "aux", (), {"name": "other"}, (n, k), np.float64),
-        ]
-        inputs = (1, 0) if aux_first else (0, 1)
-        nodes.append(Node(2, "softmax_kl", inputs, {}, (), np.float64))
-        graph = Graph(nodes, input_id=0, output_id=2, aux={"other": 1})
-        plan = Plan(graph, grad="input", aux={"other": other}, grad_aux=("other",))
-
-        def value():
-            return float(_run(plan, x).values[2])
-
-        value()
-        analytic_x = np.array(plan.grads[0])
-        analytic_other = np.array(plan.aux_grad("other"))
-        ok, message = plan_gradcheck(
-            value, [("logits", x, analytic_x), ("other", other, analytic_other)]
+        x = rng.normal(size=(5, 4))
+        other = rng.normal(size=(5, 4))
+        value = _check_traced(
+            F.kl_div_with_logits, input_name, x, {other_name: other}, (other_name,)
         )
-        assert ok, message
-        # The forward value must equal the eager composition exactly.
-        p, q = (other, x) if aux_first else (x, other)
-        eager = float(F.kl_div_with_logits(Tensor(p), Tensor(q)).item())
-        assert value() == pytest.approx(eager, rel=1e-12)
+        tensors = {input_name: Tensor(x), other_name: Tensor(other)}
+        eager = float(F.kl_div_with_logits(**tensors).item())
+        assert value == pytest.approx(eager, rel=1e-12)
 
     def test_kl_input_as_p(self):
-        self._check(aux_first=False)
+        self._check("p_logits", "q_logits")
 
     def test_kl_input_as_q(self):
-        self._check(aux_first=True)
+        self._check("q_logits", "p_logits")
 
 
-class TestMARTNodes:
-    def _mask(self, n, k, rng):
-        labels = rng.integers(0, k, n)
-        mask = np.zeros((n, k))
-        mask[np.arange(n), labels] = 1.0
-        return labels, mask
+class TestMARTObjective:
+    """``MARTLoss.objective`` traced over both logits and the label mask."""
 
-    def test_boosted_ce_margin_weighting(self):
+    def _check(self, input_name: str, other_name: str):
         rng = np.random.default_rng(1)
         n, k = 5, 4
         x = rng.normal(size=(n, k))
-        labels, mask = self._mask(n, k, rng)
-        graph = _loss_graph(n, k, "mart_boosted_ce", [("true_mask", (n, k))], extra_inputs=(1,))
-        plan = Plan(graph, grad="input", aux={"true_mask": mask})
+        other = rng.normal(size=(n, k))
+        mask = np.zeros((n, k))
+        mask[np.arange(n), rng.integers(0, k, n)] = 1.0
+        loss = MARTLoss(beta=5.0)
+        value = _check_traced(
+            loss.objective, input_name, x, {other_name: other, "true_mask": mask},
+            (other_name,),
+        )
+        tensors = {input_name: Tensor(x), other_name: Tensor(other)}
+        eager = float(loss.objective(true_mask=Tensor(mask), **tensors).item())
+        assert value == pytest.approx(eager, rel=1e-12)
 
-        def value():
-            return float(_run(plan, x).values[graph.output_id])
+    def test_objective_input_as_adv(self):
+        self._check("adv_logits", "clean_logits")
 
-        value()
-        analytic = np.array(plan.grads[0])
-        ok, message = plan_gradcheck(value, [("adv_logits", x, analytic)])
-        assert ok, message
-        # Eager reference (the exact MART boosted-CE composition).
-        probs = F.softmax(Tensor(x), axis=1)
-        true_mask = Tensor(mask)
-        adv_true = (probs * true_mask).sum(axis=1)
-        adv_wrong = (probs + true_mask * (-1e9)).max(axis=1)
-        eager = (-((adv_true + 1e-12).log()) - ((1.0 - adv_wrong + 1e-12).log())).mean()
-        assert value() == pytest.approx(float(eager.item()), rel=1e-12)
+    def test_objective_input_as_clean(self):
+        self._check("clean_logits", "adv_logits")
 
-    def test_weighted_kl_both_logits(self):
+    def test_tied_wrong_class_maxima_split_the_gradient(self):
+        # Two equal wrong-class logits per row tie the margin term's max;
+        # eager Tensor.max splits the gradient evenly between them, and so
+        # must the compiled max kernel.  Classes 1 and 3 are interchangeable
+        # everywhere else too, so only an even split gives them equal grads.
         rng = np.random.default_rng(2)
-        n, k = 5, 4
-        clean = rng.normal(size=(n, k))
+        n, k = 4, 5
         adv = rng.normal(size=(n, k))
-        labels, mask = self._mask(n, k, rng)
-        nodes = [
-            Node(0, "input", (), {}, (n, k), np.float64),
-            Node(1, "aux", (), {"name": "adv"}, (n, k), np.float64),
-            Node(2, "aux", (), {"name": "true_mask"}, (n, k), np.float64),
-            Node(3, "mart_weighted_kl", (0, 1, 2), {}, (), np.float64),
-        ]
-        graph = Graph(nodes, input_id=0, output_id=3, aux={"adv": 1, "true_mask": 2})
-        plan = Plan(
-            graph, grad="input", aux={"adv": adv, "true_mask": mask}, grad_aux=("adv",)
+        adv[:, 1] = adv[:, 3] = adv.max(axis=1) + 0.5
+        clean = rng.normal(size=(n, k))
+        clean[:, 3] = clean[:, 1]
+        mask = np.zeros((n, k))
+        mask[:, 0] = 1.0
+        loss = MARTLoss(beta=5.0)
+        plan = _traced_plan(
+            loss.objective, "adv_logits", adv.shape, {"clean_logits": clean, "true_mask": mask}
         )
+        _run(plan, adv)
+        adv_t = Tensor(adv, requires_grad=True)
+        loss.objective(adv_t, Tensor(clean), Tensor(mask)).backward()
+        assert np.allclose(plan.grads[0], adv_t.grad, rtol=1e-12, atol=1e-15)
+        assert np.array_equal(plan.grads[0][:, 1], plan.grads[0][:, 3])
 
-        def value():
-            return float(_run(plan, clean).values[3])
 
-        value()
-        analytic_clean = np.array(plan.grads[0])
-        analytic_adv = np.array(plan.aux_grad("adv"))
-        ok, message = plan_gradcheck(
-            value, [("clean", clean, analytic_clean), ("adv", adv, analytic_adv)]
-        )
-        assert ok, message
-        clean_t, adv_t = Tensor(clean), Tensor(adv)
-        kl = F.kl_div_with_logits(clean_t, adv_t, reduction="none")
-        clean_true = (F.softmax(clean_t, axis=1) * Tensor(mask)).sum(axis=1)
-        eager = (kl * (1.0 - clean_true)).mean()
-        assert value() == pytest.approx(float(eager.item()), rel=1e-12)
+class TestMaxKernel:
+    @pytest.mark.parametrize("axis,keepdims", [(1, False), (1, True), (None, False)])
+    def test_tied_maxima_match_eager_backward(self, axis, keepdims):
+        x = np.array([[1.0, 3.0, 3.0, 0.5], [2.0, 2.0, 2.0, 2.0], [0.0, -1.0, 4.0, 4.0]])
+
+        def fn(x):
+            return (x.max(axis=axis, keepdims=keepdims) * 1.5).sum()
+
+        plan = _run(_traced_plan(fn, "x", x.shape), x)
+        x_t = Tensor(x, requires_grad=True)
+        fn(x_t).backward()
+        assert np.array_equal(plan.values[plan.graph.output_id], fn(Tensor(x)).data)
+        assert np.array_equal(plan.grads[0], x_t.grad)
+
+    def test_detached_row_max_is_off_the_gradient_path(self):
+        # A stabilized softmax consumes its row max only through detach, so
+        # the max never receives a gradient and gets no backward step.
+        graph = _traced_plan(lambda x: F.log_softmax(x, axis=1).sum(), "x", (3, 4)).graph
+        (max_id,) = [node.id for node in graph.nodes if node.op == "max"]
+        path = graph.grad_path()
+        assert 0 in path and graph.output_id in path
+        assert max_id not in path
 
 
 class TestHSICNodes:

@@ -309,6 +309,33 @@ class TestRunsCli:
         assert "wall_seconds" in rendered
         assert "+50.0%" in rendered
 
+    def test_diff_pairs_records_of_one_label(self, tmp_path):
+        # A cold and a warm grid[3], then a newer grid[1]: the default diff
+        # pairs the two grid[3] records instead of warm grid[3] vs grid[1].
+        store = ArtifactStore(tmp_path)
+        ids = [
+            records.save_record(
+                fake_record(kind="grid", label=label, created=created, wall_seconds=wall),
+                store=store,
+            )
+            for label, created, wall in (
+                ("grid[3]", 0.0, 2.0), ("grid[3]", 1.0, 3.0), ("grid[1]", 2.0, 9.0),
+            )
+        ]
+        out = io.StringIO()
+        assert cli.runs_diff(store_root=str(tmp_path), stream=out) == 0
+        rendered = out.getvalue()
+        assert f"a: run {ids[0][:12]}" in rendered
+        assert f"b: run {ids[1][:12]}" in rendered
+        assert "+50.0%" in rendered
+        # The one-ref form follows the same rule.
+        out = io.StringIO()
+        assert cli.runs_diff(ids[1][:12], store_root=str(tmp_path), stream=out) == 0
+        assert f"a: run {ids[0][:12]}" in out.getvalue()
+        out = io.StringIO()
+        assert cli.runs_diff(ids[2][:12], store_root=str(tmp_path), stream=out) == 0
+        assert "nothing to diff against" in out.getvalue()
+
     def test_diff_single_record_exits_zero(self, tmp_path):
         self.seed_store(tmp_path, n=1)
         out = io.StringIO()
