@@ -19,7 +19,7 @@ eager-vs-compiled speedup) to the path given as the first argument (default:
 adversarial-training epoch, eager vs ``Trainer(compile=True)``:
 ``train_speedup_compiled`` + ``train_matches_eager``) to the second
 (default: ``BENCH_train.json``), and a per-loss compiled-training report
-(TRADES / MART / IB-RAR, whose side terms now run as in-plan nodes) to the
+(TRADES / MART / IB-RAR, whose side terms are traced into the plans) to the
 third (default: ``BENCH_losses.json``).  The CI quick-bench job uploads all
 of them as artifacts and *soft-fails* on compiled-path regressions: if a
 compiled mode is slower than its eager counterpart (< 1.0x) a GitHub
@@ -81,8 +81,8 @@ def bench_training(dataset) -> dict:
 def bench_losses(dataset) -> dict:
     """Per-loss compiled-vs-eager step timings (the in-plan loss families).
 
-    One entry per adversarial/IB loss whose side terms now build as plan
-    nodes: TRADES, MART and IB-RAR (PGD base).  Same interleaved-epoch
+    One entry per adversarial/IB loss whose side terms are traced into the
+    plans: TRADES, MART and IB-RAR (PGD base).  Same interleaved-epoch
     methodology as :func:`bench_training`.
     """
     from common import training_benchmark

@@ -16,16 +16,16 @@ forwards (batch-stat batch norm with in-place running updates) captured with
 **live parameters**, a full parameter-gradient backward into pooled buffers
 (or the fused input+param backward, ``grad="both"``), fused in-place
 optimizer kernels, and adapters building the paper's composite losses (CE,
-PGD-AT, TRADES, MART, IB-RAR) **fully in plan** — the fused softmax-CE seed,
-the TRADES KL and MART objective traced from their eager code by
-:meth:`Graph.append_traced` onto the generic kernels, and RBF-Gram/HSIC-trace
-plan nodes, all over aliased aux inputs, zero eager graph nodes per compiled
-step.  Dropout compiles in training
-mode as an ``rng_mask`` plan node: masks are counter-based (Philox over
-``seed x layer-id x step``, state in the module's ``rng_state`` buffer) and
-share the eager ``F.dropout`` mask-fill, so eager and compiled masks are
-bitwise identical and resume-exact; ``mi_on_adversarial=True`` replays the
-MI hidden forward on attack outputs inside the plan.  One
+PGD-AT, TRADES, MART, IB-RAR) **fully in plan** — the fused softmax-CE seed
+plus the TRADES KL, the MART objective and the IB-RAR HSIC regularizers,
+each traced from its eager code by :meth:`Graph.append_traced` onto the
+generic kernels over aliased or pooled aux inputs, zero eager graph nodes
+per compiled step.  Dropout compiles in training mode as an ``rng_mask``
+plan node: masks are counter-based (Philox over ``seed x layer-id x step``,
+state in the module's ``rng_state`` buffer) and share the eager
+``F.dropout`` mask-fill, so eager and compiled masks are bitwise identical
+and resume-exact; ``mi_on_adversarial=True`` replays the MI hidden forward
+on attack outputs inside the plan.  One
 ``capture_forward`` trace per batch signature serves every plan: the
 eval-semantics attack plan derives from the training capture through the
 :func:`~repro.compile.passes.lower_to_eval` pass, and
@@ -48,8 +48,7 @@ Entry points:
   ``TrainingHistory.compile_stats`` reports the split.
 * :mod:`repro.compile.kernels` — fused sign/step/project elementwise chains
   shared by the FGSM/PGD/NIFGSM/MIFGSM update rules, plus the pooled
-  RBF-Gram, centered-trace and dropout-mask kernels the plan nodes share
-  with the gradient-free Gram cache.
+  dropout-mask kernel of the ``rng_mask`` plan node.
 
 Every plan replays one serial set of NumPy ``out=`` kernels, bound as
 closures by the :class:`Plan` executor's per-op binders; BLAS threads the
@@ -59,7 +58,7 @@ GEMMs that dominate conv and affine time.
 from .cache import SignatureCache
 from .graph import CompileError, Graph, Node, capture_forward
 from .executor import Plan
-from .kernels import GramCache, linf_step, lookahead_point
+from .kernels import linf_step, lookahead_point
 from .model import CompiledModel, CompiledStats, compile_model
 from .passes import lower_to_eval, optimize
 from .pool import BufferPool
@@ -72,7 +71,6 @@ __all__ = [
     "CompiledStats",
     "CompiledTrainer",
     "Graph",
-    "GramCache",
     "Node",
     "Plan",
     "SignatureCache",

@@ -27,15 +27,17 @@ serve PGD-AT's inner attack loop and its outer optimizer step from one
 plan.
 
 Graphs may carry named ``aux`` input leaves (per-batch arrays that are not
-the traced input: another plan's logits buffer, a one-hot label mask, a
-precomputed Gram matrix).  Each binds to a caller-supplied alias or to a
-pooled buffer filled through :meth:`Plan.set_aux`; names listed in
-``grad_aux`` additionally receive gradient accumulators, which is how an
-in-plan loss term hands its gradient to the plan that produced the aliased
-buffer (TRADES' KL gradient with respect to the clean logits).  Loss terms
-other than the fused CE and the IB-RAR HSIC nodes are traced from their
-eager code (:meth:`~repro.compile.graph.Graph.append_traced`), so they bind
-the same generic per-primitive kernels as the model itself.
+the traced input: another plan's logits buffer, a one-hot label matrix).
+Each binds to a caller-supplied alias or to a pooled buffer filled through
+:meth:`Plan.set_aux`; names listed in ``grad_aux`` additionally receive
+gradient accumulators, which is how an in-plan loss term hands its gradient
+to the plan that produced the aliased buffer (TRADES' KL gradient with
+respect to the clean logits).  Every loss term other than the fused CE —
+TRADES' KL, the MART objective, the IB-RAR HSIC regularizers — is traced
+from its eager code (:meth:`~repro.compile.graph.Graph.append_traced`), so
+it binds the same generic per-primitive kernels as the model itself; the
+only loss-specific kernel is the forward-only ``rbf_scale`` (the Gaussian
+kernel's per-batch median bandwidth).
 
 Live-parameter plans (graphs captured with ``live_params=True``) alias
 ``param.data`` directly and re-read it on every replay — one plan survives
@@ -908,78 +910,35 @@ def _make_ew_clip(out, mask, scratch_mask, low, high):
 
 
 # --------------------------------------------------------------------------- #
-# in-plan IB-RAR nodes (RBF Gram, centered HSIC trace) and counter dropout
+# the Gaussian-kernel bandwidth scale and counter dropout
 #
-# The HSIC nodes replay the eager ``repro.ib.hsic`` primitive sequence
-# through pooled ``out=`` buffers (the arithmetic lives once, in
-# :mod:`repro.compile.kernels`); every other loss term is traced from its
-# eager code and runs on the generic per-primitive kernels.
+# Both replay an eager helper that lives once outside the compiler
+# (``repro.ib.hsic``'s median bandwidth, ``repro.nn.rng``'s dropout masks);
+# every loss term, the IB-RAR HSIC regularizers included, is traced from its
+# eager code onto the generic kernels above.
 # --------------------------------------------------------------------------- #
-def _bind_rbf_gram(plan: Plan, node: Node):
-    """Gaussian (RBF) Gram matrix of a flattened activation batch.
+def _bind_rbf_scale(plan: Plan, node: Node):
+    """The Gaussian kernel's bandwidth scale ``-1 / (2 sigma^2)``, forward only.
 
-    The arithmetic lives once, in :class:`repro.compile.kernels.RBFGram`
-    (the bit-exact replay of ``repro.ib.hsic.gaussian_kernel``); the binder
-    keeps the pre-clamp mask and the bandwidth scale for the backward.
-    ``meta["sigma"]`` of ``None`` re-derives the eager median bandwidth per
-    replay through the pooled ``MedianBandwidth`` selection kernel
-    (data-dependent but allocation-free and bitwise-equal to the eager
-    heuristic).
+    Replays :func:`repro.ib.hsic.rbf_scale`, whose input is detached, so the
+    node never joins a gradient path and has no backward kernel.  A fixed
+    ``meta["sigma"]`` is filled once at bind time; ``None`` re-derives the
+    median bandwidth every replay through the shared
+    :func:`~repro.ib.hsic.median_bandwidth_rows` over pooled scratch —
+    bitwise the eager scale, with no per-replay allocation.
     """
-    from .kernels import RBFGram
+    from ..ib.hsic import bandwidth_scale, median_bandwidth_rows
 
     x = plan.values[node.inputs[0]]
-    n, d = x.shape
-    dtype = node.dtype
-    rbf = RBFGram(plan.pool, n, d, dtype, node.meta.get("sigma"), keep_mask=True)
-    out = plan.pool.empty((n, n), dtype)
-    node.meta["_rbf"] = rbf
-    return (lambda: rbf.run(x, out)), out
-
-
-def _back_rbf_gram(plan: Plan, node: Node):
-    x_id = node.inputs[0]
-    if x_id not in plan._diff:
-        return None
-    x = plan.values[x_id]
-    n, d = x.shape
-    dtype = x.dtype
-    rbf = node.meta["_rbf"]
-    mask = rbf.mask
-    K = plan.values[node.id]
-    g = plan.grads[node.id]
-    pool = plan.pool
-    sA = pool.empty((n, n), dtype)
-    sB = pool.empty((n, n), dtype)
-    v1 = pool.empty((n, 1), dtype)
-    v2 = pool.empty((1, n), dtype)
-    gxt = pool.empty((n, d), dtype)
-    write, gx = plan._sink(x_id)
-    target = gx if write else pool.empty((n, d), dtype)
-
-    def run() -> None:
-        np.multiply(g, K, out=sA)  # through exp
-        np.multiply(sA, rbf.c, out=sA)  # through the bandwidth scale
-        np.multiply(sA, mask, out=sA)  # through the >= 0 clamp
-        # Gram branch: grad_gram = -(2 * grad_dist); both matmul operands
-        # read the same x, so x collects grad_gram @ x and grad_gram.T @ x.
-        np.multiply(sA, 2.0, out=sB)
-        np.negative(sB, out=sB)
-        np.matmul(sB, x, out=target)
-        np.matmul(sB.T, x, out=gxt)
-        np.add(target, gxt, out=target)
-        # squared-norm branch: row + column sums, then 2 * grad_sq * x
-        # (the eager x*x mul accumulates the same product twice).
-        np.sum(sA, axis=1, keepdims=True, out=v1)
-        np.sum(sA, axis=0, keepdims=True, out=v2)
-        np.add(v1, v2.T, out=v1)
-        np.multiply(x, v1, out=gxt)
-        np.add(target, gxt, out=target)
-        np.add(target, gxt, out=target)
-        if not write:
-            np.add(gx, target, out=gx)
-
-    return run
+    out = plan.pool.empty((), node.dtype)
+    sigma = node.meta["sigma"]
+    if sigma is not None:
+        out.fill(bandwidth_scale(sigma))
+        return None, out
+    n, dim = x.shape
+    diffs = plan.pool.empty((max(n - 1, 0), dim), x.dtype)
+    upper = plan.pool.empty((n * (n - 1) // 2,), x.dtype)
+    return (lambda: out.fill(bandwidth_scale(median_bandwidth_rows(x, diffs, upper)))), out
 
 
 def _bind_rng_mask(plan: Plan, node: Node):
@@ -1021,100 +980,6 @@ def _back_rng_mask(plan: Plan, node: Node):
     return run
 
 
-def _bind_hsic_trace(plan: Plan, node: Node):
-    """Biased HSIC estimate via the one-sided-centered trace identity.
-
-    ``sum(center(K_x) * K_y) / (m - 1)^2`` — only the first kernel is ever
-    centered, exactly like :func:`repro.ib.hsic.hsic`; the arithmetic lives
-    once, in :class:`repro.compile.kernels.CenteredTrace`.  Used for the
-    cross terms (against the per-batch input/label Gram aux) and, with both
-    inputs the same node, for the self-HSIC normalizer.
-    """
-    from .kernels import CenteredTrace
-
-    kx = plan.values[node.inputs[0]]
-    ky = plan.values[node.inputs[1]]
-    m = kx.shape[0]
-    dtype = node.dtype
-    trace = CenteredTrace(plan.pool, m, dtype)
-    out = plan.pool.empty((), dtype)
-    node.meta["_hsic"] = trace
-    return (lambda: trace.run(kx, ky, out)), out
-
-
-def _back_hsic_trace(plan: Plan, node: Node):
-    kx_id, ky_id = node.inputs
-    kx = plan.values[kx_id]
-    ky = plan.values[ky_id]
-    trace = node.meta["_hsic"]
-    cent, scale = trace.cent, trace.scale
-    m = kx.shape[0]
-    dtype = cent.dtype
-    g = plan.grads[node.id]
-    pool = plan.pool
-    gs = pool.empty((), dtype)
-    sc = pool.empty((m, m), dtype)
-    # The grad centering reuses the shared kernel (out aliases its input);
-    # its scratch buffers are separate from the forward's.
-    from .kernels import CenteredTrace
-
-    grad_trace = CenteredTrace(pool, m, dtype, with_trace=False)
-
-    def center_in_place(buffer: np.ndarray) -> None:
-        grad_trace.center(buffer, buffer)
-
-    if kx_id == ky_id:
-        if kx_id not in plan._diff:
-            return None
-        write, gk = plan._sink(kx_id)
-        target = gk if write else pool.empty((m, m), dtype)
-
-        def run_same() -> None:
-            np.multiply(g, scale, out=gs)
-            np.multiply(cent, gs, out=target)  # direct (K_y) factor
-            np.multiply(kx, gs, out=sc)  # centering branch
-            center_in_place(sc)
-            np.add(target, sc, out=target)
-            if not write:
-                np.add(gk, target, out=gk)
-
-        return run_same
-
-    steps: List[Callable[[], None]] = []
-    if ky_id in plan._diff:
-        write_y, gy = plan._sink(ky_id)
-
-        def y_step() -> None:
-            if write_y:
-                np.multiply(cent, gs, out=gy)
-            else:
-                np.multiply(cent, gs, out=sc)
-                np.add(gy, sc, out=gy)
-
-        steps.append(y_step)
-    if kx_id in plan._diff:
-        write_x, gxk = plan._sink(kx_id)
-
-        def x_step() -> None:
-            np.multiply(ky, gs, out=sc)
-            center_in_place(sc)
-            if write_x:
-                np.copyto(gxk, sc)
-            else:
-                np.add(gxk, sc, out=gxk)
-
-        steps.append(x_step)
-    if not steps:
-        return None
-
-    def run() -> None:
-        np.multiply(g, scale, out=gs)
-        for step in steps:
-            step()
-
-    return run
-
-
 _FORWARD = {
     "conv2d": _bind_conv2d,
     "affine": _bind_affine,
@@ -1150,8 +1015,7 @@ _FORWARD = {
     "pad2d": _bind_pad2d,
     "detach": _bind_detach,
     "ew": _bind_ew,
-    "rbf_gram": _bind_rbf_gram,
-    "hsic_trace": _bind_hsic_trace,
+    "rbf_scale": _bind_rbf_scale,
     "rng_mask": _bind_rng_mask,
 }
 
@@ -1887,7 +1751,5 @@ _BACKWARD = {
     "transpose": _back_transpose,
     "pad2d": _back_pad2d,
     "ew": _back_ew,
-    "rbf_gram": _back_rbf_gram,
-    "hsic_trace": _back_hsic_trace,
     "rng_mask": _back_rng_mask,
 }

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -73,8 +73,8 @@ class Graph:
 
     ``aux`` names auxiliary input leaves (op ``"aux"``): per-batch arrays
     that are not the traced input — another plan's logits buffer, a one-hot
-    label mask, a precomputed Gram matrix.  The executor binds each to a
-    caller-provided alias or to a pooled buffer the caller fills per batch.
+    label matrix.  The executor binds each to a caller-provided alias or to
+    a pooled buffer the caller fills per batch.
     """
 
     def __init__(
@@ -233,10 +233,10 @@ class Graph:
 
     def append_traced(
         self,
-        fn: Callable[..., Tensor],
+        fn: Callable[..., object],
         bindings: Mapping[str, int],
-        name: Optional[str] = None,
-    ) -> int:
+        name: Union[None, str, Sequence[Optional[str]]] = None,
+    ) -> Union[int, Tuple[int, ...]]:
         """Append the ops of an eager Tensor function applied to existing nodes.
 
         ``fn`` runs once under tracing, called with one keyword argument per
@@ -245,7 +245,9 @@ class Graph:
         are lifted by the walk :func:`capture_forward` uses, with each
         placeholder resolving to its bound node and every other leaf
         snapshotted as a constant.  Returns the result's node id, registered
-        as the named output ``name`` when given.  A loss written once as
+        as the named output ``name`` when given; when ``fn`` returns a tuple
+        of Tensors, returns one id per element and ``name`` is a matching
+        sequence (``None`` entries stay unnamed).  A loss written once as
         eager code thus compiles with no executor code of its own: each
         primitive it records already has a forward and a backward kernel.
         """
@@ -260,14 +262,21 @@ class Graph:
         # warnings about their arithmetic (log(0), ...) are silenced.
         with _tensor_mod.trace(), np.errstate(all="ignore"):
             result = fn(**placeholders)
-        if not isinstance(result, Tensor):
-            raise CompileError(f"traced function returned {type(result).__name__}, expected a Tensor")
-        nodes, (result_id,) = _lift([result], ids, self._next_id(), _const_leaf)
+        single = not isinstance(result, tuple)
+        results = (result,) if single else result
+        for item in results:
+            if not isinstance(item, Tensor):
+                raise CompileError(
+                    f"traced function returned {type(item).__name__}, expected a Tensor"
+                )
+        nodes, result_ids = _lift(results, ids, self._next_id(), _const_leaf)
         for node in nodes:
             self._append(node)
-        if name is not None:
-            self.outputs[name] = result_id
-        return result_id
+        names = (name,) if single else (name or ())
+        for key, result_id in zip(names, result_ids):
+            if key is not None:
+                self.outputs[key] = result_id
+        return result_ids[0] if single else tuple(result_ids)
 
 
 def _topo_sort(by_id: Dict[int, Node], roots: List[int], input_id: int) -> List[Node]:

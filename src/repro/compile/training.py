@@ -20,15 +20,15 @@ Loss strategies are mapped to *adapters* that build the **entire loss in
 plan**: the classification term runs as the fused softmax-CE seed, and the
 composite side terms are appended to the captured graphs reading the
 logits/hidden buffers directly (cross-plan logits flow through aliased
-``aux`` inputs; per-batch one-hot masks and input/label Gram matrices fill
-pooled buffers).  TRADES' KL and the MART objective are *traced from their
-eager code* (:func:`~repro.nn.functional.kl_div_with_logits`,
-:meth:`~repro.training.adversarial.MARTLoss.objective`) by
+``aux`` inputs; per-batch one-hot label matrices fill pooled buffers).
+TRADES' KL, the MART objective and the IB-RAR HSIC regularizers are *traced
+from their eager code* (:func:`~repro.nn.functional.kl_div_with_logits`,
+:meth:`~repro.training.adversarial.MARTLoss.objective`,
+:meth:`~repro.core.losses.MILoss.regularizer`) by
 :meth:`~repro.compile.graph.Graph.append_traced`, so each loss's math lives
-once and the adapters only wire plans together; IB-RAR's RBF Gram matrices
-and one-sided-centered HSIC traces are dedicated plan nodes.  A compiled
-step therefore records **zero eager graph nodes and zero steady-state pool
-allocations** across the whole loss.
+once and the adapters only wire plans together.  A compiled step therefore
+records **zero eager graph nodes and zero steady-state pool allocations**
+across the whole loss.
 Parameter gradients from every backward replay are summed into
 per-parameter accumulators, and the optimizer applies them with its fused
 in-place :meth:`~repro.nn.optim.Optimizer.step_with_grads` kernels — which
@@ -60,9 +60,8 @@ from . import trace_cache
 from .cache import SignatureCache
 from .executor import Plan
 from .graph import CompileError, Graph, capture_forward
-from .kernels import GramCache, linf_step
+from .kernels import linf_step
 from .passes import lower_to_eval, optimize
-from .pool import BufferPool
 
 __all__ = ["CompiledTrainer", "LiveEvalModel", "TrainingCompileStats", "build_adapter"]
 
@@ -187,6 +186,12 @@ def _trace_kl(graph: Graph) -> int:
     )
 
 
+def _fill_onehot(buffer: np.ndarray, arange: np.ndarray, labels: np.ndarray) -> None:
+    """Refill a pooled ``(n, classes)`` aux buffer with ``F.one_hot(labels)``."""
+    buffer.fill(0.0)
+    buffer[arange, labels] = 1.0
+
+
 def _supports_fused_step(optimizer) -> bool:
     """Whether the optimizer overrides the in-place fused update path.
 
@@ -221,8 +226,8 @@ class _SignatureContext:
     per signature; the adapter derives every plan from copies of that
     capture — the training plan(s) directly, the attack plan through the
     :func:`~repro.compile.passes.lower_to_eval` rewrite.  Per-context state
-    the adapters need (loss node ids, seed scalars, the per-batch Gram
-    cache) hangs off the context, since node ids differ between signatures.
+    the adapters need (loss node ids, seed scalars, the label row index)
+    hangs off the context, since node ids differ between signatures.
     """
 
     def __init__(self, model, sample: np.ndarray, adapter, stats: TrainingCompileStats) -> None:
@@ -230,13 +235,10 @@ class _SignatureContext:
         #: distinct plans (for pool accounting; an aliased attack plan on a
         #: mode-invariant model appears once).
         self.plans: List[Plan] = []
-        #: extra buffer pools (the IB-RAR Gram cache) for the same accounting.
-        self.pools: List[BufferPool] = []
         self.train_a: Optional[Plan] = None
         self.train_b: Optional[Plan] = None
         self.train_mi: Optional[Plan] = None
         self.attack: Optional[Plan] = None
-        self.gram: Optional[GramCache] = None
         self.ids: Dict[str, int] = {}  # adapter-chosen loss node ids
         self.one: Optional[np.ndarray] = None
         self.beta_seed: Optional[np.ndarray] = None
@@ -269,9 +271,7 @@ class _SignatureContext:
 
     @property
     def pool_allocations(self) -> int:
-        return sum(plan.pool.allocations for plan in self.plans) + sum(
-            pool.allocations for pool in self.pools
-        )
+        return sum(plan.pool.allocations for plan in self.plans)
 
 
 def _pgd_loop(
@@ -695,9 +695,7 @@ class _MARTAdapter:
         adversarial = self._generate(trainer, ctx, images, labels)
         plan_a, plan_b = ctx.train_a, ctx.train_b
         plan_b.forward(adversarial)
-        mask = plan_a.aux_values["true_mask"]
-        mask.fill(0.0)
-        mask[ctx.arange, labels] = 1.0
+        _fill_onehot(plan_a.aux_values["true_mask"], ctx.arange, labels)
         plan_a.forward(images)
         trainer.count_forwards(2, 2 * n)
         total = float(plan_a.values[ctx.ids["total"]])
@@ -708,87 +706,23 @@ class _MARTAdapter:
         return total, None
 
 
-def _append_hsic_terms(graph: Graph, config, normalized_eps: float = 1e-9) -> Dict[str, int]:
-    """Append the IB-RAR HSIC side terms to a training graph, in plan.
-
-    Per selected hidden layer: flatten, an ``rbf_gram`` node, the
-    one-sided-centered ``hsic_trace`` against the per-batch input and label
-    Gram aux inputs, and (for normalized HSIC) the self-HSIC normalizer
-    with the eager sqrt/eps composition.  The returned ids name the side
-    total (``side``) and the two per-loss sums (``sum_x`` / ``sum_y``).
-    """
-    from ..core.losses import resolve_mi_layers
-
-    selected = resolve_mi_layers(graph.outputs.keys(), config.layers)
-    n = graph.input_node.shape[0]
-    dtype = graph.output_node.dtype
-    kx_id = graph.add_aux("hsic_kx", (n, n), dtype)
-    ky_id = graph.add_aux("hsic_ky", (n, n), dtype)
-    normalized = config.normalized_hsic
-    if normalized:
-        norm_x_id = graph.add_aux("hsic_norm_x", (), dtype)
-        norm_y_id = graph.add_aux("hsic_norm_y", (), dtype)
-        eps_id = graph.add_const(np.asarray(normalized_eps, dtype=dtype))
-    sum_x_id: Optional[int] = None
-    sum_y_id: Optional[int] = None
-    for name in selected:
-        hidden_id = graph.outputs[name]
-        hidden_node = graph.node(hidden_id)
-        if len(hidden_node.shape) > 2:
-            flat_shape = (n, int(np.prod(hidden_node.shape[1:])))
-            flat_id = graph.add_op(
-                "reshape", (hidden_id,), flat_shape, dtype, meta={"shape": flat_shape}
-            )
-        else:
-            flat_id = hidden_id
-        gram_id = graph.add_op(
-            "rbf_gram", (flat_id,), (n, n), dtype, meta={"sigma": config.sigma}
-        )
-
-        def term(other_id: int, norm_other_id: Optional[int], norm_layer_id: Optional[int]) -> int:
-            cross_id = graph.add_op("hsic_trace", (gram_id, other_id), (), dtype)
-            if not normalized:
-                return cross_id
-            prod_id = graph.add_op("mul", (norm_layer_id, norm_other_id), (), dtype)
-            inner_id = graph.add_op("add", (prod_id, eps_id), (), dtype)
-            den_id = graph.add_op("sqrt", (inner_id,), (), dtype)
-            den_eps_id = graph.add_op("add", (den_id, eps_id), (), dtype)
-            return graph.add_op("div", (cross_id, den_eps_id), (), dtype)
-
-        norm_layer_id = (
-            graph.add_op("hsic_trace", (gram_id, gram_id), (), dtype) if normalized else None
-        )
-        term_x = term(kx_id, norm_x_id if normalized else None, norm_layer_id)
-        term_y = term(ky_id, norm_y_id if normalized else None, norm_layer_id)
-        sum_x_id = term_x if sum_x_id is None else graph.add_op("add", (sum_x_id, term_x), (), dtype)
-        sum_y_id = term_y if sum_y_id is None else graph.add_op("add", (sum_y_id, term_y), (), dtype)
-    alpha_id = graph.add_const(np.asarray(config.alpha, dtype=dtype))
-    beta_id = graph.add_const(np.asarray(config.beta, dtype=dtype))
-    scaled_x = graph.add_op("mul", (sum_x_id, alpha_id), (), dtype)
-    scaled_y = graph.add_op("mul", (sum_y_id, beta_id), (), dtype)
-    neg_y = graph.add_op("neg", (scaled_y,), (), dtype)
-    side_id = graph.add_op("add", (scaled_x, neg_y), (), dtype, name="mi_side")
-    graph.outputs["mi_sum_x"] = sum_x_id
-    graph.outputs["mi_sum_y"] = sum_y_id
-    return {"side": side_id, "sum_x": sum_x_id, "sum_y": sum_y_id}
-
-
 class _MILossAdapter:
-    """IB-RAR wrapper: base term through plans + in-plan HSIC side terms.
+    """IB-RAR wrapper: base term through plans + the traced HSIC side term.
 
-    The HSIC regularizers are plan nodes reading the training plan's hidden
-    buffers: per layer an RBF Gram node and one-sided-centered trace nodes
-    against the per-batch input/label Gram matrices, which a pooled
-    :class:`~repro.compile.kernels.GramCache` refreshes in place (together
-    with the nHSIC normalizers) before each forward.  Eq. (1) shares one
-    plan between the fused-CE seed and the side terms; Eq. (2) runs the
-    adversarial base through its own plans and a dedicated hidden plan for
-    the MI terms — matching the extra ``forward_with_hidden`` pass the
-    eager loss performs.  With ``mi_on_adversarial=True`` that pass (and
-    the input Gram) sees a **re-generated** adversarial batch: the base
-    adapter's ``replay_generate`` reruns its attack with a fresh
-    same-seeded RNG against the post-base-step running statistics, exactly
-    like the eager wrapper's second ``generate()`` call.
+    The HSIC regularizers are the eager :meth:`MILoss.regularizer
+    <repro.core.losses.MILoss.regularizer>`, traced onto the MI plan: its
+    MI inputs bind to the plan's own input (the eager ``inputs.detach()``
+    keeps the input Gram gradient-free), its one-hot labels to a pooled
+    ``onehot`` aux leaf filled per batch, and each hidden representation to
+    the plan's hidden output of that name.  Eq. (1) shares one plan between
+    the fused-CE seed and the side term; Eq. (2) runs the adversarial base
+    through its own plans and a dedicated hidden plan for the MI terms —
+    matching the extra ``forward_with_hidden`` pass the eager loss
+    performs.  With ``mi_on_adversarial=True`` that pass (and the input
+    Gram) sees a **re-generated** adversarial batch: the base adapter's
+    ``replay_generate`` reruns its attack with a fresh same-seeded RNG
+    against the post-base-step running statistics, exactly like the eager
+    wrapper's second ``generate()`` call.
     """
 
     needs_hidden_seeds = True
@@ -798,31 +732,22 @@ class _MILossAdapter:
         self.base = base_adapter  # None => fused clean-CE base (Eq. 1)
 
     def build(self, ctx: _SignatureContext, captured: Graph) -> None:
-        config = self.strategy.config
         mi_graph = _train_graph(captured)
-        ids = _append_hsic_terms(mi_graph, config)
-        mi_graph = mi_graph.rebuild()
+        hidden = dict(mi_graph.outputs)
+        if "inputs" in hidden or "onehot" in hidden:
+            raise CompileError("a hidden output name shadows an MI regularizer argument")
         n = mi_graph.input_node.shape[0]
-        input_dim = int(np.prod(mi_graph.input_node.shape[1:]))
         dtype = mi_graph.output_node.dtype
-        gram_pool = BufferPool()
-        ctx.gram = GramCache(
-            gram_pool,
-            n,
-            input_dim,
-            num_classes=self.strategy.num_classes,
-            dtype=dtype,
-            sigma=config.sigma,
-            normalized=config.normalized_hsic,
+        onehot_id = mi_graph.add_aux("onehot", (n, self.strategy.num_classes), dtype)
+        side_id, _, _ = mi_graph.append_traced(
+            self.strategy.regularizer,
+            {"inputs": mi_graph.input_id, "onehot": onehot_id, **hidden},
+            name=("mi_side", "mi_sum_x", "mi_sum_y"),
         )
-        ctx.pools.append(gram_pool)
-        aux = {"hsic_kx": ctx.gram.kx, "hsic_ky": ctx.gram.ky}
-        if config.normalized_hsic:
-            aux["hsic_norm_x"] = ctx.gram.norm_x
-            aux["hsic_norm_y"] = ctx.gram.norm_y
-        mi_plan = Plan(mi_graph, grad="params", seed_ids=(ids["side"],), aux=aux)
-        ctx.ids["mi_side"] = ids["side"]
+        mi_plan = Plan(mi_graph.rebuild(), grad="params", seed_ids=(side_id,))
+        ctx.ids["mi_side"] = side_id
         ctx.one = ctx.scalar(1.0, dtype)
+        ctx.arange = np.arange(n)
         if self.base is None:
             ctx.train_a = ctx.register(mi_plan)
             ctx.train_mi = mi_plan
@@ -842,7 +767,7 @@ class _MILossAdapter:
             # Eq. (1) fused path: one training forward shares the CE term,
             # the HSIC terms and the training-accuracy logits.
             plan = ctx.train_a
-            ctx.gram.update(images, labels)
+            _fill_onehot(plan.aux_values["onehot"], ctx.arange, labels)
             logits = plan.forward(images)
             trainer.count_forwards(1, len(labels))
             base_value, ce_seed = plan.ce_loss_and_seed(labels)
@@ -861,7 +786,7 @@ class _MILossAdapter:
             if self.strategy.config.mi_on_adversarial:
                 mi_inputs = self.base.replay_generate(trainer, ctx, images, labels)
             plan = ctx.train_mi
-            ctx.gram.update(mi_inputs, labels)
+            _fill_onehot(plan.aux_values["onehot"], ctx.arange, labels)
             plan.forward(mi_inputs)
             trainer.count_forwards(1, len(labels))
             side_value, hsic_x, hsic_y = self._side_values(plan)

@@ -34,15 +34,20 @@ from ..models.base import ImageClassifier
 from ..training.adversarial import CrossEntropyLoss, LossStrategy
 from .config import IBRARConfig
 
-__all__ = ["MILoss", "AdversarialMILoss", "mi_regularizer_terms", "resolve_mi_layers"]
+__all__ = [
+    "MILoss",
+    "AdversarialMILoss",
+    "hsic_terms",
+    "mi_regularizer_terms",
+    "resolve_mi_layers",
+]
 
 
 def resolve_mi_layers(available, layers: Optional[Sequence[str]]) -> list:
     """Validate and order the hidden layers the MI regularizers sum over.
 
-    Shared by the eager :func:`mi_regularizer_terms` and the compiled
-    adapter's in-plan HSIC graph builder, so both paths select (and reject)
-    exactly the same layers.
+    Called by :func:`hsic_terms`, so eager and compiled training select
+    (and reject) exactly the same layers.
     """
     available = list(available)
     selected = list(layers) if layers is not None else available
@@ -67,17 +72,37 @@ def mi_regularizer_terms(
 ) -> tuple[Tensor, Tensor]:
     """Return ``(sum_l I(X, T_l), sum_l I(Y, T_l))`` as differentiable tensors.
 
-    The input Gram matrix ``K_X`` and the label Gram matrix ``K_Y`` are built
-    **once per batch** and shared by every layer's HSIC pair, and so are
-    their self-HSIC normalizers (the nHSIC denominators).  Per layer, the
-    layer kernel is centered exactly once — the one-sided trace identity
+    The eager entry point: one-hot encodes ``labels`` and evaluates
+    :func:`hsic_terms`.
+    """
+    onehot = Tensor(F.one_hot(labels, num_classes))
+    return hsic_terms(inputs, onehot, hidden, layers=layers, normalized=normalized, sigma=sigma)
+
+
+def hsic_terms(
+    inputs: Tensor,
+    onehot: Tensor,
+    hidden: Mapping[str, Tensor],
+    layers: Optional[Sequence[str]] = None,
+    normalized: bool = True,
+    sigma: Optional[float] = None,
+) -> tuple[Tensor, Tensor]:
+    """``(sum_l I(X, T_l), sum_l I(Y, T_l))`` from one-hot labels.
+
+    The one definition of the HSIC regularizers: eager training reaches it
+    through :func:`mi_regularizer_terms`, compiled training traces it into
+    the plan through :meth:`MILoss.regularizer`.  The input Gram matrix
+    ``K_X`` and the label Gram matrix ``K_Y`` are built **once per batch**
+    and shared by every layer's HSIC pair, and so are their self-HSIC
+    normalizers (the nHSIC denominators).  Per layer, the layer kernel is
+    centered exactly once — the one-sided trace identity
     ``tr(K_T H K H) = sum(center(K_T) * K)`` (see :func:`repro.ib.hsic.hsic`)
     lets the cross and normalizer terms reuse it, so no ``m x m`` centering
     matrix is materialized and no kernel is centered twice.
     """
     selected = resolve_mi_layers(hidden.keys(), layers)
     input_kernel = gaussian_kernel(inputs.detach(), sigma=sigma)
-    label_kernel = linear_kernel(Tensor(F.one_hot(labels, num_classes)))
+    label_kernel = linear_kernel(onehot)
     norm_input: Optional[Tensor] = None
     norm_label: Optional[Tensor] = None
     if normalized:
@@ -144,6 +169,31 @@ class MILoss:
             "base_loss": LossSpec.from_strategy(self.base_loss).as_dict(),
         }
 
+    def side_term(self, sum_xt: Tensor, sum_yt: Tensor) -> Tensor:
+        """The regularizer ``alpha * sum_l I(X, T_l) - beta * sum_l I(Y, T_l)``."""
+        return sum_xt * self.config.alpha - sum_yt * self.config.beta
+
+    def regularizer(
+        self, inputs: Tensor, onehot: Tensor, **hidden: Tensor
+    ) -> tuple[Tensor, Tensor, Tensor]:
+        """``(side_term, sum_l I(X, T_l), sum_l I(Y, T_l))`` for one batch.
+
+        The form compiled training traces
+        (:meth:`~repro.compile.graph.Graph.append_traced`): every argument is
+        a tensor — the MI inputs, the one-hot labels and each hidden
+        representation by name — so each binds to a plan node.
+        """
+        config = self.config
+        sum_xt, sum_yt = hsic_terms(
+            inputs,
+            onehot,
+            hidden,
+            layers=config.layers,
+            normalized=config.normalized_hsic,
+            sigma=config.sigma,
+        )
+        return self.side_term(sum_xt, sum_yt), sum_xt, sum_yt
+
     def _mi_inputs(self, model: ImageClassifier, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Choose which inputs the MI terms see (clean by default, Eq. 2 note)."""
         if not self.config.mi_on_adversarial:
@@ -181,7 +231,7 @@ class MILoss:
             normalized=self.config.normalized_hsic,
             sigma=self.config.sigma,
         )
-        total = base + sum_xt * self.config.alpha - sum_yt * self.config.beta
+        total = base + self.side_term(sum_xt, sum_yt)
         self.last_components = {
             "base": float(base.item()),
             "hsic_x": float(sum_xt.item()),

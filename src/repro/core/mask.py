@@ -32,11 +32,13 @@ def compute_channel_mask(
     fraction: float = 0.05,
     min_keep: int = 1,
 ) -> np.ndarray:
-    """Binary mask keeping channels whose score reaches the removal threshold.
+    """Binary mask removing the ``fraction`` of channels with the lowest scores.
 
-    ``fraction`` of the channels (those with the lowest scores) are removed.
-    The threshold is the maximum score among that lowest group, exactly as
-    described in Section 2.3; ties at the threshold are kept.
+    Exactly ``floor(fraction * n)`` channels are zeroed (at most
+    ``n - min_keep``): the first ones in a stable ascending sort of the
+    scores, so channels tied at the threshold of Section 2.3 (the highest
+    removed score) are removed in channel order until the count is met and
+    the rest are kept.
     """
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     num_channels = scores.shape[0]
@@ -46,16 +48,9 @@ def compute_channel_mask(
         raise ValueError("fraction must lie in [0, 1)")
     num_remove = int(np.floor(fraction * num_channels))
     num_remove = min(num_remove, num_channels - min_keep)
-    if num_remove <= 0:
-        return np.ones(num_channels)
-    order = np.argsort(scores, kind="stable")
-    lowest = order[:num_remove]
-    threshold = scores[lowest].max()
-    mask = (scores > threshold).astype(np.float64)
-    # Guarantee we never remove more than requested when scores tie heavily.
-    if mask.sum() < min_keep:
-        mask = np.zeros(num_channels)
-        mask[order[-min_keep:]] = 1.0
+    mask = np.ones(num_channels)
+    if num_remove > 0:
+        mask[np.argsort(scores, kind="stable")[:num_remove]] = 0.0
     return mask
 
 

@@ -236,14 +236,16 @@ class ExperimentSpec:
         # exactly where it was.
         if self.train_compile:
             payload["train_compile"] = True
-        # The cached-Gram HSIC fast path (PR 4) changed the HSIC estimator's
-        # floating-point evaluation order, i.e. the training trajectory of
-        # every HSIC-regularized spec.  Version the estimator into those
-        # specs' hashes so stale pre-fast-path checkpoints are recomputed
-        # instead of silently served next to fresh ones; HSIC-free specs
-        # keep their original hashes.
+        # HSIC numerics version of every HSIC-regularized spec: a change to
+        # the estimator's floating-point evaluation order changes the
+        # training trajectory, so stale checkpoints are recomputed instead of
+        # silently served next to fresh ones; HSIC-free specs keep their
+        # original hashes.  v2: the cached-Gram fast path.  v3: the compiled
+        # HSIC terms traced from the eager code (gradients move by ~1e-16),
+        # and the Eq. (3) mask removing exactly the requested channel count
+        # when scores tie.
         if self.ibrar is not None or self.loss.name.startswith("ib-rar"):
-            payload["hsic"] = "cached-gram-v2"
+            payload["hsic"] = "traced-v3"
         # Counter-based dropout (PR 10) replaced the stateful-generator masks
         # with a pure function of (seed, layer id, step), changing every
         # dropout-bearing spec's training trajectory.  Version the scheme into

@@ -25,8 +25,9 @@ __all__ = [
     "gaussian_kernel",
     "linear_kernel",
     "median_bandwidth",
-    "median_bandwidth_array",
-    "sigma_from_median",
+    "median_bandwidth_rows",
+    "bandwidth_scale",
+    "rbf_scale",
     "center",
     "hsic",
     "normalized_hsic",
@@ -56,55 +57,85 @@ def pairwise_squared_distances(x: Tensor) -> Tensor:
     return distances.maximum(0.0)
 
 
-def sigma_from_median(median: float) -> float:
-    """Map the median pairwise squared distance to a kernel bandwidth.
+def median_bandwidth_rows(flat: np.ndarray, diffs: np.ndarray, upper: np.ndarray) -> float:
+    """Median-heuristic bandwidth of a flattened ``(n, d)`` batch, in caller scratch.
 
-    Factored out of :func:`median_bandwidth_array` so the pooled selection
-    kernel in :mod:`repro.compile.kernels` — which computes the median in
-    preallocated scratch — applies the *same* final expression and stays
-    bit-identical to the eager heuristic.
+    The one implementation of the heuristic, shared like
+    :func:`repro.nn.rng.fill_dropout_mask`: eager :func:`median_bandwidth`
+    passes fresh scratch, the compiled ``rbf_scale`` kernel pooled scratch.
+    ``diffs`` is ``(n - 1, d)`` and ``upper`` ``(n (n - 1) / 2,)``, both in
+    ``flat``'s dtype.  Row block ``i`` writes the squared distances from
+    row ``i`` to every later row into ``upper`` (no ``(n, n, d)`` difference
+    cube), and an in-place partition selects the median as ``np.median``
+    does.  The bandwidth is ``sqrt(max(median, 1e-12) / 2)``; a single row
+    gives 1.0.
     """
-    return float(np.sqrt(max(float(median), 1e-12) / 2.0))
-
-
-def median_bandwidth_array(flat: np.ndarray) -> float:
-    """:func:`median_bandwidth` on a raw, already-flattened ``(n, d)`` array.
-
-    The compiled loss kernels (:mod:`repro.compile`) derive the same sigma
-    per replay in pooled scratch (see ``MedianBandwidth``); this eager form
-    is the reference they must match bitwise.
-    """
-    diffs = flat[:, None, :] - flat[None, :, :]
-    sq = (diffs ** 2).sum(axis=-1)
-    upper = sq[np.triu_indices(len(flat), k=1)]
-    if upper.size == 0:
+    n = len(flat)
+    if n < 2:
         return 1.0
-    median = float(np.median(upper))
-    return sigma_from_median(median)
+    offset = 0
+    for i in range(n - 1):
+        rows = n - 1 - i
+        diff = diffs[:rows]
+        np.subtract(flat[i], flat[i + 1 :], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.sum(diff, axis=1, out=upper[offset : offset + rows])
+        offset += rows
+    half = upper.size // 2
+    if upper.size % 2:
+        upper.partition(half)
+        median = float(upper[half])
+    else:
+        upper.partition([half - 1, half])
+        median = float((upper[half - 1] + upper[half]) / 2.0)
+    return float(np.sqrt(max(median, 1e-12) / 2.0))
 
 
 def median_bandwidth(x: ArrayOrTensor) -> float:
     """Median-of-distances bandwidth heuristic for the Gaussian kernel.
 
     The heuristic is computed on the raw values (no gradient), matching the
-    common HSIC-bottleneck implementations.
+    common HSIC-bottleneck implementations; see :func:`median_bandwidth_rows`.
     """
     data = as_tensor(x).data
-    return median_bandwidth_array(data.reshape(len(data), -1))
+    flat = data.reshape(len(data), -1)
+    n, dim = flat.shape
+    diffs = np.empty((max(n - 1, 0), dim), dtype=flat.dtype)
+    upper = np.empty((n * (n - 1) // 2,), dtype=flat.dtype)
+    return median_bandwidth_rows(flat, diffs, upper)
+
+
+def bandwidth_scale(sigma: float) -> float:
+    """The Gaussian kernel's distance scale ``-1 / (2 sigma^2)``, sigma floored at 1e-6."""
+    sigma = max(float(sigma), 1e-6)
+    return -1.0 / (2.0 * sigma * sigma)
+
+
+def rbf_scale(x: ArrayOrTensor, sigma: Optional[float] = None) -> Tensor:
+    """The Gaussian kernel's bandwidth scale ``-1 / (2 sigma^2)`` as a 0-d tensor.
+
+    ``sigma=None`` applies :func:`median_bandwidth` to the batch.  The scale
+    carries no gradient: it is computed in ``x``'s dtype and recorded as an
+    ``rbf_scale`` op on ``x.detach()``, so a traced kernel keeps the
+    per-batch bandwidth as a forward-only plan step instead of freezing the
+    value seen at trace time.
+    """
+    x_t = _flatten_batch(x).detach()
+    bandwidth = median_bandwidth(x_t) if sigma is None else sigma
+    scale = np.asarray(bandwidth_scale(bandwidth), dtype=x_t.dtype)
+    # No backward: the only parent is detached.
+    return Tensor._make(scale, (x_t,), None, op="rbf_scale", meta={"sigma": sigma})
 
 
 def gaussian_kernel(x: ArrayOrTensor, sigma: Optional[float] = None) -> Tensor:
     """Gaussian (RBF) kernel matrix ``K_ij = exp(-||x_i - x_j||^2 / (2 sigma^2))``.
 
     When ``sigma`` is omitted the median heuristic is used.  The kernel is
-    differentiable with respect to ``x``.
+    differentiable with respect to ``x``; the bandwidth (:func:`rbf_scale`)
+    is not.
     """
     x_t = _flatten_batch(x)
-    if sigma is None:
-        sigma = median_bandwidth(x_t)
-    sigma = max(float(sigma), 1e-6)
-    distances = pairwise_squared_distances(x_t)
-    return (distances * (-1.0 / (2.0 * sigma * sigma))).exp()
+    return (pairwise_squared_distances(x_t) * rbf_scale(x_t, sigma)).exp()
 
 
 def linear_kernel(x: ArrayOrTensor) -> Tensor:

@@ -118,8 +118,8 @@ class Trainer:
     compile:
         Execute supported training steps through static, buffer-pooled
         plans (:mod:`repro.compile.training`) — the adversarial and IB-RAR
-        loss terms included, as in-plan nodes.  Unsupported strategies and
-        unseen batch signatures fall back to eager per batch, so enabling
+        loss terms included, traced into the plans.  Unsupported strategies
+        and unseen batch signatures fall back to eager per batch, so enabling
         this is always safe; :attr:`TrainingHistory.compile_stats` reports
         the compiled-vs-eager split, the capture count (one traced forward
         per batch signature) and the compiled forward-replay counters the

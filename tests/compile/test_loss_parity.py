@@ -1,14 +1,15 @@
 """Differential-parity suite: compiled training == eager, per loss family.
 
 For every loss family the paper trains with ({CE, PGD-AT, TRADES, MART,
-MILoss, IB-RAR over PGD-AT, TRADES and MART}) crossed with a small CNN and
-a resnet-style model from the registry, two training epochs run compiled
-and eager from identical seeds and the suite asserts:
+MILoss — normalized, raw and fixed-bandwidth HSIC — and IB-RAR over PGD-AT,
+TRADES and MART}) crossed with a small CNN and a resnet-style model from
+the registry, two training epochs run compiled and eager from identical
+seeds and the suite asserts:
 
 * parameter trajectories match within 1e-12 (the in-plan losses are traced
   from, or replay, the eager primitive sequences, so the observed drift is
   ~1e-15);
-* per-batch loss values match;
+* per-batch loss values match (plus an MI loss over a layer subset);
 * the Eq. (3) channel-mask refresh behaves identically.
 
 This is the lockdown for the in-plan loss rewrite: any silent drift of the
@@ -45,6 +46,12 @@ LOSSES = {
     "miloss": lambda classes: MILoss(
         IBRARConfig(alpha=0.05, beta=0.01), num_classes=classes
     ),
+    "miloss_raw": lambda classes: MILoss(
+        IBRARConfig(alpha=0.05, beta=0.01, normalized_hsic=False), num_classes=classes
+    ),
+    "miloss_sigma": lambda classes: MILoss(
+        IBRARConfig(alpha=0.05, beta=0.01, sigma=1.5), num_classes=classes
+    ),
     "ibrar": lambda classes: AdversarialMILoss(
         IBRARConfig(alpha=0.05, beta=0.01),
         num_classes=classes,
@@ -59,6 +66,14 @@ LOSSES = {
         IBRARConfig(alpha=0.05, beta=0.01),
         num_classes=classes,
         adversarial_strategy=MARTLoss(steps=2, seed=0),
+    ),
+}
+
+#: per-batch only: a layer subset the resnet-style model does not expose.
+PER_BATCH_LOSSES = {
+    **LOSSES,
+    "miloss_fc1": lambda classes: MILoss(
+        IBRARConfig(alpha=0.05, beta=0.01, layers=("fc1",)), num_classes=classes
     ),
 }
 
@@ -144,11 +159,11 @@ def test_two_epoch_trajectory_parity(model_key, loss_key):
         assert np.allclose(eager_bn.running_var, compiled_bn.running_var, atol=1e-12)
 
 
-@pytest.mark.parametrize("loss_key", sorted(LOSSES))
+@pytest.mark.parametrize("loss_key", sorted(PER_BATCH_LOSSES))
 def test_per_batch_loss_values_match(loss_key):
     """One identical batch, identical fresh weights: loss values agree."""
     config = MODELS["smallcnn"]
-    factory = LOSSES[loss_key]
+    factory = PER_BATCH_LOSSES[loss_key]
     rng = np.random.default_rng(3)
     images = rng.random((16, 3, 16, 16))
     labels = rng.integers(0, 10, 16)
@@ -207,3 +222,61 @@ def test_channel_mask_refresh_behaves_identically(base):
         assert compiled_model.channel_mask is None
     else:
         assert np.array_equal(eager_model.channel_mask, compiled_model.channel_mask)
+
+
+#: the float32 tier's stated tolerances (compiled vs eager, both float32).
+F32_LOSS_RTOL = 1e-5
+F32_PARAM_TOL = 1e-6
+
+
+@pytest.mark.parametrize("loss_key", ["miloss", "ibrar"])
+def test_float32_tier_step_matches_eager(loss_key):
+    """One compiled IB-RAR step in float32 against eager float32.
+
+    Both sides round differently from float64, so the tier states its own
+    tolerances: loss and HSIC terms within ``F32_LOSS_RTOL`` (relative),
+    updated parameters within ``F32_PARAM_TOL`` (absolute).
+    """
+    from repro.compile.training import CompiledTrainer
+    from repro.ib.hsic import gaussian_kernel
+    from repro.nn import Tensor, set_default_dtype
+
+    config = MODELS["smallcnn"]
+    previous = set_default_dtype(np.float32)
+    try:
+        rng = np.random.default_rng(3)
+        images = rng.random((16, 3, 16, 16)).astype(np.float32)
+        labels = rng.integers(0, 10, 16)
+        assert gaussian_kernel(Tensor(images)).dtype == np.float32
+
+        def step(compile):
+            model = build_model(config["name"], seed=0, **config["kwargs"])
+            model.train()
+            strategy = LOSSES[loss_key](10)
+            optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
+            if compile:
+                compiled = CompiledTrainer(model, optimizer, strategy)
+                assert compiled.train_batch(images, labels) is None  # first sighting
+                outcome = compiled.train_batch(images, labels)
+                assert outcome is not None, "batch fell back to eager"
+                loss = outcome[0]
+            else:  # the eager trainer's order: the attack's grads are dropped
+                loss_t = strategy(model, images, labels)
+                optimizer.zero_grad()
+                loss_t.backward()
+                optimizer.step()
+                loss = float(loss_t.item())
+            assert all(p.dtype == np.float32 for p in model.parameters())
+            return loss, strategy.last_components, model.parameters()
+
+        eager_loss, eager_parts, eager_params = step(False)
+        compiled_loss, compiled_parts, compiled_params = step(True)
+    finally:
+        set_default_dtype(previous)
+    assert compiled_loss == pytest.approx(eager_loss, rel=F32_LOSS_RTOL)
+    for key in ("hsic_x", "hsic_y"):
+        assert compiled_parts[key] == pytest.approx(eager_parts[key], rel=F32_LOSS_RTOL)
+    drift = max(
+        float(np.max(np.abs(e.data - c.data))) for e, c in zip(eager_params, compiled_params)
+    )
+    assert drift <= F32_PARAM_TOL, f"float32 parameters drifted by {drift:.3e}"

@@ -5,9 +5,10 @@ The TRADES KL and the MART objective are traced from their eager code by
 per-primitive kernels; each traced loss is checked against central finite
 differences of the plan's own forward (with the input in every logits slot)
 and against the eager value.  A tie test pins the ``max`` kernel's eager
-gradient split through MART's margin term.  The IB-RAR nodes — the RBF Gram
-matrix and the one-sided-centered HSIC trace — are checked through tiny
-hand-built graphs.  The fused input+param backward (``grad="both"``) is
+gradient split through MART's margin term.  The IB-RAR HSIC terms are
+traced the same way, from the kernel/trace primitives up to the whole
+``MILoss.regularizer`` block, with the median bandwidth and a fixed one,
+normalized and raw.  The fused input+param backward (``grad="both"``) is
 checked end to end on a captured model: the input gradient and every
 parameter gradient come out of the *same* plan.
 """
@@ -164,96 +165,132 @@ class TestMaxKernel:
         assert max_id not in path
 
 
-class TestHSICNodes:
-    def _gram_trace_plan(self, n, d, other, sigma=1.3, same=False):
-        nodes = [
-            Node(0, "input", (), {}, (n, d), np.float64),
-            Node(1, "rbf_gram", (0,), {"sigma": sigma}, (n, n), np.float64),
-        ]
-        aux = {}
-        if same:
-            nodes.append(Node(2, "hsic_trace", (1, 1), {}, (), np.float64))
-        else:
-            nodes.append(Node(2, "aux", (), {"name": "other"}, (n, n), np.float64))
-            nodes.append(Node(3, "hsic_trace", (1, 2), {}, (), np.float64))
-            aux["other"] = 2
-        output_id = 2 if same else 3
-        graph = Graph(nodes, input_id=0, output_id=output_id, aux=aux)
-        bindings = {} if same else {"other": other}
-        return Plan(graph, grad="input", aux=bindings)
+def _hold_bandwidth(plan):
+    """Drop the plan's ``rbf_scale`` replay steps.
 
-    def test_rbf_gram_through_cross_trace(self):
-        rng = np.random.default_rng(3)
+    The median bandwidth is detached — a constant to autograd — so finite
+    differences must hold it at the base point's value too; this replays
+    every other step and leaves the latest scale in place.
+    """
+    kept = [
+        (step, meta)
+        for step, meta in zip(plan._forward_steps, plan._forward_meta)
+        if meta[0] != "rbf_scale"
+    ]
+    plan._forward_steps = [step for step, _ in kept]
+    plan._forward_meta = [meta for _, meta in kept]
+
+
+class TestHSICNodes:
+    """The IB-RAR HSIC terms, traced from ``repro.ib.hsic`` / ``MILoss``."""
+
+    def _kernel_pair(self, seed):
+        rng = np.random.default_rng(seed)
         n, d = 5, 3
         x = rng.normal(size=(n, d))
         other = np.abs(rng.normal(size=(n, n)))
-        other = (other + other.T) / 2.0
-        plan = self._gram_trace_plan(n, d, other)
+        return x, (other + other.T) / 2.0
 
-        def value():
-            return float(_run(plan, x).values[plan.graph.output_id])
+    def test_gaussian_kernel_through_cross_hsic(self):
+        x, other = self._kernel_pair(3)
 
-        value()
-        ok, message = plan_gradcheck(value, [("x", x, np.array(plan.grads[0]))])
-        assert ok, message
+        def fn(x, other):
+            return hsic(gaussian_kernel(x, sigma=1.3), other)
+
+        value = _check_traced(fn, "x", x, {"other": other}, ())
         eager = hsic(gaussian_kernel(Tensor(x), sigma=1.3), Tensor(other))
-        assert value() == pytest.approx(float(eager.item()), rel=1e-12)
+        assert value == pytest.approx(float(eager.item()), rel=1e-12)
 
     def test_self_trace_same_input_normalizer(self):
-        rng = np.random.default_rng(4)
-        n, d = 5, 3
-        x = rng.normal(size=(n, d))
-        plan = self._gram_trace_plan(n, d, None, same=True)
+        x, _ = self._kernel_pair(4)
+
+        def fn(x):
+            kernel = gaussian_kernel(x, sigma=1.3)
+            return hsic(kernel, kernel)
+
+        value = _check_traced(fn, "x", x, {}, ())
+        assert value == pytest.approx(float(fn(Tensor(x)).item()), rel=1e-12)
+
+    def test_normalized_composition_matches_eager(self):
+        # One layer's normalized term: kernel, self normalizer, cross trace,
+        # sqrt/eps denominator and division, against a differentiated kernel.
+        x, other = self._kernel_pair(5)
+
+        def fn(x, other):
+            return normalized_hsic(gaussian_kernel(x, sigma=1.3), other)
+
+        plan = _traced_plan(fn, "x", x.shape, {"other": other}, ("other",))
 
         def value():
             return float(_run(plan, x).values[plan.graph.output_id])
 
         value()
-        ok, message = plan_gradcheck(value, [("x", x, np.array(plan.grads[0]))])
+        pairs = [
+            ("x", x, np.array(plan.grads[0])),
+            ("other", other, np.array(plan.aux_grad("other"))),
+        ]
+        ok, message = plan_gradcheck(value, pairs, rtol=1e-3, atol=1e-7)
         assert ok, message
-        kernel = gaussian_kernel(Tensor(x), sigma=1.3)
-        eager = hsic(kernel, kernel)
+        eager = fn(Tensor(x), Tensor(other))
         assert value() == pytest.approx(float(eager.item()), rel=1e-12)
 
-    def test_normalized_composition_matches_eager(self):
-        # The full per-layer chain the IB-RAR adapter builds: gram, self
-        # normalizer, cross trace, sqrt/eps denominator, division.
-        rng = np.random.default_rng(5)
-        n, d = 5, 3
-        x = rng.normal(size=(n, d))
-        other = np.abs(rng.normal(size=(n, n)))
-        other = (other + other.T) / 2.0
-        norm_other = float(hsic(Tensor(other), Tensor(other)).item())
-        nodes = [
-            Node(0, "input", (), {}, (n, d), np.float64),
-            Node(1, "rbf_gram", (0,), {"sigma": 1.3}, (n, n), np.float64),
-            Node(2, "aux", (), {"name": "other"}, (n, n), np.float64),
-            Node(3, "aux", (), {"name": "norm_other"}, (), np.float64),
-            Node(4, "hsic_trace", (1, 2), {}, (), np.float64),  # cross
-            Node(5, "hsic_trace", (1, 1), {}, (), np.float64),  # self norm
-            Node(6, "const", (), {}, (), np.float64, value=np.array(1e-9)),
-            Node(7, "mul", (5, 3), {}, (), np.float64),
-            Node(8, "add", (7, 6), {}, (), np.float64),
-            Node(9, "sqrt", (8,), {}, (), np.float64),
-            Node(10, "add", (9, 6), {}, (), np.float64),
-            Node(11, "div", (4, 10), {}, (), np.float64),
-        ]
-        graph = Graph(nodes, input_id=0, output_id=11, aux={"other": 2, "norm_other": 3})
-        plan = Plan(
-            graph, grad="input",
-            aux={"other": other, "norm_other": np.array(norm_other)},
+    @pytest.mark.parametrize("normalized", [True, False], ids=["nhsic", "raw"])
+    @pytest.mark.parametrize("sigma", [None, 1.5], ids=["median", "fixed"])
+    def test_mi_regularizer_block(self, sigma, normalized):
+        """``MILoss.regularizer`` as the IB-RAR adapter appends it.
+
+        Two hidden layers (a conv map as the plan input, a vector as a
+        differentiated aux leaf), the detached input batch and the one-hot
+        labels; the side term and both HSIC sums come back as one id each.
+        """
+        from repro.core.config import IBRARConfig
+        from repro.core.losses import MILoss
+
+        rng = np.random.default_rng(8)
+        n, classes = 6, 3
+        conv = rng.normal(size=(n, 2, 3, 3))
+        arrays = {
+            "inputs": rng.random((n, 3, 4, 4)),
+            "onehot": np.eye(classes)[rng.integers(0, classes, n)],
+            "fc": rng.normal(size=(n, 5)),
+        }
+        loss = MILoss(
+            IBRARConfig(alpha=0.05, beta=0.01, sigma=sigma, normalized_hsic=normalized),
+            num_classes=classes,
         )
+        graph = Graph([Node(0, "input", (), {}, conv.shape, np.float64)], input_id=0, output_id=0)
+        bindings = {"conv": 0}
+        for name, value in arrays.items():
+            bindings[name] = graph.add_aux(name, value.shape, np.float64)
+        ids = graph.append_traced(
+            loss.regularizer, bindings, name=("mi_side", "mi_sum_x", "mi_sum_y")
+        )
+        assert len(ids) == 3 and graph.outputs["mi_side"] == ids[0]
+        graph.output_id = ids[0]
+        plan = Plan(graph.rebuild(), grad="input", aux=arrays, grad_aux=("fc",))
+        _run(plan, conv)
+
+        tensors = {name: Tensor(value) for name, value in arrays.items()}
+        conv_t = Tensor(conv, requires_grad=True)
+        tensors["fc"] = Tensor(arrays["fc"], requires_grad=True)
+        side, sum_x, sum_y = loss.regularizer(conv=conv_t, **tensors)
+        for key, eager in (("mi_side", side), ("mi_sum_x", sum_x), ("mi_sum_y", sum_y)):
+            assert float(plan.output_value(key)) == pytest.approx(float(eager.item()), rel=1e-12)
+        side.backward()
+        assert np.allclose(plan.grads[0], conv_t.grad, rtol=1e-12, atol=1e-15)
+        assert np.allclose(plan.aux_grad("fc"), tensors["fc"].grad, rtol=1e-12, atol=1e-15)
+
+        pairs = [
+            ("conv", conv, np.array(plan.grads[0])),
+            ("fc", arrays["fc"], np.array(plan.aux_grad("fc"))),
+        ]
+        _hold_bandwidth(plan)
 
         def value():
-            return float(_run(plan, x).values[11])
+            return float(_run(plan, conv).values[plan.graph.output_id])
 
-        value()
-        ok, message = plan_gradcheck(
-            value, [("x", x, np.array(plan.grads[0]))], rtol=1e-3, atol=1e-7
-        )
+        ok, message = plan_gradcheck(value, pairs, rtol=1e-3, atol=1e-7)
         assert ok, message
-        eager = normalized_hsic(gaussian_kernel(Tensor(x), sigma=1.3), Tensor(other))
-        assert value() == pytest.approx(float(eager.item()), rel=1e-10)
 
 
 class TestFusedInputParamBackward:

@@ -460,17 +460,18 @@ class TestSpecPlumbing:
         assert revived.training_hash == compiled.training_hash
 
     def test_hsic_estimator_version_splits_ibrar_hashes_only(self):
-        # The cached-Gram fast path changed HSIC fp numerics; IB-RAR specs
-        # carry the estimator version in their training hash (stale cached
-        # checkpoints recompute), HSIC-free specs keep hash shape untouched.
+        # HSIC numerics changes (the cached-Gram fast path, then the traced
+        # compiled terms and the tie-exact mask) version IB-RAR training
+        # hashes (stale cached checkpoints recompute); HSIC-free specs keep
+        # hash shape untouched.
         from repro.experiments import ExperimentSpec
 
         plain = ExperimentSpec(dataset="synthetic", model="smallcnn", epochs=1)
         ibrar = plain.with_(ibrar=IBRARConfig(alpha=0.1, beta=0.01))
         named = plain.with_(loss="ib-rar-mi")
         assert "hsic" not in plain.training_dict()
-        assert ibrar.training_dict()["hsic"] == "cached-gram-v2"
-        assert named.training_dict()["hsic"] == "cached-gram-v2"
+        assert ibrar.training_dict()["hsic"] == "traced-v3"
+        assert named.training_dict()["hsic"] == "traced-v3"
         # Round trip through as_dict (which emits the derived key).
         revived = ExperimentSpec.from_dict(ibrar.as_dict())
         assert revived.training_hash == ibrar.training_hash

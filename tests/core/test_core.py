@@ -238,13 +238,18 @@ class TestChannelMask:
         n=st.integers(4, 64),
         fraction=st.floats(0.0, 0.5),
         seed=st.integers(0, 1000),
+        tied=st.booleans(),
     )
-    def test_property_mask_is_binary_and_bounded(self, n, fraction, seed):
-        scores = np.random.default_rng(seed).random(n)
+    def test_property_mask_is_binary_and_bounded(self, n, fraction, seed, tied):
+        rng = np.random.default_rng(seed)
+        # Integer-valued scores tie heavily (all equal when n_values == 1).
+        scores = rng.integers(0, rng.integers(1, 5), n).astype(float) if tied else rng.random(n)
         mask = compute_channel_mask(scores, fraction=fraction)
         assert set(np.unique(mask)).issubset({0.0, 1.0})
         assert 1 <= mask.sum() <= n
-        assert n - mask.sum() <= int(np.floor(fraction * n))
+        assert n - mask.sum() == min(int(np.floor(fraction * n)), n - 1)
+        if mask.sum() < n:  # the removed channels are the lowest-scoring ones
+            assert scores[mask == 0].max() <= scores[mask == 1].min()
 
     def test_feature_channel_mask_applies_to_model(self, tiny_dataset, trained_small_cnn):
         # Use a copy so the shared fixture is not mutated.
