@@ -509,9 +509,6 @@ class AttackEngine:
         cannot be captured — so results are produced either way;
         ``EngineResult.compiled`` / ``compile_error`` report what happened
         and the telemetry counts compiled vs eager passes.
-    compile_options:
-        Extra keyword arguments for :func:`repro.compile.compile_model`
-        (``fold_bn``, ``max_plans``, ...).
     """
 
     def __init__(
@@ -521,7 +518,6 @@ class AttackEngine:
         early_exit: bool = True,
         cascade: bool = False,
         compile: bool = False,
-        compile_options: Optional[Dict[str, Any]] = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
@@ -530,7 +526,6 @@ class AttackEngine:
         self.early_exit = bool(early_exit) or bool(cascade)
         self.cascade = bool(cascade)
         self.compile = bool(compile)
-        self.compile_options = dict(compile_options or {})
 
     def _resolve(self, entry: Union[AttackSpec, Attack], model: ImageClassifier) -> Attack:
         if isinstance(entry, AttackSpec):
@@ -551,7 +546,7 @@ class AttackEngine:
         was_training = model.training
         model.eval()
         try:
-            return compile_model(model, images[: self.batch_size], **self.compile_options), None
+            return compile_model(model, images[: self.batch_size]), None
         except CompileError as error:
             return None, str(error)
         finally:

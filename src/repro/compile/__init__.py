@@ -1,11 +1,12 @@
-"""Static-graph capture, operator fusion, and buffer-pooled execution.
+"""Static-graph capture, graph passes, and buffer-pooled execution.
 
 The attack hot path — tens of forward+backward passes per batch for
 PGD/NIFGSM/CW — previously rebuilt the dynamic Python autograd graph and
 allocated fresh arrays on every step.  This subsystem traces a module's
 eval-mode forward **once** into a static :class:`~repro.compile.graph.Graph`,
-optimizes it (batch-norm folding into conv weights, affine/ReLU/elementwise
-fusion, constant folding, dead-node elimination) and replays it through a
+optimizes it with :func:`~repro.compile.passes.optimize` (constant folding,
+batch-norm folding into conv weights, ReLU fusion, dead-node elimination —
+the one pipeline training plans go through too) and replays it through a
 :class:`~repro.compile.pool.BufferPool` arena with ``out=``-style NumPy
 kernels, so steady-state iterations allocate nothing and never touch the
 autograd machinery.  The eval/attack backward computes input gradients only —
@@ -52,7 +53,7 @@ Entry points:
 
 Every plan replays one serial set of NumPy ``out=`` kernels, bound as
 closures by the :class:`Plan` executor's per-op binders; BLAS threads the
-GEMMs that dominate conv and affine time.
+GEMMs that dominate conv and linear-layer time.
 """
 
 from .cache import SignatureCache

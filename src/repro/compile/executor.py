@@ -126,7 +126,6 @@ class Plan:
     def __init__(
         self,
         graph: Graph,
-        pool: Optional[BufferPool] = None,
         grad: str = "input",
         seed_ids: Sequence[int] = (),
         aux: Optional[Mapping[str, np.ndarray]] = None,
@@ -136,7 +135,7 @@ class Plan:
             raise ValueError(f"unknown grad mode '{grad}'; use 'input', 'params' or 'both'")
         self.graph = graph
         self.grad_mode = grad
-        self.pool = pool or BufferPool()
+        self.pool = BufferPool()
         #: node id -> forward value (const arrays, bound buffers, or views).
         self.values: Dict[int, np.ndarray] = {}
         #: node id -> gradient accumulator (shared across backward programs).
@@ -347,10 +346,6 @@ class Plan:
             self._fill_ids.discard(target_id)
         return write, self.grads[target_id]
 
-    def _grad_target(self, node_id: int) -> Optional[np.ndarray]:
-        """The gradient accumulator of ``node_id`` (``None`` when off-path)."""
-        return self.grads.get(node_id)
-
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
@@ -560,22 +555,6 @@ def _bind_conv2d(plan: Plan, node: Node):
         if fuse_relu:
             np.maximum(out2d, 0.0, out=out2d)
             np.greater(out2d, 0.0, out=mask2d)
-
-    return step, out
-
-
-def _bind_affine(plan: Plan, node: Node):
-    x = plan.values[node.inputs[0]]
-    weight_t = np.ascontiguousarray(plan.values[node.inputs[1]])  # (in, out)
-    bias = plan.values[node.inputs[2]]
-    fuse_relu = node.meta.get("fuse_relu", False)
-    out = plan.pool.empty(node.shape, node.dtype)
-
-    def step() -> None:
-        np.matmul(x, weight_t, out=out)
-        np.add(out, bias, out=out)
-        if fuse_relu:
-            np.maximum(out, 0.0, out=out)
 
     return step, out
 
@@ -853,62 +832,6 @@ def _bind_detach(plan: Plan, node: Node):
     return None, plan.values[node.inputs[0]]
 
 
-def _bind_ew(plan: Plan, node: Node):
-    x = plan.values[node.inputs[0]]
-    out = plan.pool.empty(node.shape, node.dtype)
-    ops: List[Callable[[], None]] = []
-    for step in node.meta["steps"]:
-        kind = step["op"]
-        if kind in _EW_BINARY_UFUNC:
-            const = plan.values[step["const"]]
-            ops.append(_make_ew_binary(_EW_BINARY_UFUNC[kind], out, const))
-        elif kind == "neg":
-            ops.append(lambda out=out: np.negative(out, out=out))
-        elif kind == "relu":
-            mask = plan.pool.empty(node.shape, bool)
-            step["_mask"] = mask  # ``_back_ew`` reads the masks from the step dicts
-            ops.append(_make_ew_relu(out, mask))
-        elif kind == "clip":
-            mask = plan.pool.empty(node.shape, bool)
-            scratch_mask = plan.pool.empty(node.shape, bool)
-            step["_mask"] = mask
-            ops.append(_make_ew_clip(out, mask, scratch_mask, step["low"], step["high"]))
-        else:  # pragma: no cover - the pass only emits the kinds above
-            raise CompileError(f"unknown elementwise step '{kind}'")
-
-    def run() -> None:
-        np.copyto(out, x)
-        for op in ops:
-            op()
-
-    return run, out
-
-
-_EW_BINARY_UFUNC = {"add": np.add, "mul": np.multiply, "div": np.divide}
-
-
-def _make_ew_binary(ufunc, out, const):
-    return lambda: ufunc(out, const, out=out)
-
-
-def _make_ew_relu(out, mask):
-    def run() -> None:
-        np.maximum(out, 0.0, out=out)
-        np.greater(out, 0.0, out=mask)
-
-    return run
-
-
-def _make_ew_clip(out, mask, scratch_mask, low, high):
-    def run() -> None:
-        np.greater_equal(out, low, out=mask)
-        np.less_equal(out, high, out=scratch_mask)
-        np.logical_and(mask, scratch_mask, out=mask)
-        np.clip(out, low, high, out=out)
-
-    return run
-
-
 # --------------------------------------------------------------------------- #
 # the Gaussian-kernel bandwidth scale and counter dropout
 #
@@ -982,7 +905,6 @@ def _back_rng_mask(plan: Plan, node: Node):
 
 _FORWARD = {
     "conv2d": _bind_conv2d,
-    "affine": _bind_affine,
     "matmul": _bind_matmul,
     "add": _bind_binary(np.add),
     "mul": _bind_binary(np.multiply),
@@ -1014,7 +936,6 @@ _FORWARD = {
     "transpose": _bind_transpose,
     "pad2d": _bind_pad2d,
     "detach": _bind_detach,
-    "ew": _bind_ew,
     "rbf_scale": _bind_rbf_scale,
     "rng_mask": _bind_rng_mask,
 }
@@ -1192,26 +1113,6 @@ def _back_conv2d(plan: Plan, node: Node):
     return run
 
 
-def _back_affine(plan: Plan, node: Node):
-    x_id = node.inputs[0]
-    if x_id not in plan._diff:
-        return _relu_mask_step(plan, node)
-    weight = np.ascontiguousarray(plan.values[node.inputs[1]].T)  # (out, in)
-    g = plan.grads[node.id]
-    relu_step = _relu_mask_step(plan, node)
-    write, gx = plan._sink(x_id)
-    target = gx if write else plan.pool.empty(gx.shape, gx.dtype)
-
-    def run() -> None:
-        if relu_step is not None:
-            relu_step()
-        np.matmul(g, weight, out=target)
-        if not write:
-            np.add(gx, target, out=gx)
-
-    return run
-
-
 def _back_matmul(plan: Plan, node: Node):
     a_id, b_id = node.inputs
     a, b = plan.values[a_id], plan.values[b_id]
@@ -1220,7 +1121,10 @@ def _back_matmul(plan: Plan, node: Node):
     steps: List[Callable[[], None]] = []
     if a_id in plan._diff:
         write_a, ga = plan._sink(a_id)
-        b_t = b.T  # static view
+        # A constant right operand is a folded ``Linear`` weight transpose:
+        # multiply by the contiguous weight, the operand layout of the eager
+        # ``grad @ weight`` (a live operand's ``.T`` already is that view).
+        b_t = np.ascontiguousarray(b.T) if plan.graph.node(b_id).is_const() else b.T
         target_a = ga if write_a else plan.pool.empty(ga.shape, ga.dtype)
         if write_a:
             steps.append(lambda: np.matmul(g, b_t, out=target_a))
@@ -1685,42 +1589,8 @@ def _back_pad2d(plan: Plan, node: Node):
     return lambda: np.add(gx, interior, out=gx)
 
 
-def _back_ew(plan: Plan, node: Node):
-    g = plan.grads[node.id]
-    write, gx = plan._sink(node.inputs[0])
-    scratch = gx if write else plan.pool.empty(node.shape, node.dtype)
-    reversed_steps = []
-    for step in reversed(node.meta["steps"]):
-        kind = step["op"]
-        if kind == "add":
-            continue
-        if kind == "mul":
-            const = plan.values[step["const"]]
-            reversed_steps.append(lambda const=const: np.multiply(scratch, const, out=scratch))
-        elif kind == "div":
-            const = plan.values[step["const"]]
-            reversed_steps.append(lambda const=const: np.divide(scratch, const, out=scratch))
-        elif kind == "neg":
-            reversed_steps.append(lambda: np.negative(scratch, out=scratch))
-        elif kind in ("relu", "clip"):
-            mask = step["_mask"]
-            reversed_steps.append(lambda mask=mask: np.multiply(scratch, mask, out=scratch))
-        else:  # mirror the forward binder: unknown kinds must fail at bind time
-            raise CompileError(f"elementwise step '{kind}' has no backward rule")
-
-    def run() -> None:
-        np.copyto(scratch, g)
-        for step in reversed_steps:
-            step()
-        if not write:
-            np.add(gx, scratch, out=gx)
-
-    return run
-
-
 _BACKWARD = {
     "conv2d": _back_conv2d,
-    "affine": _back_affine,
     "matmul": _back_matmul,
     "add": _back_add,
     "mul": _back_mul,
@@ -1750,6 +1620,5 @@ _BACKWARD = {
     "reshape": _back_reshape,
     "transpose": _back_transpose,
     "pad2d": _back_pad2d,
-    "ew": _back_ew,
     "rng_mask": _back_rng_mask,
 }

@@ -197,13 +197,6 @@ class Graph:
         self._by_id[node.id] = node
         return node.id
 
-    def add_const(self, value, dtype=None) -> int:
-        """Append a constant leaf holding ``value``; returns its node id."""
-        arr = np.asarray(value, dtype=dtype if dtype is not None else get_default_dtype())
-        return self._append(
-            Node(self._next_id(), "const", (), {}, arr.shape, arr.dtype, value=arr)
-        )
-
     def add_aux(self, name: str, shape: Tuple[int, ...], dtype) -> int:
         """Append a named auxiliary input leaf; returns its node id."""
         if name in self.aux:

@@ -14,7 +14,7 @@ engine surfaces those counters as telemetry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -24,7 +24,6 @@ from .cache import SignatureCache
 from .executor import Plan
 from .graph import CompileError, capture_forward
 from .passes import optimize
-from .pool import BufferPool
 
 __all__ = ["CompiledModel", "CompiledStats", "compile_model"]
 
@@ -70,10 +69,6 @@ class CompiledModel:
         errors on this first plan propagate (so callers learn immediately
         that the module cannot be captured); later auto-compiled signatures
         fail soft into eager fallback.
-    fold_bn / fuse:
-        Enable batch-norm folding and operator fusion (on by default).
-    auto_compile:
-        Compile new plans for unseen input signatures on first use.
     max_plans:
         Bound on cached plans; further signatures run eagerly.
 
@@ -86,15 +81,9 @@ class CompiledModel:
         self,
         module,
         sample_input,
-        fold_bn: bool = True,
-        fuse: bool = True,
-        auto_compile: bool = True,
         max_plans: int = 8,
     ) -> None:
         self.module = module
-        self.fold_bn = fold_bn
-        self.fuse = fuse
-        self.auto_compile = auto_compile
         self.max_plans = max_plans
         self.stats = CompiledStats()
         #: the shared compile-on-second-sighting policy (one implementation
@@ -120,9 +109,7 @@ class CompiledModel:
         return self._cache.entries
 
     def _build_plan(self, sample: np.ndarray) -> Plan:
-        graph = capture_forward(self.module, sample)
-        graph = optimize(graph, fold_bn=self.fold_bn, fuse=self.fuse)
-        plan = Plan(graph, BufferPool())
+        plan = Plan(optimize(capture_forward(self.module, sample)))
         self.stats.plans_built += 1
         return plan
 
@@ -131,8 +118,6 @@ class CompiledModel:
         # that appears once (the ragged clean-prediction batch) is cheaper
         # to run eagerly than to capture and bind, while any shape inside
         # an iterated attack loop comes back immediately.
-        if not self.auto_compile:
-            return self._cache.get(x)
         return self._cache.lookup(x)
 
     def warm(self, samples) -> int:

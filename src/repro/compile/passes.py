@@ -1,46 +1,43 @@
 """Optimization passes over captured graphs.
 
-The pass pipeline (:func:`optimize`) mirrors what a small deep-learning
-compiler does before code generation:
+:func:`optimize` is the one pass pipeline every plan goes through — eval
+snapshots, training plans and the attack plans derived from them alike:
 
 1. **constant folding** — subgraphs depending only on constants are
    evaluated once at compile time.  The big win is ``transpose(weight)``
    inside every ``Linear``: the transposed weight matrix becomes a
    precomputed constant instead of a per-forward allocation.
 2. **batch-norm folding** — an eval-mode ``batch_norm2d`` whose input is a
-   single-consumer ``conv2d`` is folded into the convolution's weights and
-   bias (``W' = W * gamma/std``, ``b' = beta - mean * gamma/std + b * gamma/std``),
+   single-consumer ``conv2d`` with constant weights is folded into the
+   convolution's weights and bias
+   (``W' = W * gamma/std``, ``b' = beta - mean * gamma/std + b * gamma/std``),
    removing the BN node from both the forward and the backward pass.
-   Eval-mode BNs that cannot fold are lowered to a precomputed
-   scale-and-shift (handled by the executor's ``batch_norm2d`` kernel).
-3. **affine fusion** — ``add(matmul(x, W), b)`` with constant ``W``/``b``
-   becomes a single ``affine`` node executed as one BLAS call plus an
-   in-place bias add.
-4. **ReLU fusion** — a ``relu`` directly after ``conv2d`` / ``affine`` /
-   ``add`` / ``matmul`` / ``batch_norm2d`` is folded into the producer
+   Training-mode BNs, BNs over live parameters and BNs whose conv output
+   is a named graph output are left in place; the executor's
+   ``batch_norm2d`` kernel runs them (eval mode as a scale-and-shift).
+3. **ReLU fusion** — a ``relu`` directly after ``conv2d`` / ``add`` /
+   ``matmul`` / ``batch_norm2d`` is folded into the producer
    (``fuse_relu`` flag) and applied in place on the producer's buffer.
-5. **elementwise-chain fusion** — runs of single-consumer elementwise ops
-   (negate, clip, add/mul/div/maximum with a constant) collapse into one
-   ``ew`` node replayed in a single buffer.
-6. **dead-node elimination** — nodes no longer reachable from the output
-   (detached BN parameters, unfused duplicates) are dropped.
+4. **dead-node elimination** — nodes no longer reachable from the output
+   (detached BN parameters, folded duplicates) are dropped.
+
+Both rewriting passes leave a named graph output (a hidden representation a
+training plan exposes and seeds) with its own value.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from .graph import CompileError, Graph, Node
+from .graph import Graph, Node
 
 __all__ = [
     "optimize",
     "fold_constants",
     "fold_batchnorm",
-    "fuse_affine",
     "fuse_relu",
-    "fuse_elementwise",
     "eliminate_dead",
     "bn_scale_shift",
     "lower_to_eval",
@@ -90,20 +87,16 @@ def lower_to_eval(graph: Graph) -> Tuple[Graph, bool]:
         lowered.output_id = _resolve(rewired, lowered.output_id)
     # The attack plan neither exposes hidden representations nor carries
     # loss subgraphs; dropping the named outputs unprotects those nodes for
-    # the fusion passes.
+    # BN folding and ReLU fusion.
     lowered.outputs = {}
     return lowered.rebuild(), changed
 
 
-def optimize(graph: Graph, fold_bn: bool = True, fuse: bool = True) -> Graph:
-    """Run the default pass pipeline (see module docstring)."""
+def optimize(graph: Graph) -> Graph:
+    """Run the pass pipeline (see module docstring)."""
     graph = fold_constants(graph)
-    if fold_bn:
-        graph = fold_batchnorm(graph)
-    if fuse:
-        graph = fuse_affine(graph)
-        graph = fuse_relu(graph)
-        graph = fuse_elementwise(graph)
+    graph = fold_batchnorm(graph)
+    graph = fuse_relu(graph)
     return eliminate_dead(graph)
 
 
@@ -163,36 +156,34 @@ def bn_scale_shift(gamma, beta, mean, var, eps, dtype) -> Tuple[np.ndarray, np.n
     return scale.astype(dtype), shift.astype(dtype)
 
 
-def _bn_scale_shift(node: Node, graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
-    """``bn_scale_shift`` for a graph node, validating constant gamma/beta."""
-    gamma = graph.node(node.inputs[1])
-    beta = graph.node(node.inputs[2])
-    if not (gamma.is_const() and beta.is_const()):
-        raise CompileError("batch-norm gamma/beta must be constants in a plan")
-    return bn_scale_shift(
-        gamma.value, beta.value, node.meta["mean"], node.meta["var"], node.meta["eps"], node.dtype
-    )
-
-
 def fold_batchnorm(graph: Graph) -> Graph:
-    """Fold eval-mode BN into a preceding single-consumer convolution."""
+    """Fold eval-mode BN into a preceding single-consumer convolution.
+
+    Only an all-constant conv + BN pair folds: training-mode BNs and live
+    (``param``) weights or gamma/beta are left to the executor, and so is a
+    conv whose output is a named graph output, which must keep its value.
+    """
     consumers = graph.consumer_counts()
+    protected = set(graph.outputs.values())
     rewired: Dict[int, int] = {}
     next_id = max(n.id for n in graph.nodes) + 1
     new_consts: List[Node] = []
     for node in graph.nodes:
-        if node.op != "batch_norm2d":
+        if node.op != "batch_norm2d" or node.meta.get("training"):
             continue
-        if node.meta.get("training"):
-            raise CompileError("cannot plan a training-mode batch norm")
         conv = graph.node(node.inputs[0])
-        if conv.op != "conv2d" or consumers[conv.id] != 1:
+        if conv.op != "conv2d" or consumers[conv.id] != 1 or conv.id in protected:
             continue
         weight = graph.node(conv.inputs[1])
         bias = graph.node(conv.inputs[2]) if len(conv.inputs) > 2 else None
-        if not weight.is_const() or (bias is not None and not bias.is_const()):
+        gamma, beta = graph.node(node.inputs[1]), graph.node(node.inputs[2])
+        operands = [weight, gamma, beta] + ([] if bias is None else [bias])
+        if not all(n.is_const() for n in operands):
             continue
-        scale, shift = _bn_scale_shift(node, graph)
+        scale, shift = bn_scale_shift(
+            gamma.value, beta.value, node.meta["mean"], node.meta["var"], node.meta["eps"],
+            node.dtype,
+        )
         folded_weight = (weight.value * scale[:, None, None, None]).astype(conv.dtype)
         folded_bias = shift if bias is None else (shift + scale * bias.value).astype(conv.dtype)
         w_node = Node(next_id, "const", (), {}, folded_weight.shape, conv.dtype, value=folded_weight)
@@ -201,7 +192,7 @@ def fold_batchnorm(graph: Graph) -> Graph:
         new_consts.extend([w_node, b_node])
         conv.inputs = (conv.inputs[0], w_node.id, b_node.id)
         rewired[node.id] = conv.id
-    if not rewired and not new_consts:
+    if not rewired:
         return graph
     nodes = graph.nodes + new_consts
     for node in nodes:
@@ -218,33 +209,20 @@ def _resolve(rewired: Dict[int, int], node_id: int) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# fusion passes
+# ReLU fusion
 # --------------------------------------------------------------------------- #
-def fuse_affine(graph: Graph) -> Graph:
-    """Collapse ``add(matmul(x, W), b)`` with constant ``W``/``b`` into ``affine``."""
-    consumers = graph.consumer_counts()
-    for node in graph.nodes:
-        if node.op != "add" or len(node.inputs) != 2:
-            continue
-        matmul, bias = graph.node(node.inputs[0]), graph.node(node.inputs[1])
-        if matmul.op != "matmul":
-            matmul, bias = bias, matmul
-        if matmul.op != "matmul" or consumers[matmul.id] != 1 or not bias.is_const():
-            continue
-        weight = graph.node(matmul.inputs[1])
-        if not weight.is_const() or weight.value.ndim != 2 or bias.value.ndim != 1:
-            continue
-        node.op = "affine"
-        node.inputs = (matmul.inputs[0], matmul.inputs[1], bias.id)
-    return graph.rebuild()
-
-
-_RELU_FUSABLE = ("conv2d", "affine", "add", "matmul", "batch_norm2d")
+_RELU_FUSABLE = ("conv2d", "add", "matmul", "batch_norm2d")
 
 
 def fuse_relu(graph: Graph) -> Graph:
-    """Fold a ``relu`` into its single-consumer producer (in-place activation)."""
+    """Fold a ``relu`` into its single-consumer producer (in-place activation).
+
+    A producer that is a named graph output keeps its pre-activation value:
+    plans read and seed those nodes (hidden representations), so it is
+    skipped.
+    """
     consumers = graph.consumer_counts()
+    protected = set(graph.outputs.values())
     rewired: Dict[int, int] = {}
     for node in graph.nodes:
         if node.op != "relu":
@@ -252,7 +230,7 @@ def fuse_relu(graph: Graph) -> Graph:
         producer = graph.node(node.inputs[0])
         if producer.op not in _RELU_FUSABLE or consumers[producer.id] != 1:
             continue
-        if producer.meta.get("fuse_relu"):
+        if producer.id in protected or producer.meta.get("fuse_relu"):
             continue
         producer.meta["fuse_relu"] = True
         rewired[node.id] = producer.id
@@ -264,88 +242,6 @@ def fuse_relu(graph: Graph) -> Graph:
     return Graph(
         graph.nodes, graph.input_id, _resolve(rewired, graph.output_id), outputs, graph.aux
     ).rebuild()
-
-
-#: elementwise ops a chain may contain.  ``maximum`` is deliberately absent:
-#: its backward needs a winner mask against the *intermediate* value, which a
-#: fused chain does not keep, so it stays a standalone (fully differentiable)
-#: node instead of poisoning the whole plan at bind time.
-_EW_UNARY = ("neg", "relu", "clip")
-_EW_BINARY = ("add", "mul", "div")
-
-
-def _chain_source(node: Node, graph: Graph) -> Optional[int]:
-    """The id of ``node``'s variable (non-const) input when it is a fusable step."""
-    if node.meta.get("fuse_relu"):
-        return None
-    if node.op in _EW_UNARY and len(node.inputs) == 1:
-        return node.inputs[0]
-    if node.op in _EW_BINARY and len(node.inputs) == 2:
-        first, second = (graph.node(i) for i in node.inputs)
-        if second.is_const() and not first.is_const():
-            return node.inputs[0]
-        if first.is_const() and not second.is_const():
-            if node.op == "div":
-                return None  # const / x needs the intermediate value; don't fuse
-            return node.inputs[1]
-    return None
-
-
-def _ew_step(node: Node, graph: Graph, source: int) -> dict:
-    """Describe ``node`` (a validated chain link) as an executable step."""
-    if node.op in _EW_UNARY:
-        return {"op": node.op, "const": None, **{k: v for k, v in node.meta.items() if k != "fuse_relu"}}
-    const_id = node.inputs[1] if node.inputs[0] == source else node.inputs[0]
-    return {"op": node.op, "const": const_id}
-
-
-def fuse_elementwise(graph: Graph) -> Graph:
-    """Collapse runs (length >= 2) of single-consumer elementwise ops into ``ew``.
-
-    Named graph outputs (hidden representations a training plan must expose
-    and seed gradients into) may only sit at a chain's *tail*: interior chain
-    members lose their materialized values, so a protected node ends the
-    upward walk instead of joining it.
-    """
-    consumers = graph.consumer_counts()
-    protect = set(graph.outputs.values())
-    fused: set = set()
-    for node in reversed(graph.nodes):  # visit chain tails before their members
-        if node.id in fused:
-            continue
-        chain: List[Node] = []
-        current = node
-        while current.id not in fused:
-            if chain and current.id in protect:
-                break
-            source = _chain_source(current, graph)
-            # Broadcast constants must not grow the running shape.
-            if source is None or current.shape != graph.node(source).shape:
-                break
-            chain.append(current)
-            producer = graph.node(source)
-            if consumers[producer.id] != 1 or producer.id in fused:
-                break
-            current = producer
-        if len(chain) < 2:
-            continue
-        chain.reverse()  # execution order
-        head_input = _chain_source(chain[0], graph)
-        steps = []
-        const_ids = []
-        source = head_input
-        for link in chain:
-            step = _ew_step(link, graph, source)
-            if step["const"] is not None:
-                const_ids.append(step["const"])
-            steps.append(step)
-            source = link.id
-        tail = chain[-1]
-        tail.op = "ew"
-        tail.meta = {"steps": steps}
-        tail.inputs = (head_input, *const_ids)
-        fused.update(link.id for link in chain)
-    return graph.rebuild()
 
 
 def eliminate_dead(graph: Graph) -> Graph:

@@ -134,29 +134,15 @@ class TrainingCompileStats:
 # --------------------------------------------------------------------------- #
 # plan construction
 # --------------------------------------------------------------------------- #
-def _training_plan(model, sample: np.ndarray, hidden_seeds: bool = True) -> Plan:
-    # Hidden outputs exist only for adapters that consume them (the IB-RAR
-    # wrapper): naming them protects those nodes from elementwise-chain
-    # fusion, and registering them as seed points costs the dead-write
-    # optimization on their gradient buffers — pure overhead for CE and the
-    # adversarial benchmarks.
-    graph = capture_forward(
-        model, sample, training=True, with_hidden=hidden_seeds, live_params=True
-    )
-    graph = optimize(graph, fold_bn=False, fuse=True)
-    seed_ids = tuple(graph.outputs.values()) if hidden_seeds else ()
-    return Plan(graph, grad="params", seed_ids=seed_ids)
-
-
 def _train_graph(captured: Graph) -> Graph:
     """An independently optimized copy of the training capture (per plan)."""
-    return optimize(captured.copy(), fold_bn=False, fuse=True)
+    return optimize(captured.copy())
 
 
 def _eval_graph(captured: Graph) -> Tuple[Graph, bool]:
     """The eval-semantics (attack) graph derived from the same capture."""
     lowered, changed = lower_to_eval(captured)
-    return optimize(lowered, fold_bn=False, fuse=True), changed
+    return optimize(lowered), changed
 
 
 def _attack_plan(model, sample: np.ndarray) -> Plan:
@@ -166,8 +152,7 @@ def _attack_plan(model, sample: np.ndarray) -> Plan:
         graph = capture_forward(model, sample, live_params=True)
     finally:
         model.train(was_training)
-    graph = optimize(graph, fold_bn=False, fuse=True)
-    return Plan(graph, grad="input")
+    return Plan(optimize(graph), grad="input")
 
 
 def _trace_kl(graph: Graph) -> int:

@@ -21,7 +21,9 @@ from repro.compile.graph import Graph, Node
 from repro.experiments import ExperimentSpec
 from repro.models import MLP, SmallCNN, ResNet18, VGG16
 from repro.models.base import ImageClassifier
+from repro.models.wide_resnet import WideResNet
 from repro.nn import Module, Tensor, no_grad
+from repro.nn.modules import BatchNorm2d, Conv2d, Linear
 from repro.nn import functional as F
 from repro.nn import tensor as tensor_mod
 
@@ -41,6 +43,26 @@ def eager_value_and_grad(model, images, labels):
     loss = F.cross_entropy(model.forward(x), labels)
     loss.backward()
     return float(loss.item()), x.grad
+
+
+class NamedConv(Module):
+    """Conv (named hidden output ``pre``) -> optional BN -> ReLU -> Linear."""
+
+    def __init__(self, batch_norm: bool) -> None:
+        super().__init__()
+        rng = np.random.default_rng(0)
+        self.conv = Conv2d(3, 4, 3, padding=1, rng=rng)
+        self.bn = BatchNorm2d(4) if batch_norm else None
+        self.fc = Linear(4 * 8 * 8, 3, rng=rng)
+
+    def forward_with_hidden(self, x):
+        pre = self.conv(x)
+        h = pre if self.bn is None else self.bn(pre)
+        logits = self.fc(h.relu().reshape((x.shape[0], -1)))
+        return logits, OrderedDict(pre=pre)
+
+    def forward(self, x):
+        return self.forward_with_hidden(x)[0]
 
 
 class TestCapture:
@@ -70,7 +92,7 @@ class TestPasses:
     def test_bn_folding_removes_bn_nodes(self, small_cnn, batch):
         small_cnn.eval()
         graph = capture_forward(small_cnn, batch)
-        optimized = optimize(graph, fold_bn=True)
+        optimized = optimize(graph)
         counts = optimized.op_counts()
         assert "batch_norm2d" not in counts
         assert counts["conv2d"] == 2
@@ -79,9 +101,8 @@ class TestPasses:
         small_cnn.eval()
         optimized = optimize(capture_forward(small_cnn, batch))
         counts = optimized.op_counts()
-        assert "relu" not in counts  # all fused into conv/affine producers
-        assert counts["affine"] == 3  # fc1..fc3
-        assert "matmul" not in counts
+        assert "relu" not in counts  # all fused into conv / bias-add producers
+        assert counts["matmul"] == 3  # fc1..fc3, each followed by its bias add
         assert len(optimized) < len(capture_forward(small_cnn, batch))
 
     def test_maximum_stays_out_of_chains_and_compiles(self, rng):
@@ -122,36 +143,54 @@ class TestPasses:
         logits = graph.output_node
         aux_id = graph.add_aux("other", logits.shape, logits.dtype)
         graph.add_op("add", (graph.output_id, aux_id), logits.shape, logits.dtype, name="sum")
-        optimized = optimize(graph, fold_bn=True)
+        optimized = optimize(graph)
         assert "batch_norm2d" not in optimized.op_counts()
         assert optimized.aux == {"other": aux_id}
 
-    def test_elementwise_chain_fusion(self, rng):
-        class Chain(Module):
-            def forward(self, x):
-                return ((x * 2.0 + 0.25).clip(0.0, 1.0)).__neg__().sum()
+    def test_relu_fusion_keeps_named_output_value(self, rng):
+        # A hidden output feeding a ReLU keeps its pre-activation value, and
+        # a gradient seeded there is not ReLU-masked.
+        model = NamedConv(batch_norm=False)
+        model.train()
+        x = rng.normal(size=(2, 3, 8, 8))
+        graph = optimize(
+            capture_forward(model, x, training=True, with_hidden=True, live_params=True)
+        )
+        pre_id = graph.outputs["pre"]
+        plan = Plan(graph, grad="params", seed_ids=(pre_id,))
+        plan.forward(x)
+        logits, hidden = model.forward_with_hidden(Tensor(x))
+        np.testing.assert_allclose(
+            plan.output_value("pre"), hidden["pre"].data, rtol=0, atol=1e-12
+        )
+        seed_out = rng.normal(size=logits.shape)
+        seed_pre = rng.normal(size=hidden["pre"].shape)
+        plan.run_backward({graph.output_id: seed_out, pre_id: seed_pre})
+        ((logits * seed_out).sum() + (hidden["pre"] * seed_pre).sum()).backward()
+        grads = plan.param_grads()
+        for param in model.parameters():
+            np.testing.assert_allclose(grads[id(param)], param.grad, rtol=1e-12, atol=1e-12)
 
-        module = Chain()
-        module.eval()
-        x = rng.random((4, 5))
-        optimized = optimize(capture_forward(module, x))
-        assert "ew" in optimized.op_counts()
-
-        plan = Plan(optimized)
-        out = plan.forward(x)
-        x_t = Tensor(x, requires_grad=True)
-        eager = ((x_t * 2.0 + 0.25).clip(0.0, 1.0)).__neg__().sum()
-        assert np.allclose(out, eager.data)
-        eager.backward()
-        grad = plan.backward(np.ones(()))
-        assert np.allclose(grad, x_t.grad)
+    def test_bn_folding_keeps_named_output_value(self, rng):
+        # A hidden conv output feeding BN then ReLU is not folded over.
+        model = NamedConv(batch_norm=True)
+        x = rng.normal(size=(2, 3, 8, 8))
+        with no_grad():
+            model.forward(Tensor(x))  # non-trivial running statistics
+        model.eval()
+        plan = Plan(optimize(capture_forward(model, x, with_hidden=True)))
+        plan.forward(x)
+        with no_grad():
+            _, hidden = model.forward_with_hidden(Tensor(x))
+        np.testing.assert_allclose(
+            plan.output_value("pre"), hidden["pre"].data, rtol=0, atol=1e-12
+        )
 
 
 class TestIdentity:
-    @pytest.mark.parametrize("fold_bn", [True, False])
-    def test_small_cnn_forward_and_grad(self, small_cnn, batch, labels, fold_bn):
+    def test_small_cnn_forward_and_grad(self, small_cnn, batch, labels):
         small_cnn.eval()
-        compiled = compile_model(small_cnn, batch, fold_bn=fold_bn)
+        compiled = compile_model(small_cnn, batch)
         with no_grad():
             eager = small_cnn.forward(Tensor(batch)).data
         assert np.allclose(eager, compiled(batch), rtol=1e-8, atol=1e-10)
@@ -159,6 +198,29 @@ class TestIdentity:
         loss, grad = compiled.value_and_grad(batch, labels)
         assert np.isclose(eager_loss, loss, rtol=1e-10)
         assert np.allclose(eager_grad, grad, rtol=1e-7, atol=1e-12)
+
+    def test_unfolded_eval_batch_norm(self, rng):
+        # Each pre-activation block's input BN and the final BN read an add
+        # or a conv with a second consumer (the identity shortcut), so they
+        # cannot fold: the eval BN kernel pair over constant parameters
+        # stays on the path, checked against eager.
+        model = WideResNet(depth=10, widen_factor=1, num_classes=10, width_multiplier=0.5, seed=0)
+        x = rng.random((4, 3, 16, 16))
+        y = np.arange(4)
+        with no_grad():
+            for _ in range(2):
+                model.forward(Tensor(x))  # non-trivial running statistics
+        model.eval()
+        compiled = compile_model(model, x)
+        (plan,) = compiled._plans.values()
+        assert plan.graph.op_counts()["batch_norm2d"] == 4
+        with no_grad():
+            eager = model.forward(Tensor(x)).data
+        np.testing.assert_allclose(compiled(x), eager, rtol=0, atol=1e-12)
+        eager_loss, eager_grad = eager_value_and_grad(model, x, y)
+        loss, grad = compiled.value_and_grad(x, y)
+        assert abs(loss - eager_loss) <= 1e-12
+        np.testing.assert_allclose(grad, eager_grad, rtol=0, atol=1e-12)
 
     def test_channel_masked_model(self, batch, labels):
         model = SmallCNN(num_classes=10, image_size=16, base_channels=4, hidden_dim=16, seed=0)
@@ -220,14 +282,6 @@ class TestFallback:
         compiled.value_and_grad(other, labels[:3])
         assert compiled.plans == 2
         assert compiled.stats.grad_calls >= 1
-
-    def test_auto_compile_disabled(self, small_cnn, batch):
-        small_cnn.eval()
-        compiled = compile_model(small_cnn, batch, auto_compile=False)
-        for _ in range(3):
-            compiled(batch[:2])
-        assert compiled.plans == 1
-        assert compiled.stats.fallback_calls == 3
 
     def test_training_mode_falls_back(self, small_cnn, batch):
         small_cnn.eval()

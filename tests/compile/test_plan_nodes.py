@@ -304,7 +304,7 @@ class TestFusedInputParamBackward:
         x = rng.random((4, 6))
         y = rng.integers(0, 3, 4)
         graph = capture_forward(model, x, training=True, live_params=True)
-        plan = Plan(optimize(graph, fold_bn=False, fuse=True), grad="both")
+        plan = Plan(optimize(graph), grad="both")
 
         def value():
             plan.forward(x)
@@ -331,7 +331,7 @@ class TestFusedInputParamBackward:
         x = rng.random((4, 6))
         y = rng.integers(0, 3, 4)
         graph = capture_forward(model, x, training=True, live_params=True)
-        plan = Plan(optimize(graph, fold_bn=False, fuse=True), grad="both")
+        plan = Plan(optimize(graph), grad="both")
         plan.forward(x)
         _, seed = plan.ce_loss_and_seed(y)
         seed = np.array(seed, copy=True)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compile.training import CompiledTrainer, build_adapter, _training_plan
+from repro.compile import Plan, capture_forward, optimize
+from repro.compile.training import CompiledTrainer, build_adapter
 from repro.core.config import IBRARConfig
 from repro.core.ibrar import IBRAR
 from repro.core.losses import MILoss
@@ -67,7 +68,10 @@ class TestParameterGradcheck:
         model = tiny_model()
         model.train()
         saved = bn_state(model)
-        plan = _training_plan(model, x)
+        graph = optimize(
+            capture_forward(model, x, training=True, with_hidden=True, live_params=True)
+        )
+        plan = Plan(graph, grad="params", seed_ids=tuple(graph.outputs.values()))
         plan.forward(x)
         _, seed = plan.ce_loss_and_seed(y)
         plan.run_backward({plan.graph.output_id: seed})
