@@ -13,11 +13,10 @@ next to the engine timing report:
   spec's ``compile_coverage`` (compiled / total training batches) for the
   benchmark ledger.
 
-The VGG spec is the compiled-dropout regression gate: its training must
-finish with **zero** genuine eager fallbacks (the ``trainer.fallback`` obs
-counter, persisted as ``fallbacks`` in the train record's compile stats), and
-a forced re-train must replay the capture traces the cold run published to
-the shared store (``trace_hits`` — ROADMAP 3d).
+The VGG spec is the compiled-dropout regression gate: its training, and a
+forced re-train of it on the same store, must finish with **zero** genuine
+eager fallbacks (the ``trainer.fallback`` obs counter, persisted as
+``fallbacks`` in the train record's compile stats).
 
 Each invocation also leaves a ``grid`` RunRecord in the store (browse with
 ``python -m repro.obs runs list --store <dir>``); pass a persistent store
@@ -106,12 +105,10 @@ def main() -> None:
     total = stats["compiled_batches"] + stats["eager_batches"]
     coverage = stats["compiled_batches"] / total if total else 0.0
 
-    # A forced re-train of the same spec must replay the capture traces the
-    # cold run published to the shared store instead of re-tracing (one
-    # stored trace per plan signature; ROADMAP 3d).
+    # A forced re-train of the same spec on the warm store must compile just
+    # as fully as the cold run.
     run_grid([vgg], workers=1, store=store, force=True)
     forced = compile_stats(store, vgg)
-    assert forced.get("trace_hits", 0) >= 1, f"no shared-trace hits on re-train: {forced}"
     assert forced.get("fallbacks") == 0, f"forced re-train fell back: {forced}"
 
     with open(manifest_path, "w", encoding="utf-8") as handle:
@@ -138,10 +135,7 @@ def main() -> None:
         f"cold: {cold.seconds:.2f}s ({len(cold.computed)} trained)   "
         f"warm: {warm.seconds:.2f}s (all {warm.cached} from store, 0 training forwards)"
     )
-    print(
-        f"vgg compile coverage: {coverage * 100:.0f}% "
-        f"(fallbacks=0, trace hits on re-train: {forced.get('trace_hits')})"
-    )
+    print(f"vgg compile coverage: {coverage * 100:.0f}% (fallbacks=0, also on re-train)")
     print(f"wrote {manifest_path} and {timing_path}")
 
 

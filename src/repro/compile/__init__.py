@@ -27,11 +27,9 @@ state in the module's ``rng_state`` buffer) and share the eager
 ``F.dropout`` mask-fill, so eager and compiled masks are bitwise identical
 and resume-exact; ``mi_on_adversarial=True`` replays the MI hidden forward
 on attack outputs inside the plan.  One
-``capture_forward`` trace per batch signature serves every plan: the
-eval-semantics attack plan derives from the training capture through the
-:func:`~repro.compile.passes.lower_to_eval` pass, and
-:mod:`repro.compile.trace_cache` serializes captures through the artifact
-store so grid workers share one trace per signature.
+``capture_forward`` trace per batch signature serves every plan of a
+training context: the eval-semantics attack plan derives from the training
+capture through the :func:`~repro.compile.passes.lower_to_eval` pass.
 
 Entry points:
 

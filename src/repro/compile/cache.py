@@ -96,15 +96,19 @@ class SignatureCache:
         """The cached entry for this signature, or ``None`` (never builds)."""
         return self.entries.get(self.key(sample))
 
-    def failed(self, sample: np.ndarray) -> bool:
-        """Whether this signature's build failed (a memoized ``None`` entry).
+    def refuses(self, sample: np.ndarray) -> bool:
+        """Whether :meth:`lookup` will not build this signature.
 
-        Distinguishes a *genuine* eager fallback from the policy's benign
-        first-sighting deferral, so fallback telemetry only counts batches
-        that will stay eager forever.
+        True for a memoized build failure (a ``None`` entry) and, for a
+        signature not yet built, when the cache already holds ``capacity``
+        live entries.  Distinguishes a *genuine* eager fallback from the
+        policy's benign first-sighting deferral (which builds on the next
+        sighting), so fallback telemetry only counts batches that stay eager.
         """
         key = self.key(sample)
-        return key in self.entries and self.entries[key] is None
+        if key in self.entries:
+            return self.entries[key] is None
+        return self.live_entries >= self.capacity
 
     def insert(self, sample: np.ndarray, entry) -> None:
         """Pre-seed the cache (a caller-built first plan skips the policy)."""

@@ -313,10 +313,9 @@ def capture_forward(
     forward instead — batch-stat batch norms become replayable nodes that
     update the module's running buffers in place (the traced forward's own
     running-stat update is rolled back, so a replay reproduces the eager
-    sequence exactly) — and counter-based dropout traces into ``rng_mask``
-    nodes whose masks are a pure function of the module's live
-    ``(seed, layer_id, step)`` state (legacy generator-driven dropout is
-    still rejected: its masks consume hidden state and cannot be replayed).
+    sequence exactly) — and dropout traces into ``rng_mask`` nodes whose
+    masks are a pure function of the module's live ``(seed, layer_id, step)``
+    state.
 
     ``with_hidden=True`` traces ``module.forward_with_hidden`` and names
     each hidden representation in :attr:`Graph.outputs` (training plans
@@ -328,7 +327,7 @@ def capture_forward(
     which is what training (and in-training attack) plans need so one plan
     survives every optimizer step.  Other leaves are still snapshotted.
     """
-    from ..nn.modules import BatchNorm2d, Dropout, Parameter
+    from ..nn.modules import BatchNorm2d, Parameter
 
     arr = np.asarray(sample_input, dtype=get_default_dtype())
     if training != bool(module.training):
@@ -338,18 +337,6 @@ def capture_forward(
     bn_saved = []
     if training:
         for sub in module.modules():
-            if (
-                isinstance(sub, Dropout)
-                and sub.training
-                and sub.p > 0
-                and sub.rng is not None
-            ):
-                # Counter-based dropout traces into a replayable ``rng_mask``
-                # node; only the legacy stateful-generator path is uncapturable.
-                raise CompileError(
-                    "cannot capture a training-mode dropout driven by a "
-                    "stateful rng generator (use the counter-based scheme)"
-                )
             if isinstance(sub, BatchNorm2d):
                 bn_saved.append((sub, sub.running_mean.copy(), sub.running_var.copy()))
     x = Tensor(arr, requires_grad=True)

@@ -38,9 +38,9 @@ Counter-based dropout traces into ``rng_mask`` plan nodes (masks re-derived
 from the module's live ``(seed, layer_id, step)`` state every replay), and
 ``mi_on_adversarial=True`` runs in plan: the MI hidden forward replays on a
 re-generated adversarial batch, reproducing the eager loss's second
-``generate()`` call exactly.  Anything the adapters cannot express (unknown
-strategies, legacy generator-driven dropout, ragged batch signatures on
-their first sighting) falls back to the eager path batch by batch; opting in
+``generate()`` call exactly.  Anything the trainer cannot compile (unknown
+strategies, ragged batch signatures on their first sighting, signatures past
+``max_signatures``) falls back to the eager path batch by batch; opting in
 is always safe.
 """
 
@@ -56,7 +56,6 @@ from ..nn import functional as F
 from ..obs import trace as _trace
 from ..obs.profiler import merge_snapshot as _merge_snapshot
 from ..obs.registry import get_registry
-from . import trace_cache
 from .cache import SignatureCache
 from .executor import Plan
 from .graph import CompileError, Graph, capture_forward
@@ -86,14 +85,12 @@ class TrainingCompileStats:
     compiled_forward_calls: int = 0
     compiled_forward_examples: int = 0
     #: *genuine* eager fallbacks — batches that will stay eager forever
-    #: (unsupported strategy, memoized capture failure, replay failure).
-    #: The policy's benign first-sighting deferral is excluded, so a fully
-    #: compiled run asserts ``fallbacks == 0`` even though its first batch
-    #: per signature ran eagerly.
+    #: (unsupported strategy, memoized capture failure, a signature the full
+    #: cache will not build, replay failure).  The policy's benign
+    #: first-sighting deferral is excluded, so a fully compiled run asserts
+    #: ``fallbacks == 0`` even though its first batch per signature ran
+    #: eagerly.
     fallbacks: int = 0
-    #: shared-trace cache accounting (see :mod:`repro.compile.trace_cache`).
-    trace_hits: int = 0
-    trace_misses: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -105,8 +102,6 @@ class TrainingCompileStats:
             "compiled_forward_calls": self.compiled_forward_calls,
             "compiled_forward_examples": self.compiled_forward_examples,
             "fallbacks": self.fallbacks,
-            "trace_hits": self.trace_hits,
-            "trace_misses": self.trace_misses,
         }
 
     def snapshot(self) -> Tuple[int, int]:
@@ -126,8 +121,6 @@ class TrainingCompileStats:
                 self.compiled_forward_examples + other.compiled_forward_examples
             ),
             fallbacks=self.fallbacks + other.fallbacks,
-            trace_hits=self.trace_hits + other.trace_hits,
-            trace_misses=self.trace_misses + other.trace_misses,
         )
 
 
@@ -228,21 +221,14 @@ class _SignatureContext:
         self.one: Optional[np.ndarray] = None
         self.beta_seed: Optional[np.ndarray] = None
         self.arange: Optional[np.ndarray] = None
-        captured, trace_hit = trace_cache.load_or_capture(
+        captured = capture_forward(
             model,
             sample,
             training=True,
             with_hidden=adapter.needs_hidden_seeds,
             live_params=True,
         )
-        if trace_hit is True:
-            stats.trace_hits += 1
-        else:
-            # A fresh capture_forward ran (store miss, no store, or an
-            # unshareable graph); only an actual store miss counts as one.
-            stats.captures += 1
-            if trace_hit is False:
-                stats.trace_misses += 1
+        stats.captures += 1
         adapter.build(self, captured)
 
     def register(self, plan: Plan) -> Plan:
@@ -843,9 +829,10 @@ class CompiledTrainer:
     parameter gradients, fused in-place optimizer update — through compiled
     plans, or returns ``None`` when the batch must take the eager path
     (unsupported strategy, first sighting of a signature, capture failure,
-    reallocated parameter storage).  A changed channel mask (the IB-RAR
-    Eq. 3 refresh installs a new mask array) invalidates every plan, since
-    masks are baked into graphs as constants.
+    a new signature past ``max_signatures``, reallocated parameter storage).
+    A changed channel mask (the IB-RAR Eq. 3 refresh installs a new mask
+    array) invalidates every plan, since masks are baked into graphs as
+    constants.
     """
 
     def __init__(self, model, optimizer, loss_strategy, max_signatures: int = 4) -> None:
@@ -954,8 +941,8 @@ class CompiledTrainer:
         ctx = self._cache.lookup(images)
         if ctx is None:
             self.stats.eager_batches += 1
-            if self._cache.failed(images):
-                self._fallback()  # memoized capture failure, never retried
+            if self._cache.refuses(images):
+                self._fallback()  # memoized capture failure or a full cache
             return None
         self._zero_accumulators()
         counters_before = (

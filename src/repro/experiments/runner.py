@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..attacks.engine import AttackEngine, EngineResult, ForwardPassCounter
-from ..compile.trace_cache import use_trace_store
 from ..core.ibrar import IBRAR
 from ..data.loaders import ArrayDataset, DataLoader
 from ..data.synthetic import SyntheticImageDataset, build_dataset
@@ -159,11 +158,7 @@ class ExperimentRunner:
             training_hash=spec.training_hash,
             content_hash=spec.content_hash,
         )
-        # Route capture traces through the shared store: grid workers training
-        # the same architecture deserialize one published trace per plan
-        # signature instead of each re-tracing it (repro.compile.trace_cache).
-        trace_scope = use_trace_store(self.store)
-        with annotation, trace_scope, ForwardPassCounter(model) as counter:
+        with annotation, ForwardPassCounter(model) as counter:
             if config is not None:
                 ibrar = IBRAR(
                     model,

@@ -8,9 +8,11 @@ Artifacts are addressed by the spec hashes defined in :mod:`.spec`:
   timing).
 * ``reports/<h[:2]>/<content_hash>/`` — one evaluation: ``experiment.json``
   (the full spec, the deterministic robustness report, and engine telemetry).
-* ``traces/<k[:2]>/<key>/`` — one serialized compile capture
-  (``trace.json`` + ``trace.npz``, see :mod:`repro.compile.trace_cache`),
-  shared by every grid worker whose plan signature matches.
+* ``traces/<k[:2]>/<key>/`` — serialized compile captures (``trace.json`` +
+  ``trace.npz``) that older stores may hold.  The library neither writes nor
+  reads them, and :meth:`ArtifactStore.clear` sweeps them;
+  :meth:`~ArtifactStore.save_trace`/:meth:`~ArtifactStore.load_trace` stay
+  only because the ``cellbench`` instrumentation wraps them by name.
 
 Writes are atomic: artifacts are assembled in a temporary directory and
 renamed into place, so parallel grid workers can share one store and a
@@ -296,14 +298,9 @@ class ArtifactStore:
             return None
 
     # -- captured compile traces ---------------------------------------------------
-    # Serialized capture_forward graphs (see :mod:`repro.compile.trace_cache`),
-    # keyed by the plan-signature digest.  Grid workers training the same
-    # architecture share one stored trace per signature: the first worker to
-    # capture it publishes ``trace.json`` + ``trace.npz``, every later worker
-    # deserializes instead of re-tracing.
-    def has_trace(self, key: str) -> bool:
-        return (self.trace_dir(key) / TRACE_MANIFEST_NAME).exists()
-
+    # Nothing in the library calls these two.  They stay only because
+    # cellbench/instrument.py wraps them by name (its patcher raises on a
+    # missing attribute); delete them with the next change to that benchmark.
     def save_trace(
         self, key: str, manifest: Dict[str, Any], arrays: Dict[str, np.ndarray]
     ) -> Path:

@@ -121,34 +121,25 @@ def dropout(
     x: Tensor,
     p: float,
     training: bool,
-    rng: Optional[np.random.Generator] = None,
     state: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Inverted dropout.  A no-op when ``training`` is false or ``p == 0``.
 
-    Two mask sources, mutually exclusive:
+    The mask source ``state`` is a ``[seed, layer_id, step, seeded]`` uint64
+    buffer (see :mod:`repro.nn.rng`): the mask is a pure function of that
+    triple, so eager, compiled, and resumed-from-checkpoint runs draw
+    bitwise the same mask.  Under capture this emits an ``rng_mask`` graph
+    node.
 
-    - ``state`` — a ``[seed, layer_id, step, seeded]`` uint64 buffer (see
-      :mod:`repro.nn.rng`): the mask is a pure function of that triple, so
-      eager, compiled, and resumed-from-checkpoint runs draw bitwise the
-      same mask.  Under capture this emits an ``rng_mask`` graph node.
-    - ``rng`` — a caller-owned stateful generator (legacy path; such
-      dropout cannot be captured into a training plan).
-
-    Passing neither in training mode raises: a silently unseeded mask is
+    Omitting ``state`` in training mode raises: a silently unseeded mask is
     exactly the nondeterminism bug this scheme exists to prevent.
     """
     if not training or p <= 0.0:
         return x
-    if rng is not None:
-        keep = 1.0 - p
-        mask = (rng.random(x.shape) < keep).astype(x.data.dtype) / keep
-        return x * Tensor(mask)
     if state is None:
         raise ValueError(
             "dropout in training mode needs a mask source: pass `state` "
-            "(counter-based, see repro.nn.rng.make_dropout_state) or a "
-            "seeded `rng` generator"
+            "(counter-based, see repro.nn.rng.make_dropout_state)"
         )
     seed, layer_id, step = rng_state_key(state)
     mask = new_dropout_mask(x.shape, x.data.dtype, p, seed, layer_id, step)

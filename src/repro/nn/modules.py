@@ -297,29 +297,15 @@ class Dropout(Module):
     bitwise the same masks as an uninterrupted one.  All applications
     within one optimizer step reuse one mask; call
     :func:`advance_dropout_steps` (the trainer does) once per step.
-
-    Passing a stateful ``rng`` generator selects the legacy path instead:
-    masks consume generator state, are not checkpointed, and such modules
-    cannot be captured into a training plan.
     """
 
-    def __init__(
-        self,
-        p: float = 0.5,
-        seed: Optional[int] = None,
-        layer_id: int = 0,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
+    def __init__(self, p: float = 0.5, seed: Optional[int] = None, layer_id: int = 0) -> None:
         super().__init__()
         self.p = p
-        self.rng = rng
         self._warned_unseeded = False
-        if rng is None:
-            self.register_buffer("rng_state", make_dropout_state(seed, layer_id))
+        self.register_buffer("rng_state", make_dropout_state(seed, layer_id))
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.rng is not None:
-            return F.dropout(x, self.p, training=self.training, rng=self.rng)
         if (
             self.training
             and self.p > 0.0
@@ -336,9 +322,8 @@ class Dropout(Module):
         return F.dropout(x, self.p, training=self.training, state=self.rng_state)
 
     def advance_step(self, count: int = 1) -> None:
-        """Advance the mask step counter in place (no-op for legacy ``rng``)."""
-        if self.rng is None:
-            self.rng_state[STATE_STEP] += np.uint64(count)
+        """Advance the mask step counter in place."""
+        self.rng_state[STATE_STEP] += np.uint64(count)
 
     def __repr__(self) -> str:
         return f"Dropout(p={self.p})"

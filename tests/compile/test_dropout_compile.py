@@ -10,7 +10,6 @@ from repro.core.config import IBRARConfig
 from repro.core.ibrar import IBRAR
 from repro.data import ArrayDataset, DataLoader, synthetic_cifar10
 from repro.models import build_model
-from repro.nn.modules import Dropout
 from repro.nn.optim import SGD, StepLR
 from repro.nn.rng import new_dropout_mask
 from repro.training import Trainer
@@ -173,27 +172,3 @@ class TestRngMaskKernel:
         expected = model.forward(Tensor(np.asarray(x, dtype=np.float64))).data
         np.testing.assert_allclose(out, expected, rtol=1e-10, atol=1e-12)
 
-
-class TestLegacyGeneratorDropout:
-    def test_generator_driven_dropout_stays_eager(self, dataset):
-        # The stateful-rng path is uncapturable; compile=True must degrade to
-        # eager training and count the batches as genuine fallbacks.
-        model = dropout_vgg()
-        legacy_rng = np.random.default_rng(5)
-        for module in model.modules():
-            if isinstance(module, Dropout):
-                module.rng = legacy_rng
-        optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
-        trainer = Trainer(model, CrossEntropyLoss(), optimizer=optimizer, compile=True)
-        loader = DataLoader(
-            ArrayDataset(dataset.x_train, dataset.y_train),
-            batch_size=16,
-            shuffle=True,
-            drop_last=True,
-            seed=3,
-        )
-        trainer.fit(loader, epochs=1)
-        stats = trainer.compile_stats
-        assert stats.compiled_batches == 0
-        assert stats.eager_batches >= 1
-        assert stats.fallbacks >= 1  # memoized capture failure, counted once known

@@ -302,6 +302,30 @@ class TestFallbacks:
         assert compiled.stats.compiled_batches == 2
         assert compiled.stats.eager_batches == 2
 
+    def test_full_signature_cache_counts_refused_batches_as_fallbacks(self):
+        # With room for one signature, the second one never compiles: its
+        # first sighting (the cache still had room) is the benign warmup, and
+        # every later batch of it is a genuine fallback.
+        from repro.obs.registry import get_registry
+
+        rng = np.random.default_rng(0)
+        model = SmallCNN(num_classes=10, image_size=16, base_channels=4, hidden_dim=16, seed=0)
+        model.train()
+        optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
+        compiled = CompiledTrainer(model, optimizer, CrossEntropyLoss(), max_signatures=1)
+        counter = get_registry().counter("trainer.fallback")
+        before = counter.value
+        x = rng.random((8, 3, 16, 16))
+        y = rng.integers(0, 10, 8)
+        path = ""
+        for _ in range(6):
+            for n in (8, 4):
+                path += "E" if compiled.train_batch(x[:n], y[:n]) is None else "C"
+        assert path == "EECECECECECE"
+        assert compiled.stats.eager_batches == 7
+        assert compiled.stats.fallbacks == 5
+        assert counter.value - before == 5
+
     def test_reallocated_parameter_storage_falls_back_then_recompiles(self):
         rng = np.random.default_rng(0)
         model = SmallCNN(num_classes=10, image_size=16, base_channels=4, hidden_dim=16, seed=0)

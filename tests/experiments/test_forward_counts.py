@@ -55,3 +55,16 @@ def test_compiled_replays_dominate_the_count(tmp_path):
     assert compile_stats.get("compiled_batches", 0) >= 1
     assert compile_stats.get("compiled_forward_examples", 0) > 0
     assert timing["train_forward_examples"] >= compile_stats["compiled_forward_examples"]
+
+
+def test_compile_telemetry_does_not_depend_on_the_store(tmp_path):
+    # A forced re-run on the same store traces its forward again, so it
+    # reports the same compile stats and forward counts as the first run.
+    runner = ExperimentRunner(store=ArtifactStore(tmp_path / "store"))
+    spec = tiny_spec(loss={"name": "pgd", "params": {"steps": 2}}, train_compile=True, epochs=2)
+    first = runner.run(spec, force=True)
+    second = runner.run(spec, force=True)
+    assert not first.from_cache and not second.from_cache
+    assert first.history["compile"]["captures"] == 1
+    assert second.history["compile"] == first.history["compile"]
+    assert second.train_forward_examples == first.train_forward_examples

@@ -267,15 +267,6 @@ class TestDropout:
         out = F.dropout(x, p=0.5, training=False)
         np.testing.assert_allclose(out.data, x.data)
 
-    def test_training_zeroes_and_scales(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(np.ones((100, 100)))
-        out = F.dropout(x, p=0.5, training=True, rng=rng).data
-        zero_fraction = (out == 0).mean()
-        assert 0.4 < zero_fraction < 0.6
-        nonzero = out[out != 0]
-        np.testing.assert_allclose(nonzero, np.full_like(nonzero, 2.0))
-
     def test_zero_probability_is_identity(self):
         x = Tensor(np.ones((3, 3)))
         np.testing.assert_allclose(F.dropout(x, p=0.0, training=True).data, x.data)

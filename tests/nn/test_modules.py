@@ -121,7 +121,7 @@ class TestLayers:
         np.testing.assert_allclose(out.data, [0.0, 2.0])
 
     def test_dropout_respects_mode(self):
-        layer = nn.Dropout(0.9, rng=np.random.default_rng(0))
+        layer = nn.Dropout(0.9, seed=0)
         layer.eval()
         x = Tensor(np.ones((10, 10)))
         np.testing.assert_allclose(layer(x).data, x.data)
