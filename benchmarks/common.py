@@ -530,9 +530,8 @@ def pgd_at_training_benchmark(
     batch_size: int = 50,
     seed: int = 0,
 ):
-    """:func:`training_benchmark` on the paper's PGD-AT recipe (the shared
-    fixture of ``benchmarks/quick_timing.py`` and
-    ``tests/compile/test_speedup.py``)."""
+    """:func:`training_benchmark` on the paper's PGD-AT recipe (the fixture
+    of ``tests/compile/test_speedup.py``)."""
     from repro.training.adversarial import PGDAdversarialLoss
 
     bench = training_benchmark(

@@ -4,14 +4,12 @@
 Runs a tiny grid (CE vs PGD-AT on smallcnn, plus a dropout-bearing VGG11
 IB-RAR spec with ``mi_on_adversarial=True`` trained fully compiled) with 2
 workers against a throwaway artifact store, then runs it a second time to
-demonstrate (and assert) the full cache hit, and writes two JSON artifacts
-next to the engine timing report:
+demonstrate (and assert) the full cache hit, and writes two JSON artifacts:
 
 * the artifact-store **manifest** (what was trained/evaluated, by hash);
 * the grid **timing summary** of both invocations (wall time, worker count,
   training forward passes — zero on the second pass), including the VGG
-  spec's ``compile_coverage`` (compiled / total training batches) for the
-  benchmark ledger.
+  spec's ``compile_coverage`` (compiled / total training batches).
 
 The VGG spec is the compiled-dropout regression gate: its training, and a
 forced re-train of it on the same store, must finish with **zero** genuine

@@ -107,23 +107,6 @@ class Attack:
             raise RuntimeError("attack loss produced no input gradient")
         return x.grad, float(loss.item())
 
-    def _logits_and_gradients_per_class(
-        self, images: np.ndarray, class_indices: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Logit values and input gradients of one selected logit per example.
-
-        Used by the decision-boundary attacks (FAB).  ``class_indices`` picks,
-        for each example, the logit whose gradient is needed.
-        """
-        x = Tensor(images, requires_grad=True)
-        logits = self.model.forward(x)
-        n = images.shape[0]
-        mask = np.zeros_like(logits.data)
-        mask[np.arange(n), class_indices] = 1.0
-        selected = (logits * Tensor(mask)).sum()
-        selected.backward()
-        return logits.data.copy(), x.grad.copy()
-
     def _project(self, adversarial: np.ndarray, original: np.ndarray) -> np.ndarray:
         """Project onto the L_inf ball around ``original`` and the valid range."""
         delta = np.clip(adversarial - original, -self.eps, self.eps)

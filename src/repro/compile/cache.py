@@ -14,12 +14,6 @@ per-signature plan contexts), and one backs
 :class:`repro.compile.training.LiveEvalModel` (live-parameter eval plans).
 :meth:`evict` drops a *recoverable* failure (reallocated parameter storage)
 so the next sighting rebuilds against the current storage.
-
-Long-running servers (:mod:`repro.serve`) need two extras over the batch
-policy: :meth:`warm` bypasses second-sighting so every configured bucket
-signature is traced before the first request arrives, and the
-hit/miss/build/eviction counters surfaced by :meth:`stats` feed the server's
-``stats`` endpoint.
 """
 
 from __future__ import annotations
@@ -81,7 +75,7 @@ class SignatureCache:
         self._misses.clear()
 
     def stats(self) -> Dict[str, int]:
-        """Counter snapshot for telemetry (the serve ``stats`` endpoint)."""
+        """This cache's hit/miss/build/eviction counters and occupancy."""
         return {
             "hits": self._hits.value,
             "misses": self._miss.value,
@@ -114,24 +108,6 @@ class SignatureCache:
         """Pre-seed the cache (a caller-built first plan skips the policy)."""
         self.entries[self.key(sample)] = entry
 
-    def warm(self, sample: np.ndarray) -> bool:
-        """Build this signature *now*, bypassing the second-sighting policy.
-
-        Servers call this at startup for every configured bucket size so the
-        first real request replays an already-traced plan.  Returns ``True``
-        when a usable entry is cached afterwards (freshly built or already
-        present), ``False`` when the build failed, the failure was already
-        memoized, or the cache is at capacity.
-        """
-        key = self.key(sample)
-        if key in self.entries:
-            return self.entries[key] is not None
-        if self.live_entries >= self.capacity:
-            return False
-        entry = self._try_build(sample)
-        self.entries[key] = entry
-        return entry is not None
-
     def lookup(self, sample: np.ndarray):
         """The entry for this signature, building it on the second sighting.
 
@@ -153,11 +129,6 @@ class SignatureCache:
             return None
         if self.live_entries >= self.capacity:
             return None
-        entry = self._try_build(sample)
-        self.entries[key] = entry
-        return entry
-
-    def _try_build(self, sample: np.ndarray):
         try:
             entry = self._build(sample)
         except CompileError:
@@ -165,6 +136,7 @@ class SignatureCache:
             self._build_failures.inc()
         else:
             self._builds.inc()
+        self.entries[key] = entry
         return entry
 
     def evict(self, sample: np.ndarray) -> None:

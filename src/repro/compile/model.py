@@ -120,30 +120,6 @@ class CompiledModel:
         # an iterated attack loop comes back immediately.
         return self._cache.lookup(x)
 
-    def warm(self, samples) -> int:
-        """Pre-trace a plan for every sample's signature, bypassing the
-        second-sighting policy.
-
-        ``samples`` is an iterable of arrays (or array-likes); one plan is
-        built per *distinct* ``(shape, dtype)`` signature.  Serve workers
-        call this at startup with one zero batch per configured bucket size
-        so the first live request already replays a traced plan.  Returns
-        the number of signatures with a usable plan afterwards.
-        """
-        ready = 0
-        for sample in samples:
-            arr = np.asarray(
-                sample.data if isinstance(sample, Tensor) else sample,
-                dtype=get_default_dtype(),
-            )
-            if self._cache.warm(arr):
-                ready += 1
-        return ready
-
-    def cache_stats(self) -> Dict[str, int]:
-        """Hit/miss/build counters from the underlying :class:`SignatureCache`."""
-        return self._cache.stats()
-
     def profile(self) -> Dict[str, dict]:
         """Per-op-kind executor profile by plan signature (see :mod:`repro.obs`).
 

@@ -305,27 +305,6 @@ class LiveEvalModel:
     def invalidate(self) -> None:
         self._cache.clear()
 
-    def warm(self, samples) -> int:
-        """Pre-trace a live-parameter plan per distinct sample signature.
-
-        Mirrors :meth:`CompiledModel.warm`: serve workers pass one zero
-        batch per configured bucket so every bucket signature is traced
-        before the first request.  Returns the count of usable plans.
-        """
-        ready = 0
-        for sample in samples:
-            arr = np.asarray(
-                sample.data if isinstance(sample, Tensor) else sample,
-                dtype=get_default_dtype(),
-            )
-            if self._cache.warm(arr):
-                ready += 1
-        return ready
-
-    def cache_stats(self) -> Dict[str, int]:
-        """Hit/miss/build counters from the underlying :class:`SignatureCache`."""
-        return self._cache.stats()
-
     def profile(self) -> Dict[str, dict]:
         """Per-op-kind executor profile by plan signature (see :mod:`repro.obs`)."""
         profiles: Dict[str, dict] = {}
@@ -333,13 +312,6 @@ class LiveEvalModel:
             if plan is not None:
                 _merge_snapshot(profiles, plan.profile_snapshot())
         return profiles
-
-    @property
-    def pool_allocations(self) -> int:
-        """Total buffer allocations across every live plan's pool."""
-        return sum(
-            p.pool.allocations for p in self._cache.entries.values() if p is not None
-        )
 
     @property
     def _plans(self) -> Dict[Tuple[Tuple[int, ...], str], Optional[Plan]]:

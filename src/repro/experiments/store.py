@@ -5,7 +5,8 @@ Artifacts are addressed by the spec hashes defined in :mod:`.spec`:
 * ``models/<h[:2]>/<training_hash>/`` — one trained model: ``checkpoint.npz``
   (weights + metadata, including the Eq. (3) channel mask, which is *not*
   part of the state dict), ``train.json`` (the training recipe, history and
-  timing).
+  timing).  The two files are one artifact: either one missing or
+  unreadable quarantines the directory.
 * ``reports/<h[:2]>/<content_hash>/`` — one evaluation: ``experiment.json``
   (the full spec, the deterministic robustness report, and engine telemetry).
 * ``traces/<k[:2]>/<key>/`` — serialized compile captures (``trace.json`` +
@@ -13,6 +14,8 @@ Artifacts are addressed by the spec hashes defined in :mod:`.spec`:
   reads them, and :meth:`ArtifactStore.clear` sweeps them;
   :meth:`~ArtifactStore.save_trace`/:meth:`~ArtifactStore.load_trace` stay
   only because the ``cellbench`` instrumentation wraps them by name.
+* ``serve/`` — robustness reports cached by an evaluation server that older
+  versions shipped; only :meth:`ArtifactStore.clear` touches them.
 
 Writes are atomic: artifacts are assembled in a temporary directory and
 renamed into place, so parallel grid workers can share one store and a
@@ -49,7 +52,6 @@ DEFAULT_STORE_ENV = "REPRO_ARTIFACTS"
 CHECKPOINT_NAME = "checkpoint.npz"
 TRAIN_RECORD_NAME = "train.json"
 REPORT_NAME = "experiment.json"
-SERVE_REPORT_NAME = "robustness.json"
 RUN_RECORD_NAME = "record.json"
 TRACE_MANIFEST_NAME = "trace.json"
 TRACE_ARRAYS_NAME = "trace.npz"
@@ -86,9 +88,6 @@ class ArtifactStore:
 
     def report_dir(self, content_hash: str) -> Path:
         return self.root / "reports" / content_hash[:2] / content_hash
-
-    def serve_report_dir(self, key: str) -> Path:
-        return self.root / "serve" / key[:2] / key
 
     def run_dir(self, run_id: str) -> Path:
         return self.root / "runs" / run_id[:2] / run_id
@@ -154,23 +153,21 @@ class ArtifactStore:
         )
         return self._publish(build_dir, self.model_dir(training_hash))
 
-    def _restore_model(
-        self,
-        directory: Path,
-        fallback_name: Optional[str] = None,
-        fallback_kwargs: Optional[Dict[str, Any]] = None,
-    ) -> Optional[ImageClassifier]:
-        """Rebuild the model stored in ``directory``; quarantine on corruption."""
-        checkpoint = directory / CHECKPOINT_NAME
-        if not checkpoint.exists():
+    def load_model(self, spec: ExperimentSpec) -> Optional[ImageClassifier]:
+        """Rebuild the trained model for a spec, or ``None`` on miss/corruption."""
+        directory = self.model_dir(spec.training_hash)
+        if not directory.exists():
             return None
         try:
-            state, metadata = load_checkpoint(checkpoint)
+            # train.json is part of the artifact: a model whose record is
+            # unreadable would be served with no history forever.
+            _read_json(directory / TRAIN_RECORD_NAME)
+            state, metadata = load_checkpoint(directory / CHECKPOINT_NAME)
             metadata = metadata or {}
-            kwargs = dict(metadata.get("model_params") or fallback_kwargs or {})
+            kwargs = dict(metadata.get("model_params") or spec.model_kwargs)
             kwargs.pop("num_classes", None)
             model = build_model(
-                metadata.get("model", fallback_name),
+                metadata.get("model", spec.model),
                 num_classes=int(metadata["num_classes"]),
                 **kwargs,
             )
@@ -185,50 +182,20 @@ class ArtifactStore:
             self._quarantine(directory)
             return None
 
-    def load_model(self, spec: ExperimentSpec) -> Optional[ImageClassifier]:
-        """Rebuild the trained model for a spec, or ``None`` on miss/corruption."""
-        return self._restore_model(
-            self.model_dir(spec.training_hash),
-            fallback_name=spec.model,
-            fallback_kwargs=spec.model_kwargs,
-        )
-
-    def load_model_by_hash(self, training_hash: str) -> Optional[ImageClassifier]:
-        """Rebuild a stored model from its (full) training hash alone.
-
-        The serve layer resolves checkpoints by hash — no
-        :class:`ExperimentSpec` in hand — so this path reconstructs the
-        model purely from the checkpoint metadata.
-        """
-        return self._restore_model(self.model_dir(training_hash))
-
-    def resolve_model_hash(self, prefix: str) -> Optional[str]:
-        """Expand a training-hash prefix to the unique stored full hash.
-
-        Returns ``None`` when no stored model matches; raises ``ValueError``
-        when the prefix is ambiguous (so a serve request never silently
-        picks one of several checkpoints).
-        """
-        matches = [h for h in self.list_model_hashes() if h.startswith(prefix)]
-        if not matches:
-            return None
-        if len(matches) > 1:
-            raise ValueError(
-                f"model hash prefix '{prefix}' is ambiguous: {sorted(matches)}"
-            )
-        return matches[0]
-
-    def list_model_hashes(self) -> List[str]:
-        """Training hashes of every stored checkpoint."""
-        return [digest for digest, _ in self._iter_artifacts("models", CHECKPOINT_NAME)]
-
     def load_train_record(self, spec: ExperimentSpec) -> Optional[Dict[str, Any]]:
-        path = self.model_dir(spec.training_hash) / TRAIN_RECORD_NAME
+        """The spec's ``train.json``, or ``None`` on miss/corruption.
+
+        An unreadable record quarantines the whole model directory, like
+        :meth:`load_model`, so the next run retrains and republishes.
+        """
+        directory = self.model_dir(spec.training_hash)
+        path = directory / TRAIN_RECORD_NAME
         if not path.exists():
             return None
         try:
             return _read_json(path)
         except Exception:
+            self._quarantine(directory)
             return None
 
     # -- reports -----------------------------------------------------------------
@@ -254,38 +221,6 @@ class ArtifactStore:
         """Load the evaluation record for a spec, or ``None`` on miss/corruption."""
         directory = self.report_dir(spec.content_hash)
         path = directory / REPORT_NAME
-        if not path.exists():
-            return None
-        try:
-            record = _read_json(path)
-            if "report" not in record:
-                raise KeyError("report")
-            return record
-        except Exception:
-            self._quarantine(directory)
-            return None
-
-    # -- serve-side robustness reports -------------------------------------------
-    # Read-through cache for the robustness endpoint of :mod:`repro.serve`:
-    # keys are content digests over (checkpoint training hash, attack suite,
-    # evaluation options, data digest), so a repeated robustness request on
-    # an unchanged checkpoint is a store hit, not a re-evaluation.
-    def has_serve_report(self, key: str) -> bool:
-        return (self.serve_report_dir(key) / SERVE_REPORT_NAME).exists()
-
-    def save_serve_report(self, key: str, payload: Dict[str, Any]) -> Path:
-        """Persist a served robustness report under its request digest."""
-        record = dict(payload)
-        record["key"] = key
-        record.setdefault("created", time.time())
-        build_dir = self._build_dir()
-        _write_json(build_dir / SERVE_REPORT_NAME, record)
-        return self._publish(build_dir, self.serve_report_dir(key))
-
-    def load_serve_report(self, key: str) -> Optional[Dict[str, Any]]:
-        """Load a served robustness report, or ``None`` on miss/corruption."""
-        directory = self.serve_report_dir(key)
-        path = directory / SERVE_REPORT_NAME
         if not path.exists():
             return None
         try:
@@ -329,7 +264,7 @@ class ArtifactStore:
             return None
 
     # -- run records (repro.obs observatory) -------------------------------------
-    # One record per training run / grid invocation / serve session (see
+    # One record per training run or grid invocation (see
     # :mod:`repro.obs.records`).  Content-addressed like everything else:
     # the id is the sha256 of the canonical record JSON, so re-saving the
     # identical record is a no-op publish.
@@ -457,7 +392,7 @@ class ArtifactStore:
         """Delete every artifact; returns how many artifact directories died."""
         count = sum(1 for _ in self._iter_artifacts("models", TRAIN_RECORD_NAME))
         count += sum(1 for _ in self._iter_artifacts("reports", REPORT_NAME))
-        count += sum(1 for _ in self._iter_artifacts("serve", SERVE_REPORT_NAME))
+        count += sum(1 for _ in self._iter_artifacts("serve", "robustness.json"))
         count += sum(1 for _ in self._iter_artifacts("runs", RUN_RECORD_NAME))
         count += sum(1 for _ in self._iter_artifacts("traces", TRACE_MANIFEST_NAME))
         for kind in ("models", "reports", "serve", "runs", "traces", "tmp"):

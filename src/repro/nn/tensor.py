@@ -38,11 +38,10 @@ ArrayLike = Union["Tensor", np.ndarray, float, int, Sequence]
 class _ThreadState(threading.local):
     """Per-thread autograd/trace flags.
 
-    Grad mode and trace depth are *thread-local* so concurrent threads — the
-    :mod:`repro.serve` worker pool replaying plans while another worker takes
-    an eager fallback — cannot flip each other's recording state: a
-    ``no_grad`` block in one thread never silences a gradient graph being
-    built in another, and a capture trace only sees its own thread's ops.
+    Grad mode and trace depth are *thread-local* so concurrent threads cannot
+    flip each other's recording state: a ``no_grad`` block in one thread
+    never silences a gradient graph being built in another, and a capture
+    trace only sees its own thread's ops.
     """
 
     def __init__(self) -> None:

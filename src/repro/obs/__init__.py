@@ -3,15 +3,15 @@
 Three cooperating pieces, all near-free when off:
 
 * :mod:`repro.obs.registry` — the process-wide :class:`MetricsRegistry`
-  every telemetry surface (serve stats, signature-cache counters, attack
-  telemetry, training compile stats) reports through, with JSON and
+  every telemetry surface (signature-cache counters, attack telemetry,
+  training compile stats) reports through, with JSON and
   Prometheus exposition.
 * :mod:`repro.obs.trace` — span-based tracing with thread-local stacks,
-  explicit carriers across serve worker threads and ``run_grid`` child
-  processes, and a pluggable JSONL sink.
+  explicit carriers across threads and ``run_grid`` child processes, and a
+  pluggable JSONL sink.
 * :mod:`repro.obs.profiler` — the opt-in per-op plan-executor profiler
   surfaced by ``CompiledModel.profile()`` / ``CompiledTrainer.profile()``
-  and the serve ``stats`` endpoint.
+  and ``Trainer.profile()``.
 
 Environment activation (read once, at first import):
 

@@ -5,8 +5,8 @@ loads directly in ``chrome://tracing`` or https://ui.perfetto.dev: every
 span event becomes an ``"X"`` (complete) event with microsecond ``ts`` /
 ``dur``, ``pid`` is the span's recording process and ``tid`` a stable
 per-process index of its thread name — so a ``run_grid`` fan-out shows one
-track per worker process and a serve session one track per worker thread,
-with the carrier-propagated trace/span ids preserved in ``args``.
+track per worker process and every thread gets its own track, with the
+carrier-propagated trace/span ids preserved in ``args``.
 """
 
 from __future__ import annotations

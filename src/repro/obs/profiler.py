@@ -8,11 +8,10 @@ by the plan's input signature.  The executor checks ``PROFILER.enabled``
 attribute read and allocates nothing.
 
 Aggregations (``CompiledModel.profile()``, ``CompiledTrainer.profile()``,
-the serve ``stats`` endpoint's ``profile`` field) merge snapshots across
-plans sharing a signature via :func:`merge_snapshot`; :func:`flush` emits
-one ``{"event": "profile"}`` JSONL line per live profiled plan to the
-trace sink, which ``python -m repro.obs summarize`` rolls into the
-per-op-kind table.
+``Trainer.profile()``) merge snapshots across plans sharing a signature via
+:func:`merge_snapshot`; :func:`flush` emits one ``{"event": "profile"}``
+JSONL line per live profiled plan to the trace sink, which
+``python -m repro.obs summarize`` rolls into the per-op-kind table.
 """
 
 from __future__ import annotations
@@ -153,7 +152,7 @@ def merge_snapshot(profiles: Dict[str, dict], snap: Optional[dict]) -> None:
 
 
 def merge_profiles(target: Dict[str, dict], other: Dict[str, dict]) -> None:
-    """Fold one per-signature aggregation into another (serve worker views)."""
+    """Fold one per-signature aggregation into another (the Trainer's views)."""
     for signature, entry in other.items():
         merge_snapshot(
             target,

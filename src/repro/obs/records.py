@@ -1,21 +1,20 @@
 """Persistent run records: the durable layer over the in-process telemetry.
 
-A :class:`RunWindow` brackets one unit of work — a ``Trainer.fit``, a
-``run_grid`` invocation, a serve session — and captures everything PR 7's
-primitives know at close time into one JSON-safe dict: wall/CPU time, a
-span roll-up (collected live through :func:`repro.obs.trace.add_collector`,
-so no sink file is required), the registry metrics snapshot, the git SHA
-and any :func:`annotate` context (spec training/content hashes).  Producers
-append their own sections (``history``, ``profile``, ``summary``,
-``stats``) via :meth:`RunWindow.build` and persist through
-:func:`save_record` into the content-addressed
-:class:`~repro.experiments.store.ArtifactStore` (``runs/`` section, id =
-sha256 of the canonical JSON).
+A :class:`RunWindow` brackets one unit of work — a ``Trainer.fit`` or a
+``run_grid`` invocation — and captures everything the telemetry primitives
+know at close time into one JSON-safe dict: wall/CPU time, a span roll-up
+(collected live through :func:`repro.obs.trace.add_collector`, so no sink
+file is required), the registry metrics snapshot, the git SHA and any
+:func:`annotate` context (spec training/content hashes).  Producers append
+their own sections (``history``, ``profile``, ``summary``) via
+:meth:`RunWindow.build` and persist through :func:`save_record` into the
+content-addressed :class:`~repro.experiments.store.ArtifactStore`
+(``runs/`` section, id = sha256 of the canonical JSON).
 
 Activation for ``Trainer.fit`` is environment-driven — ``REPRO_RUNS=1``
 writes into the default store, ``REPRO_RUNS=<dir>`` into that root — so
 training code pays one ``os.environ`` lookup per fit when off.  ``run_grid``
-and a serve session with a store always record (they already own a store).
+always records (it already owns a store).
 
 ``python -m repro.obs runs list|show|diff`` renders and compares records;
 :func:`diff_records` computes the per-metric and per-op-kind deltas.
@@ -194,8 +193,7 @@ def _release_trace(owned: bool) -> None:
 class RunWindow:
     """Measurement bracket producing one RunRecord payload.
 
-    Usable as a context manager or via explicit ``open()`` / ``close()``
-    (the serve session opens at ``start()`` and closes at ``stop()``).
+    Usable as a context manager or via explicit ``open()`` / ``close()``.
     """
 
     def __init__(self, kind: str, label: Optional[str] = None) -> None:
@@ -363,8 +361,9 @@ def flatten_metrics(record: Dict[str, Any]) -> Dict[str, float]:
 def op_totals(record: Dict[str, Any]) -> Dict[str, Dict[str, float]]:
     """Per-op-kind ``{calls, total_ms}`` aggregated over the profile section.
 
-    Handles both shapes producers emit: ``{signature: {"ops": ...}}``
-    (trainer, grid) and ``{model: {signature: {"ops": ...}}}`` (serve).
+    Walks any nesting: producers emit ``{signature: {"ops": ...}}`` (trainer,
+    grid), and records from older versions may nest one more level
+    (``{model: {signature: {"ops": ...}}}``).
     """
     totals: Dict[str, Dict[str, float]] = {}
 

@@ -2,22 +2,20 @@
 
 One :class:`MetricsRegistry` (the process-wide default from
 :func:`get_registry`) is the substrate every telemetry surface reports
-through: the serve layer's :class:`~repro.serve.telemetry.ServerStats`, the
-compile layer's :class:`~repro.compile.cache.SignatureCache` counters, the
-attack engine's per-attack series and the trainer's compile stats all
-register labeled series here, so one ``snapshot()`` (or one Prometheus
+through: the compile layer's :class:`~repro.compile.cache.SignatureCache`
+counters, the attack engine's per-attack series and the trainer's compile
+stats all register labeled series here, so one ``snapshot()`` (or one Prometheus
 scrape of :meth:`MetricsRegistry.to_prometheus`) sees the whole process.
 
 Design points:
 
-* **Labeled series** — ``registry.counter("serve.requests", {"kind":
-  "classify"})`` returns one :class:`Counter` per distinct label set;
+* **Labeled series** — ``registry.counter("attack.examples_attacked",
+  {"attack": "pgd"})`` returns one :class:`Counter` per distinct label set;
   callers hold the handle and mutate it lock-cheap (one ``threading.Lock``
   per metric, never a global one on the hot path).
 * **Bounded reservoirs** — :class:`Histogram` keeps the most recent
   ``maxlen`` observations (plus lifetime count/sum), so exposition stays
-  O(reservoir) regardless of traffic, exactly like the serve layer's
-  original deques.
+  O(reservoir) regardless of traffic.
 * **Exposition** — :meth:`snapshot` (JSON-safe dict) and
   :meth:`to_prometheus` (text format: ``# TYPE`` lines, ``{k="v"}`` label
   sets, quantile series for histograms).
@@ -132,8 +130,7 @@ class Histogram(_Metric):
     """Bounded reservoir of the most recent ``maxlen`` observations.
 
     ``count``/``sum`` are lifetime totals; :meth:`values` snapshots the
-    reservoir for percentile math (the nearest-rank :func:`percentile`
-    shared with the serve layer).
+    reservoir for percentile math (the nearest-rank :func:`percentile`).
     """
 
     kind = "histogram"

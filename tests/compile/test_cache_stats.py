@@ -1,13 +1,11 @@
-"""SignatureCache counters and the explicit warm (pre-trace) API."""
+"""SignatureCache counters: the second-sighting policy, failures, evictions."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.compile import CompileError, SignatureCache, compile_model
+from repro.compile import CompileError
 from repro.compile.cache import SignatureCache as Cache
-from repro.compile.training import LiveEvalModel
 
 
 def make_cache(capacity=4, fail_shapes=()):
@@ -66,55 +64,3 @@ class TestCounters:
             cache.lookup(x)
         assert cache.live_entries == 1
         assert cache.stats()["capacity"] == 4
-
-
-class TestWarm:
-    def test_warm_bypasses_second_sighting(self):
-        cache, built = make_cache()
-        assert cache.warm(np.zeros((8, 3))) is True
-        assert built == [(8, 3)]
-        # The warmed signature is now an immediate hit.
-        assert cache.lookup(np.zeros((8, 3))) is not None
-        assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 0
-
-    def test_warm_idempotent(self):
-        cache, built = make_cache()
-        assert cache.warm(np.zeros((8, 3)))
-        assert cache.warm(np.zeros((8, 3)))
-        assert built == [(8, 3)]  # built once
-
-    def test_warm_respects_capacity(self):
-        cache, built = make_cache(capacity=1)
-        assert cache.warm(np.zeros((8, 3))) is True
-        assert cache.warm(np.zeros((4, 3))) is False
-        assert built == [(8, 3)]
-
-    def test_warm_reports_failures(self):
-        cache, _ = make_cache(fail_shapes={(2, 2)})
-        assert cache.warm(np.zeros((2, 2))) is False
-        assert cache.stats()["build_failures"] == 1
-
-
-class TestCompiledModelWarm:
-    def test_warm_pretraces_buckets(self, small_cnn, tiny_images):
-        small_cnn.eval()
-        compiled = compile_model(small_cnn, tiny_images[:16])
-        shape = tiny_images.shape[1:]
-        ready = compiled.warm(np.zeros((b,) + shape) for b in (4, 8))
-        assert ready == 2
-        before = compiled.cache_stats()["builds"]
-        # Warmed signatures replay immediately — no second-sighting eager pass.
-        compiled.predict(tiny_images[:4])
-        compiled.predict(tiny_images[:8])
-        stats = compiled.cache_stats()
-        assert stats["builds"] == before
-        assert stats["hits"] >= 2
-
-    def test_live_eval_model_warm_and_stats(self, small_cnn, tiny_images):
-        live = LiveEvalModel(small_cnn)
-        shape = tiny_images.shape[1:]
-        assert live.warm([np.zeros((4,) + shape)]) == 1
-        live.predict(tiny_images[:4])
-        stats = live.cache_stats()
-        assert stats["builds"] == 1 and stats["hits"] == 1
-        assert live.pool_allocations > 0

@@ -1,11 +1,10 @@
 """Acceptance: compiled evaluation >= 1.5x and compiled training >= 1.3x.
 
-Reproduces the quick-timing benchmark setup (tiny CNN on synthetic
-CIFAR-like data, the paper's PGD configuration) and times the attack engine
-with and without ``compile=True``, plus one PGD adversarial-training epoch
-with and without ``Trainer(compile=True)``.  Each mode takes the best of
-several interleaved runs so scheduler noise does not mask the structural
-speedup.
+Trains a tiny CNN on synthetic CIFAR-like data and, with the paper's PGD
+configuration, times the attack engine with and without ``compile=True``,
+plus one PGD adversarial-training epoch with and without
+``Trainer(compile=True)``.  Each mode takes the best of several interleaved
+runs so scheduler noise does not mask the structural speedup.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from repro.training import CrossEntropyLoss, Trainer
 
 
 @pytest.fixture(scope="module")
-def quick_timing_model():
+def trained_cnn():
     dataset = synthetic_cifar10(n_train=300, n_test=120, image_size=16, seed=0)
     model = SmallCNN(num_classes=10, image_size=16, seed=0)
     optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9, weight_decay=1e-3)
@@ -40,8 +39,8 @@ def quick_timing_model():
     return model, dataset
 
 
-def test_compiled_pgd_is_faster_with_identical_accuracy(quick_timing_model):
-    model, dataset = quick_timing_model
+def test_compiled_pgd_is_faster_with_identical_accuracy(trained_cnn):
+    model, dataset = trained_cnn
     images, labels = dataset.x_test[:96], dataset.y_test[:96]
     suite = [AttackSpec("pgd", dict(eps=8 / 255, alpha=2 / 255, steps=10, seed=0))]
 
@@ -75,8 +74,7 @@ def test_compiled_pgd_is_faster_with_identical_accuracy(quick_timing_model):
 def test_compiled_pgd_at_training_epoch_is_faster_with_matching_trajectory():
     """Compiled adversarial training: >=1.3x per epoch, eager-equal weights.
 
-    Runs the same recipe ``benchmarks/quick_timing.py`` reports in CI
-    (``benchmarks/common.pgd_at_training_benchmark``): identical fresh
+    Runs ``benchmarks/common.pgd_at_training_benchmark``: identical fresh
     models/loader seeds per mode, one warm-up epoch, then interleaved timed
     epochs with the best time per mode kept.  Besides the speedup, the
     compiled run must track the eager parameter trajectory and keep the

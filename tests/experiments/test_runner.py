@@ -71,6 +71,25 @@ class TestRunner:
         # Training is deterministic per spec, so the recomputed report matches.
         assert redone.report == fresh.report
 
+    @pytest.mark.parametrize("damage", ["truncate train.json", "delete checkpoint.npz"])
+    def test_damaged_model_artifact_retrains_and_republishes(self, runner, damage):
+        spec = tiny_spec()
+        runner.run(spec)
+        directory = runner.store.model_dir(spec.training_hash)
+        checkpoint = (directory / "checkpoint.npz").read_bytes()
+        if damage == "truncate train.json":
+            record = directory / "train.json"
+            record.write_bytes(record.read_bytes()[:40])  # checkpoint intact
+        else:
+            (directory / "checkpoint.npz").unlink()  # train.json intact
+        runner.store._quarantine(runner.store.report_dir(spec.content_hash))
+        redone = runner.run(spec)
+        # Checkpoint and train.json are one artifact: damage to either makes
+        # it a miss, so the run retrains (with a history) and republishes.
+        assert not redone.model_from_cache
+        assert redone.history is not None
+        assert (directory / "checkpoint.npz").read_bytes() == checkpoint
+
     def test_partial_artifact_reuses_model_and_reevaluates(self, runner):
         spec = tiny_spec()
         fresh = runner.run(spec)

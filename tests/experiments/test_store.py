@@ -55,6 +55,19 @@ class TestModelArtifacts:
         # The broken artifact is gone, so the next run recomputes cleanly.
         assert not store.model_dir(spec.training_hash).exists()
 
+    @pytest.mark.parametrize("load", ["load_model", "load_train_record"])
+    def test_corrupt_train_record_quarantines_the_model(self, store, runner, load):
+        spec = tiny_spec()
+        model, history, timing = runner.train(spec)
+        store.save_model(spec, model, history=history, timing=timing)
+        record = store.model_dir(spec.training_hash) / "train.json"
+        record.write_bytes(record.read_bytes()[:40])  # truncate
+        assert getattr(store, load)(spec) is None
+        # Checkpoint and record are one artifact: both go, so the next run
+        # retrains instead of serving the model with no history.
+        assert not store.has_model(spec)
+        assert not store.model_dir(spec.training_hash).exists()
+
 
 class TestReportArtifacts:
     def test_save_load_round_trip(self, store):
@@ -106,75 +119,12 @@ class TestMaintenance:
         assert store.load_model(other_eval) is not None
 
 
-class TestModelsByHash:
-    def test_load_model_by_hash_matches_load_model(self, store, runner):
-        spec = tiny_spec()
-        model, history, timing = runner.train(spec)
-        store.save_model(spec, model, history=history, timing=timing)
-        by_spec = store.load_model(spec)
-        by_hash = store.load_model_by_hash(spec.training_hash)
-        x = Tensor(np.random.default_rng(0).random((2, 3, 12, 12)))
-        np.testing.assert_array_equal(by_spec(x).data, by_hash(x).data)
-
-    def test_load_model_by_hash_miss(self, store):
-        assert store.load_model_by_hash("f" * 64) is None
-
-    def test_resolve_model_hash(self, store, runner):
-        spec = tiny_spec()
-        model, history, timing = runner.train(spec)
-        store.save_model(spec, model, history=history, timing=timing)
-        assert store.resolve_model_hash(spec.training_hash[:10]) == spec.training_hash
-        assert store.resolve_model_hash("no-such-prefix") is None
-        assert store.list_model_hashes() == [spec.training_hash]
-
-    def test_resolve_model_hash_ambiguous(self, store, runner):
-        first = tiny_spec()
-        second = tiny_spec(epochs=2)
-        assert first.training_hash != second.training_hash
-        for spec in (first, second):
-            model, history, timing = runner.train(spec)
-            store.save_model(spec, model, history=history, timing=timing)
-        # The empty prefix matches both checkpoints: never silently pick one.
-        with pytest.raises(ValueError, match="ambiguous"):
-            store.resolve_model_hash("")
-
-
 class TestServeReports:
-    KEY = "ab" + "0" * 62
-
-    def test_round_trip(self, store):
-        assert not store.has_serve_report(self.KEY)
-        assert store.load_serve_report(self.KEY) is None
-        store.save_serve_report(self.KEY, {"report": {"natural": 0.75}})
-        assert store.has_serve_report(self.KEY)
-        record = store.load_serve_report(self.KEY)
-        assert record["report"]["natural"] == 0.75
-        assert record["key"] == self.KEY
-        assert "created" in record
-
-    def test_sharded_layout(self, store):
-        store.save_serve_report(self.KEY, {"report": {}})
-        assert store.serve_report_dir(self.KEY) == store.root / "serve" / "ab" / self.KEY
-
-    def test_corrupt_json_quarantined(self, store):
-        store.save_serve_report(self.KEY, {"report": {"natural": 0.5}})
-        path = store.serve_report_dir(self.KEY) / "robustness.json"
-        path.write_text("{not json", encoding="utf-8")
-        assert store.load_serve_report(self.KEY) is None
-        # The broken artifact is gone, so the next request re-evaluates.
-        assert not store.serve_report_dir(self.KEY).exists()
-
-    def test_record_missing_report_quarantined(self, store):
-        store.save_serve_report(self.KEY, {"report": {"natural": 0.5}})
-        path = store.serve_report_dir(self.KEY) / "robustness.json"
-        path.write_text('{"key": "whatever"}', encoding="utf-8")
-        assert store.load_serve_report(self.KEY) is None
-        assert not store.serve_report_dir(self.KEY).exists()
-
     def test_clear_removes_serve_reports(self, store):
-        store.save_serve_report(self.KEY, {"report": {}})
-        other = "cd" + "1" * 62
-        store.save_serve_report(other, {"report": {}})
+        # Older versions cached served robustness reports under serve/.
+        for key in ("ab" + "0" * 62, "cd" + "1" * 62):
+            directory = store.root / "serve" / key[:2] / key
+            directory.mkdir(parents=True)
+            (directory / "robustness.json").write_text('{"report": {}}', encoding="utf-8")
         assert store.clear() == 2
-        assert not store.has_serve_report(self.KEY)
-        assert not store.has_serve_report(other)
+        assert not (store.root / "serve").exists()

@@ -1,4 +1,4 @@
-"""Plan-executor profiling: per-op tables, parity, serve stats, span trees."""
+"""Plan-executor profiling: per-op tables, parity, span trees, attack telemetry."""
 
 from __future__ import annotations
 
@@ -130,41 +130,7 @@ class TestCompiledTrainingProfile:
         assert trainer_b.profile(), "the profiled run must also record ops"
 
 
-class TestServeProfile:
-    def test_served_attack_request_profile_and_span_tree(self, dataset):
-        from repro.attacks.engine import AttackSpec
-        from repro.serve import RobustnessServer, ServeClient
-
-        model = SmallCNN(num_classes=10, image_size=16, seed=0)
-        model.eval()
-        events = []
-        trace.enable(sink=events.append)
-        profiler.enable()
-        with RobustnessServer(buckets=(4, 8), max_wait_ms=2.0, workers=1) as srv:
-            srv.register("cnn", model)
-            client = ServeClient(srv)
-            spec = AttackSpec("fgsm", dict(eps=8 / 255))
-            client.attack("cnn", spec, dataset.x_test[:4], dataset.y_test[:4])
-            stats = client.stats()
-
-        # -- the stats endpoint surfaces per-signature op profiles
-        profile = stats["profile"]["cnn"]
-        assert profile, "served replays with profiling on must be recorded"
-        sig_dtype = signature(0).split(":")[1]
-        for plan_signature, entry in profile.items():
-            assert plan_signature.endswith(":" + sig_dtype)
-            assert any(stat["calls"] > 0 for stat in entry["ops"].values())
-
-        # -- coherent trees: every worker span parents onto its request span
-        requests = {
-            e["span_id"]: e for e in events if e["name"] == "serve.request"
-        }
-        workers = [e for e in events if e["name"] in ("serve.batch", "serve.job")]
-        assert requests and workers, "both request and worker spans must record"
-        for event in workers:
-            parent = requests[event["parent_id"]]
-            assert event["trace_id"] == parent["trace_id"]
-
+class TestAttackTelemetryRegistry:
     def test_attack_telemetry_mirrors_onto_registry(self, dataset):
         from repro.attacks import AttackEngine, AttackSpec
         from repro.obs import get_registry

@@ -189,18 +189,6 @@ class TestProducers:
         assert stored[-1]["specs"][0]["name"] == "unit"
         assert stored[-1]["context"] == {}
 
-    def test_serve_session_records_on_stop(self, tmp_path, small_cnn):
-        from repro.serve import RobustnessServer
-
-        store = ArtifactStore(tmp_path)
-        small_cnn.eval()
-        with RobustnessServer(store=store, workers=1) as server:
-            server.register("cnn", small_cnn)
-        stored = [r for r in records.list_records(store=store) if r["kind"] == "serve"]
-        assert len(stored) == 1
-        assert stored[0]["health"]["status"] == "ok"
-        assert stored[0]["stats"]["errors"] == 0
-
 
 # --------------------------------------------------------------------------- #
 # diffing

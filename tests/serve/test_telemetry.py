@@ -1,12 +1,12 @@
-"""ServerStats edge cases: percentiles, reservoir bounds, threads, reset."""
+"""Nearest-rank percentile edge cases.
+
+:func:`repro.obs.registry.percentile` is the reservoir math behind every
+registry histogram summary and the ``repro.obs`` CLI's p95 column.
+"""
 
 from __future__ import annotations
 
-import threading
-
-import pytest
-
-from repro.serve.telemetry import ServerStats, percentile
+from repro.obs.registry import percentile
 
 
 class TestPercentile:
@@ -27,97 +27,3 @@ class TestPercentile:
 
     def test_unsorted_input_is_sorted_first(self):
         assert percentile([3.0, 1.0, 2.0], 100) == 3.0
-
-
-class TestReservoirBounds:
-    def test_latency_reservoir_evicts_at_maxlen(self):
-        stats = ServerStats(reservoir=8)
-        for i in range(20):
-            stats.record_request("classify", latency=float(i), examples=1)
-        snap = stats.snapshot()
-        by_kind = snap["latency_ms_by_kind"]["classify"]
-        # Only the most recent 8 observations (12..19) survive.
-        assert by_kind["count"] == 8
-        assert by_kind["p50_ms"] == pytest.approx(16.0 * 1e3)
-        assert snap["requests"]["classify"] == 20  # counters are lifetime
-
-    def test_queue_reservoir_evicts_at_maxlen(self):
-        stats = ServerStats(reservoir=4)
-        stats.record_batch(examples=3, pad_to=4, queue_times=[1.0] * 10)
-        stats.record_batch(examples=3, pad_to=4, queue_times=[5.0] * 4)
-        snap = stats.snapshot()
-        # All surviving queue observations are the recent 5.0s.
-        assert snap["queue_ms"]["p50"] == pytest.approx(5000.0)
-        assert snap["queue_ms"]["p99"] == pytest.approx(5000.0)
-
-
-class TestConcurrency:
-    def test_concurrent_records_vs_snapshots(self):
-        stats = ServerStats(reservoir=256)
-        errors = []
-        stop = threading.Event()
-
-        def writer(kind):
-            for i in range(400):
-                stats.record_request(kind, latency=0.001 * i, examples=2)
-                stats.record_batch(examples=2, pad_to=4, queue_times=[0.0005])
-
-        def reader():
-            while not stop.is_set():
-                try:
-                    snap = stats.snapshot()
-                    assert snap["examples"] >= 0
-                    assert snap["batched_examples"] >= 0
-                except Exception as error:  # pragma: no cover - failure path
-                    errors.append(error)
-                    return
-
-        threads = [threading.Thread(target=writer, args=(k,)) for k in
-                   ("classify", "attack", "classify")]
-        snapshotter = threading.Thread(target=reader)
-        snapshotter.start()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        stop.set()
-        snapshotter.join()
-        assert not errors
-        snap = stats.snapshot()
-        assert snap["requests"] == {"classify": 800, "attack": 400}
-        assert snap["examples"] == 2400
-        assert snap["batches"] == 1200
-
-
-class TestReset:
-    def test_reset_restores_zeroed_snapshot(self):
-        stats = ServerStats(reservoir=16)
-        stats.record_request("classify", latency=0.01, examples=4, error=True)
-        stats.record_batch(examples=4, pad_to=8, queue_times=[0.002])
-        stats.record_job()
-        stats.record_report_cache(hit=True)
-        stats.record_report_cache(hit=False)
-        stats.reset()
-        snap = stats.snapshot()
-        assert snap["requests"] == {}
-        assert snap["errors"] == 0
-        assert snap["examples"] == 0
-        assert snap["batches"] == 0
-        assert snap["batched_examples"] == 0
-        assert snap["padded_examples"] == 0
-        assert snap["pad_waste_pct"] == 0.0
-        assert snap["mean_batch_size"] == 0.0
-        assert snap["jobs"] == 0
-        assert snap["report_cache"] == {"hits": 0, "misses": 0}
-        assert snap["queue_ms"] == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-        assert snap["latency_ms"] == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-        assert snap["latency_ms_by_kind"] == {}
-
-    def test_records_after_reset_accumulate_fresh(self):
-        stats = ServerStats(reservoir=16)
-        stats.record_request("classify", latency=0.5, examples=10)
-        stats.reset()
-        stats.record_request("attack", latency=0.25, examples=3)
-        snap = stats.snapshot()
-        assert snap["requests"] == {"attack": 1}
-        assert snap["examples"] == 3
