@@ -596,7 +596,7 @@ class AttackEngine:
         finally:
             model.train(was_training)
             # Pre-built suite attacks outlive the run; never leave this
-            # run's plan (a weight snapshot) wired into them.
+            # run's plans (bound to this model) wired into them.
             for entry in self.suite.values():
                 if isinstance(entry, Attack):
                     entry.use_compiled(None)

@@ -4,17 +4,19 @@ The attack hot path — tens of forward+backward passes per batch for
 PGD/NIFGSM/CW — previously rebuilt the dynamic Python autograd graph and
 allocated fresh arrays on every step.  This subsystem traces a module's
 eval-mode forward **once** into a static :class:`~repro.compile.graph.Graph`,
-optimizes it with :func:`~repro.compile.passes.optimize` (constant folding,
-batch-norm folding into conv weights, ReLU fusion, dead-node elimination —
-the one pipeline training plans go through too) and replays it through a
-:class:`~repro.compile.pool.BufferPool` arena with ``out=``-style NumPy
-kernels, so steady-state iterations allocate nothing and never touch the
-autograd machinery.  The eval/attack backward computes input gradients only —
-parameter gradients, which attacks always discard, are never materialized.
+optimizes it with :func:`~repro.compile.passes.optimize` (ReLU fusion and
+dead-node elimination — the one pipeline training plans go through too) and
+replays it through a :class:`~repro.compile.pool.BufferPool` arena with
+``out=``-style NumPy kernels, so steady-state iterations allocate nothing
+and never touch the autograd machinery.  Plans copy no module state: they
+read the parameters, batch-norm buffers and Eq. (3) channel mask in place,
+so optimizer steps and mask refreshes keep every plan.  The eval/attack
+backward computes input gradients only — parameter gradients, which
+attacks always discard, are never materialized.
 
 Training is compiled too (:mod:`repro.compile.training`): training-mode
-forwards (batch-stat batch norm with in-place running updates) captured with
-**live parameters**, a full parameter-gradient backward into pooled buffers
+forwards (batch-stat batch norm with in-place running updates), a full
+parameter-gradient backward into pooled buffers
 (or the fused input+param backward, ``grad="both"``), fused in-place
 optimizer kernels, and adapters building the paper's composite losses (CE,
 PGD-AT, TRADES, MART, IB-RAR) **fully in plan** — the fused softmax-CE seed
@@ -36,7 +38,8 @@ Entry points:
 * ``model.compile(sample_input)`` / :func:`compile_model` — returns a
   :class:`CompiledModel` with ``__call__`` (logits), ``predict`` and
   ``value_and_grad(x, y)`` (fused cross-entropy), with automatic eager
-  fallback for unseen shapes, training mode, or uncompilable graphs.
+  fallback for unseen shapes, training mode, uncompilable graphs or
+  reallocated parameter storage.
 * ``AttackEngine(..., compile=True)`` / ``evaluate_robustness(...,
   compile=True)`` / ``ExperimentSpec(eval_compile=True)`` — opt the
   evaluation stack in; PGD-family attacks pick the compiled

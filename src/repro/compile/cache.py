@@ -11,9 +11,11 @@ One instance backs :class:`repro.compile.CompiledModel` (entries are eval
 :class:`~repro.compile.executor.Plan` objects),
 one backs :class:`repro.compile.training.CompiledTrainer` (entries are
 per-signature plan contexts), and one backs
-:class:`repro.compile.training.LiveEvalModel` (live-parameter eval plans).
-:meth:`evict` drops a *recoverable* failure (reallocated parameter storage)
-so the next sighting rebuilds against the current storage.
+:class:`repro.compile.training.LiveEvalModel` (eval-semantics plans).
+Entries are never dropped wholesale: plans read the module's state in
+place, so only :meth:`evict` removes one, for a *recoverable* failure
+(reallocated parameter storage), and the next sighting rebuilds against
+the current storage.
 """
 
 from __future__ import annotations
@@ -69,10 +71,6 @@ class SignatureCache:
     def live_entries(self) -> int:
         """Number of cached entries holding a usable plan (failures excluded)."""
         return sum(1 for entry in self.entries.values() if entry is not None)
-
-    def clear(self) -> None:
-        self.entries.clear()
-        self._misses.clear()
 
     def stats(self) -> Dict[str, int]:
         """This cache's hit/miss/build/eviction counters and occupancy."""
@@ -140,5 +138,8 @@ class SignatureCache:
         return entry
 
     def evict(self, sample: np.ndarray) -> None:
-        if self.entries.pop(self.key(sample), None) is not None:
+        """Drop this signature's entry; its next sighting rebuilds it."""
+        key = self.key(sample)
+        self._misses[key] = 1  # seen already, even when pre-seeded by insert()
+        if self.entries.pop(key, None) is not None:
             self._evictions.inc()

@@ -10,9 +10,9 @@ batch) is bought with.
 
 Three gradient modes exist.  ``grad="input"`` (the attack/eval default)
 computes the gradient **with respect to the input only** — parameters are
-baked in (or aliased, for live-parameter plans), so the weight-gradient
-matmuls the eager engine performs on every attack step (and throws away)
-are never executed.  ``grad="params"`` (the training mode) instead seeds
+read but not differentiated, so the weight-gradient matmuls the eager
+engine performs on every attack step (and throws away) are never
+executed.  ``grad="params"`` (the training mode) instead seeds
 the differentiation set from the graph's live ``"param"`` nodes and
 accumulates **full parameter gradients** into pre-allocated pooled buffers;
 :meth:`Plan.run_backward` additionally accepts gradient seeds at named
@@ -39,11 +39,13 @@ it binds the same generic per-primitive kernels as the model itself; the
 only loss-specific kernel is the forward-only ``rbf_scale`` (the Gaussian
 kernel's per-batch median bandwidth).
 
-Live-parameter plans (graphs captured with ``live_params=True``) alias
-``param.data`` directly and re-read it on every replay — one plan survives
-every in-place optimizer step.  Training-mode batch norms recompute batch
-statistics per replay and update the module's running buffers in place,
-reproducing the eager update sequence bit for bit.
+Plans copy no module state: ``param`` leaves alias ``param.data``, ``const``
+leaves (the Eq. 3 channel mask, literals) alias their arrays, and batch
+norms read the module's running buffers, all re-read on every replay — one
+plan survives every in-place optimizer step and mask refresh.  Eval-mode
+batch norms re-derive their per-channel scale and shift per replay;
+training-mode batch norms recompute batch statistics and update the running
+buffers in place, reproducing the eager update sequence bit for bit.
 
 Losses are fused: :meth:`Plan.value_and_grad_ce` evaluates softmax
 cross-entropy and seeds the backward pass with the closed-form
@@ -60,7 +62,6 @@ from numpy.lib.stride_tricks import as_strided
 
 from ..obs.profiler import PROFILER as _PROFILER
 from .graph import CompileError, Graph, LEAF_OPS as _LEAF_OPS, Node
-from .passes import bn_scale_shift
 from .pool import BufferPool
 
 __all__ = ["Plan"]
@@ -136,13 +137,13 @@ class Plan:
         self.graph = graph
         self.grad_mode = grad
         self.pool = BufferPool()
-        #: node id -> forward value (const arrays, bound buffers, or views).
+        #: node id -> forward value (aliased leaves, bound buffers, or views).
         self.values: Dict[int, np.ndarray] = {}
         #: node id -> gradient accumulator (shared across backward programs).
         self.grads: Dict[int, np.ndarray] = {}
         #: aux name -> bound array (aliases and pooled buffers alike).
         self.aux_values: Dict[str, np.ndarray] = {}
-        #: (Parameter, node id) pairs for live-parameter graphs.
+        #: (Parameter, node id) pairs of the graph's ``param`` leaves.
         self.params: List[Tuple[object, int]] = [
             (n.meta["parameter"], n.id) for n in graph.param_nodes()
         ]
@@ -220,15 +221,13 @@ class Plan:
             if node.op == "input":
                 continue
             if node.op == "const":
-                # ascontiguousarray promotes 0-d scalars to (1,); keep them 0-d.
-                self.values[node.id] = (
-                    node.value if node.value.ndim == 0 else np.ascontiguousarray(node.value)
-                )
+                # By reference: in-place writes (a mask refresh) reach replays.
+                self.values[node.id] = node.value
                 continue
             if node.op == "param":
-                # Live leaf: alias the parameter's storage.  Replays re-read
-                # it, so in-place optimizer updates flow into the plan; the
-                # identity guard in :meth:`forward` catches reallocation.
+                # Alias the parameter's storage.  Replays re-read it, so
+                # in-place optimizer updates flow into the plan; the identity
+                # guard in :meth:`forward` catches reallocation.
                 self.values[node.id] = node.meta["parameter"].data
                 continue
             if node.op == "aux":
@@ -349,13 +348,19 @@ class Plan:
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Replay the forward pass; returns the (plan-owned) output array."""
+    def stale(self) -> bool:
+        """Whether a parameter's storage was reallocated after binding."""
         for param, node_id in self.params:
             if self.values[node_id] is not param.data:
-                raise CompileError(
-                    "parameter storage was reallocated (non-in-place update); recompile the plan"
-                )
+                return True
+        return False
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Replay the forward pass; returns the (plan-owned) output array."""
+        if self.stale():
+            raise CompileError(
+                "parameter storage was reallocated (non-in-place update); recompile the plan"
+            )
         np.copyto(self._input, x)
         if _PROFILER.enabled:
             self._replay_profiled(self._forward_steps, self._forward_meta)
@@ -495,11 +500,6 @@ class Plan:
 # --------------------------------------------------------------------------- #
 # forward binders: node -> (step callable | None, output array)
 # --------------------------------------------------------------------------- #
-def _is_live(plan: Plan, node_id: int) -> bool:
-    """Whether ``node_id`` is a live-parameter leaf (re-read every replay)."""
-    return plan.graph.node(node_id).op == "param"
-
-
 def _bind_conv2d(plan: Plan, node: Node):
     x = plan.values[node.inputs[0]]
     weight = plan.values[node.inputs[1]]
@@ -512,14 +512,11 @@ def _bind_conv2d(plan: Plan, node: Node):
     _, _, out_h, out_w = node.shape
     dtype = node.dtype
 
-    if _is_live(plan, node.inputs[1]):
-        # Live weights change under the optimizer every step: matmul against
-        # a transposed *view* so each replay reads the current values (BLAS
-        # handles the transposed operand natively, same math as the eager
-        # ``cols @ w_mat.T``).
-        w_t = weight.reshape(oc, -1).T
-    else:
-        w_t = np.ascontiguousarray(weight.reshape(oc, -1).T)
+    # Weights change under the optimizer every step: matmul against a
+    # transposed *view* so each replay reads the current values (BLAS
+    # handles the transposed operand natively, same math as the eager
+    # ``cols @ w_mat.T``).
+    w_t = weight.reshape(oc, -1).T
 
     if padding:
         padded = plan.pool.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype)
@@ -625,27 +622,9 @@ def _bind_batch_norm(plan: Plan, node: Node):
     dtype = node.dtype
     fuse_relu = node.meta.get("fuse_relu", False)
     out = plan.pool.empty(node.shape, dtype)
-    live = _is_live(plan, node.inputs[1]) or _is_live(plan, node.inputs[2])
-
-    if not live:
-        scale, shift = bn_scale_shift(
-            gamma, beta, node.meta["mean"], node.meta["var"], node.meta["eps"], dtype
-        )
-        scale_r = scale.reshape(1, c, 1, 1)
-        shift_r = shift.reshape(1, c, 1, 1)
-        node.meta["_scale"] = scale_r
-
-        def step() -> None:
-            np.multiply(x, scale_r, out=out)
-            np.add(out, shift_r, out=out)
-            if fuse_relu:
-                np.maximum(out, 0.0, out=out)
-
-        return step, out
-
-    # Live gamma/beta (and live running stats, updated by interleaved
-    # training forwards): re-derive the per-channel affine every replay, in
-    # float64 like :func:`bn_scale_shift`, into persistent buffers.
+    # Gamma/beta (and the running stats, updated by interleaved training
+    # forwards) are live: re-derive the per-channel affine every replay, in
+    # float64, into persistent buffers.
     mean_ref, var_ref = node.meta["mean"], node.meta["var"]
     eps = node.meta["eps"]
     scale64 = plan.pool.empty((c,), np.float64)
@@ -942,7 +921,7 @@ _FORWARD = {
 
 
 # --------------------------------------------------------------------------- #
-# backward binders (input-gradient only; parameters are plan constants)
+# backward binders
 # --------------------------------------------------------------------------- #
 def _relu_mask_step(plan: Plan, node: Node) -> Optional[Callable[[], None]]:
     """In-place ``g *= (out > 0)`` for producers with a fused ReLU."""
@@ -1039,7 +1018,6 @@ def _back_conv2d(plan: Plan, node: Node):
         n, c, h, w = x_node.shape
         write, gx = plan._sink(x_id)
         grad_cols = plan.pool.empty((n * out_h * out_w, kernel * kernel * c), dtype)
-        live_w = _is_live(plan, w_id)
 
         # The col2im scatter is k*k strided slice-adds; pick the layout whose
         # innermost contiguous run is longest.  Wide feature maps with few
@@ -1047,16 +1025,12 @@ def _back_conv2d(plan: Plan, node: Node):
         # layers (channels >= spatial width) over NHWC channel vectors.
         nhwc = c >= out_w
         if nhwc:
-            if live_w:
-                # Refresh a persistent buffer from the live weights each
-                # replay (a strided copy — no allocation).
-                w_mat = plan.pool.empty((oc, kernel * kernel * c), dtype)
-                w_mat_src = weight.transpose(0, 2, 3, 1)
-                w_mat_view = w_mat.reshape(oc, kernel, kernel, c)
-                refresh = lambda: np.copyto(w_mat_view, w_mat_src)
-            else:
-                w_mat = np.ascontiguousarray(weight.transpose(0, 2, 3, 1).reshape(oc, -1))
-                refresh = None
+            # Refresh a persistent buffer from the live weights each replay
+            # (a strided copy — no allocation).
+            w_mat = plan.pool.empty((oc, kernel * kernel * c), dtype)
+            w_mat_src = weight.transpose(0, 2, 3, 1)
+            w_mat_view = w_mat.reshape(oc, kernel, kernel, c)
+            refresh = lambda: np.copyto(w_mat_view, w_mat_src)
             gc = grad_cols.reshape(n, out_h, out_w, kernel, kernel, c)
             gpad = plan.pool.empty((n, h + 2 * padding, w + 2 * padding, c), dtype)
             interior = gpad[:, padding : padding + h, padding : padding + w, :].transpose(0, 3, 1, 2)
@@ -1069,7 +1043,7 @@ def _back_conv2d(plan: Plan, node: Node):
 
         else:
             # weight.reshape on the contiguous parameter array is a view, so
-            # live weights need no refresh here.
+            # the weights need no refresh here.
             w_mat = weight.reshape(oc, -1)
             refresh = None
             gc = grad_cols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(0, 3, 1, 2, 4, 5)
@@ -1121,10 +1095,9 @@ def _back_matmul(plan: Plan, node: Node):
     steps: List[Callable[[], None]] = []
     if a_id in plan._diff:
         write_a, ga = plan._sink(a_id)
-        # A constant right operand is a folded ``Linear`` weight transpose:
-        # multiply by the contiguous weight, the operand layout of the eager
-        # ``grad @ weight`` (a live operand's ``.T`` already is that view).
-        b_t = np.ascontiguousarray(b.T) if plan.graph.node(b_id).is_const() else b.T
+        # A ``Linear`` right operand is a transposed weight view, so ``.T``
+        # is the contiguous weight of the eager ``grad @ weight``.
+        b_t = b.T
         target_a = ga if write_a else plan.pool.empty(ga.shape, ga.dtype)
         if write_a:
             steps.append(lambda: np.matmul(g, b_t, out=target_a))

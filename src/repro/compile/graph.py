@@ -3,15 +3,17 @@
 The eager engine (:mod:`repro.nn.tensor`) builds a fresh Python closure graph
 on every forward pass.  This module lifts one such pass into a static
 :class:`Graph`: a topologically ordered list of :class:`Node` records —
-``input``, ``const`` (parameters and literals, snapshotted), and primitive
-ops annotated with their static parameters (strides, axes, clip bounds).
+``input``, ``param`` (live parameters), ``const`` (every other leaf: the
+Eq. 3 channel mask, literals) and primitive ops annotated with their static
+parameters (strides, axes, clip bounds).
 
 A captured graph has a *fixed input shape and dtype*; the plan built from it
 is replayed for inputs of exactly that signature, with callers falling back
 to eager execution for anything else (see :class:`repro.compile.CompiledModel`).
-Parameter values are snapshotted at capture time: a compiled plan is a frozen
-view of the weights, which is exactly what attack-time evaluation wants —
-recompile (one traced forward) after mutating the module.
+No leaf is copied: parameters, batch-norm buffers and the channel mask are
+bound by reference, so a plan reads the module's current state on every
+replay and in-place updates (optimizer steps, mask refreshes) need no
+recapture.
 
 The same walk extends a graph with an eager loss function applied to its
 nodes (:meth:`Graph.append_traced`), so a compiled loss is the traced eager
@@ -45,16 +47,14 @@ class Node:
     """One operation (or leaf) of a captured graph."""
 
     id: int
-    op: str  # "input", "const", or a primitive op name ("conv2d", "add", ...)
+    op: str  # "input", "param", "const", or a primitive op name ("conv2d", ...)
     inputs: Tuple[int, ...]
     meta: dict = field(default_factory=dict)
     shape: Tuple[int, ...] = ()
     dtype: np.dtype = None
-    #: snapshotted value for "const" nodes (parameters, masks, literals).
+    #: the array a "const" leaf aliases (the channel mask, a literal) —
+    #: bound by reference, never copied.
     value: Optional[np.ndarray] = None
-
-    def is_const(self) -> bool:
-        return self.op == "const"
 
 
 #: leaf ops — nodes with no compute step and no backward rule of their own.
@@ -237,12 +237,13 @@ class Graph:
         (the graph output, an :meth:`add_aux` leaf, ...).  The recorded ops
         are lifted by the walk :func:`capture_forward` uses, with each
         placeholder resolving to its bound node and every other leaf
-        snapshotted as a constant.  Returns the result's node id, registered
-        as the named output ``name`` when given; when ``fn`` returns a tuple
-        of Tensors, returns one id per element and ``name`` is a matching
-        sequence (``None`` entries stay unnamed).  A loss written once as
-        eager code thus compiles with no executor code of its own: each
-        primitive it records already has a forward and a backward kernel.
+        becoming a ``param`` or by-reference ``const`` leaf.  Returns the
+        result's node id, registered as the named output ``name`` when
+        given; when ``fn`` returns a tuple of Tensors, returns one id per
+        element and ``name`` is a matching sequence (``None`` entries stay
+        unnamed).  A loss written once as eager code thus compiles with no
+        executor code of its own: each primitive it records already has a
+        forward and a backward kernel.
         """
         placeholders: Dict[str, Tensor] = {}
         ids: Dict[int, int] = {}
@@ -262,7 +263,7 @@ class Graph:
                 raise CompileError(
                     f"traced function returned {type(item).__name__}, expected a Tensor"
                 )
-        nodes, result_ids = _lift(results, ids, self._next_id(), _const_leaf)
+        nodes, result_ids = _lift(results, ids, self._next_id(), _leaf)
         for node in nodes:
             self._append(node)
         names = (name,) if single else (name or ())
@@ -299,7 +300,6 @@ def capture_forward(
     sample_input,
     training: bool = False,
     with_hidden: bool = False,
-    live_params: bool = False,
 ) -> Graph:
     """Run one forward under tracing and lift it into a :class:`Graph`.
 
@@ -321,13 +321,13 @@ def capture_forward(
     each hidden representation in :attr:`Graph.outputs` (training plans
     expose those nodes to eager-composed loss terms).
 
-    ``live_params=True`` lifts :class:`~repro.nn.modules.Parameter` leaves
-    into ``"param"`` nodes that alias the live parameter storage instead of
-    snapshotting it — the executor re-reads ``param.data`` on every replay,
-    which is what training (and in-training attack) plans need so one plan
-    survives every optimizer step.  Other leaves are still snapshotted.
+    :class:`~repro.nn.modules.Parameter` leaves become ``"param"`` nodes
+    aliasing the live parameter storage, which plans re-read on every
+    replay, so one plan survives every in-place optimizer step.  Every
+    other leaf becomes a ``"const"`` node bound to the leaf's own array (a
+    model's channel mask, overwritten in place by a refresh, included).
     """
-    from ..nn.modules import BatchNorm2d, Parameter
+    from ..nn.modules import BatchNorm2d
 
     arr = np.asarray(sample_input, dtype=get_default_dtype())
     if training != bool(module.training):
@@ -360,10 +360,7 @@ def capture_forward(
     def leaf(tensor: Tensor, node_id: int) -> Node:
         if tensor is x:
             return Node(node_id, "input", (), {}, tensor.shape, tensor.dtype)
-        if live_params and isinstance(tensor, Parameter):
-            # Live leaf: the plan aliases (and re-reads) param.data.
-            return Node(node_id, "param", (), {"parameter": tensor}, tensor.shape, tensor.dtype)
-        return _const_leaf(tensor, node_id)
+        return _leaf(tensor, node_id)
 
     ids: Dict[int, int] = {}  # id(tensor) -> node id
     nodes, (output_id, *hidden_ids) = _lift([out, *hidden.values()], ids, 0, leaf)
@@ -377,13 +374,14 @@ def capture_forward(
     return Graph(nodes, ids[id(x)], output_id, outputs)
 
 
-def _const_leaf(tensor: Tensor, node_id: int) -> Node:
-    """Snapshot an untraced tensor: a parameter, a buffer-derived literal, or
-    a value produced outside the traced region."""
-    return Node(
-        node_id, "const", (), {}, tensor.shape, tensor.dtype,
-        value=np.array(tensor.data, copy=True),
-    )
+def _leaf(tensor: Tensor, node_id: int) -> Node:
+    """A live leaf for an untraced tensor: a ``param`` node for a parameter,
+    else a ``const`` node aliasing the tensor's array."""
+    from ..nn.modules import Parameter
+
+    if isinstance(tensor, Parameter):
+        return Node(node_id, "param", (), {"parameter": tensor}, tensor.shape, tensor.dtype)
+    return Node(node_id, "const", (), {}, tensor.shape, tensor.dtype, value=tensor.data)
 
 
 def _lift(

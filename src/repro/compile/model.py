@@ -3,11 +3,15 @@
 ``compile_model(module, sample_input)`` captures the module's eval-mode
 forward once, optimizes it and binds it to buffers; the resulting
 :class:`CompiledModel` replays the plan for every input matching the
-captured ``(shape, dtype)`` signature.  Unseen shapes (the ragged last batch
-of an evaluation, shrinking early-exit attack batches) are compiled on the
-fly up to ``max_plans`` signatures; beyond that — or when capture/planning
-fails, the module is in training mode, or a non-CE loss is requested — the
-call **falls back to eager execution**, so opting in is always safe.
+captured ``(shape, dtype)`` signature.  Plans read the module's parameters,
+batch-norm buffers and channel mask in place, so in-place updates need no
+recompile.  Unseen shapes (the ragged last batch of an evaluation,
+shrinking early-exit attack batches) are compiled on the fly up to
+``max_plans`` signatures; beyond that — or when capture/planning fails, the
+module is in training mode, a parameter's storage was reallocated (that
+plan is evicted and rebuilt on the next sighting), or a non-CE loss is
+requested — the call **falls back to eager execution**, so opting in is
+always safe.
 :attr:`CompiledModel.stats` counts compiled vs eager passes; the attack
 engine surfaces those counters as telemetry.
 """
@@ -72,9 +76,8 @@ class CompiledModel:
     max_plans:
         Bound on cached plans; further signatures run eagerly.
 
-    A plan snapshots the module's parameters (and channel mask) at compile
-    time.  After mutating the module, call :meth:`invalidate` — or compile a
-    fresh model — to avoid replaying stale weights.
+    Plans alias the module's state, so every replay sees the current
+    weights and channel mask.
     """
 
     def __init__(
@@ -136,11 +139,6 @@ class CompiledModel:
                 merge_snapshot(profiles, plan.profile_snapshot())
         return profiles
 
-    def invalidate(self) -> None:
-        """Drop every cached plan (call after mutating the module's weights)."""
-        self._cache.clear()
-        self._grad_failed.clear()
-
     @property
     def plans(self) -> int:
         """Number of live plans (excluding remembered failures)."""
@@ -160,14 +158,19 @@ class CompiledModel:
         """Logits for a batch, as a plan-owned array (consume before the next call)."""
         arr = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=get_default_dtype())
         plan = None if self.module.training else self._plan_for(arr)
-        if plan is None:
-            self.stats.fallback_calls += 1
-            self.stats.fallback_examples += len(arr)
-            with no_grad():
-                return self.module.forward(Tensor(arr)).data
-        self.stats.forward_calls += 1
-        self.stats.forward_examples += len(arr)
-        return plan.forward(arr)
+        if plan is not None:
+            try:
+                logits = plan.forward(arr)
+            except CompileError:  # parameter storage reallocated: rebuild
+                self._cache.evict(arr)
+            else:
+                self.stats.forward_calls += 1
+                self.stats.forward_examples += len(arr)
+                return logits
+        self.stats.fallback_calls += 1
+        self.stats.fallback_examples += len(arr)
+        with no_grad():
+            return self.module.forward(Tensor(arr)).data
 
     def predict(self, x) -> np.ndarray:
         """Hard class predictions (argmax over :meth:`__call__` logits)."""
@@ -178,9 +181,10 @@ class CompiledModel:
 
         ``loss`` currently supports ``"ce"`` (fused softmax cross-entropy —
         the loss every PGD-family attack drives); other names raise
-        ``ValueError``.  A training-mode module or an uncompilable signature
-        falls back to the eager cross-entropy graph.  The returned gradient
-        is plan-owned: consume it before the next compiled call.
+        ``ValueError``.  A training-mode module, an uncompilable signature
+        or reallocated parameter storage falls back to the eager
+        cross-entropy graph.  The returned gradient is plan-owned: consume
+        it before the next compiled call.
         """
         arr = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=get_default_dtype())
         labels = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -189,17 +193,21 @@ class CompiledModel:
             plan = self._plan_for(arr)
         if plan is not None:
             try:
+                value, grad = plan.value_and_grad_ce(arr, labels)
+            except CompileError:
+                if plan.stale():  # parameter storage reallocated: rebuild
+                    self._cache.evict(arr)
+                else:
+                    # A plan that forwards but cannot backward (e.g. a detach
+                    # on the only input path) will never succeed here;
+                    # remember the failure so later calls skip the wasted
+                    # compiled forward while keeping the plan alive for
+                    # forward-only use.
+                    self._grad_failed.add(self._key(arr))
+            else:
                 self.stats.grad_calls += 1
                 self.stats.grad_examples += len(arr)
-                return plan.value_and_grad_ce(arr, labels)
-            except CompileError:
-                self.stats.grad_calls -= 1
-                self.stats.grad_examples -= len(arr)
-                # A plan that forwards but cannot backward (e.g. a detach on
-                # the only input path) will never succeed here; remember the
-                # failure so later calls skip the wasted compiled forward
-                # while keeping the plan alive for forward-only use.
-                self._grad_failed.add(self._key(arr))
+                return value, grad
         if loss != "ce":
             raise ValueError(f"unknown compiled loss '{loss}'; supported: 'ce'")
         self.stats.fallback_calls += 1

@@ -5,9 +5,10 @@ training loop itself.  A :class:`CompiledTrainer` owns, per input signature,
 a plan *context* built from **exactly one traced capture** of the model:
 
 * one (or two, for two-forward losses like TRADES/MART) **training plans** —
-  the training-mode forward with live parameters, batch-stat batch norms
-  (running statistics updated in place, exactly like eager), and a full
-  parameter-gradient backward accumulated into pooled buffers;
+  the training-mode forward reading the live parameters and channel mask,
+  batch-stat batch norms (running statistics updated in place, exactly like
+  eager), and a full parameter-gradient backward accumulated into pooled
+  buffers;
 * one **attack plan** — derived from the *same* capture by the
   :func:`~repro.compile.passes.lower_to_eval` pass (eval-semantics batch
   norms over the live running buffers), with an input-gradient backward
@@ -32,7 +33,9 @@ across the whole loss.
 Parameter gradients from every backward replay are summed into
 per-parameter accumulators, and the optimizer applies them with its fused
 in-place :meth:`~repro.nn.optim.Optimizer.step_with_grads` kernels — which
-is what keeps the live-parameter plans valid across steps.
+is what keeps the plans, which alias the parameters, valid across steps.
+The Eq. (3) mask refresh overwrites the model's mask in place, so it keeps
+every plan too.
 
 Counter-based dropout traces into ``rng_mask`` plan nodes (masks re-derived
 from the module's live ``(seed, layer_id, step)`` state every replay), and
@@ -46,6 +49,7 @@ is always safe.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -142,7 +146,7 @@ def _attack_plan(model, sample: np.ndarray) -> Plan:
     was_training = model.training
     model.eval()
     try:
-        graph = capture_forward(model, sample, live_params=True)
+        graph = capture_forward(model, sample)
     finally:
         model.train(was_training)
     return Plan(optimize(graph), grad="input")
@@ -182,21 +186,6 @@ def _supports_fused_step(optimizer) -> bool:
     return type(optimizer).step_with_grads is not Optimizer.step_with_grads
 
 
-def _mask_changed(current, reference) -> bool:
-    """Whether a channel mask differs *by value* from the captured one.
-
-    Refreshing the Eq. (3) mask installs a fresh array every time; when the
-    channel selection has stabilized the values are identical and the plans
-    (which bake the mask in as a constant) stay valid — only a value change
-    forces recapture.
-    """
-    if current is reference:
-        return False
-    if current is None or reference is None:
-        return True
-    return not np.array_equal(current, reference)
-
-
 class _SignatureContext:
     """The plans serving one ``(input shape, dtype)`` signature.
 
@@ -222,14 +211,11 @@ class _SignatureContext:
         self.beta_seed: Optional[np.ndarray] = None
         self.arange: Optional[np.ndarray] = None
         captured = capture_forward(
-            model,
-            sample,
-            training=True,
-            with_hidden=adapter.needs_hidden_seeds,
-            live_params=True,
+            model, sample, training=True, with_hidden=adapter.needs_hidden_seeds
         )
         stats.captures += 1
         adapter.build(self, captured)
+        stats.plans_built += len(self.plans)
 
     def register(self, plan: Plan) -> Plan:
         if all(plan is not existing for existing in self.plans):
@@ -261,7 +247,7 @@ def _pgd_loop(
     Reproduces the eager attack exactly — the same fresh per-batch RNG and
     random-start draw, the same fused ``linf_step`` ping-pong buffers — with
     the per-step gradient query served by ``grad_step`` (a fused-CE or
-    in-plan-KL replay over the live-parameter attack plan).
+    in-plan-KL replay over the attack plan).
     """
     images = np.asarray(images, dtype=get_default_dtype())
     rng = np.random.default_rng(seed)
@@ -280,30 +266,23 @@ def _pgd_loop(
 
 
 class LiveEvalModel:
-    """Eval-mode predictions through live-parameter plans, reusable forever.
+    """Eval-mode predictions for a model in training, reusable forever.
 
-    The :class:`~repro.compile.CompiledModel` snapshots weights, so a
-    training loop would have to re-capture it after every epoch.  This view
-    instead binds eval-semantics plans to the **live** parameter storage
-    (like the adapters' attack plans): one capture per batch signature
-    serves every epoch of in-training evaluation, tracking in-place weight
-    updates and the running batch-norm statistics automatically.  The
-    interface mirrors ``CompiledModel`` (``__call__``/``predict``/
-    ``value_and_grad``) with per-batch eager fallback; a changed channel
-    mask or reallocated parameter storage invalidates the cached plans.
+    Binds eval-semantics plans (like the adapters' attack plans) to a
+    module that may be left in training mode between calls: one capture per
+    batch signature serves every epoch of in-training evaluation, tracking
+    in-place weight updates, mask refreshes and the running batch-norm
+    statistics automatically.  The interface mirrors ``CompiledModel``
+    (``__call__``/``predict``/``value_and_grad``) with per-batch eager
+    fallback; reallocated parameter storage evicts that signature's plan.
     """
 
     def __init__(self, module, max_plans: int = 8) -> None:
         self.module = module
+        # The builder does not reference this object (see CompiledTrainer).
         self._cache = SignatureCache(
-            lambda sample: _attack_plan(self.module, sample),
-            capacity=max_plans,
-            name="live-eval",
+            functools.partial(_attack_plan, module), capacity=max_plans, name="live-eval"
         )
-        self._mask_ref = getattr(module, "channel_mask", None)
-
-    def invalidate(self) -> None:
-        self._cache.clear()
 
     def profile(self) -> Dict[str, dict]:
         """Per-op-kind executor profile by plan signature (see :mod:`repro.obs`)."""
@@ -318,9 +297,6 @@ class LiveEvalModel:
         return self._cache.entries
 
     def _plan_for(self, arr: np.ndarray) -> Optional[Plan]:
-        if _mask_changed(getattr(self.module, "channel_mask", None), self._mask_ref):
-            self.invalidate()
-        self._mask_ref = getattr(self.module, "channel_mask", None)
         # Eval shapes recur every epoch, so from the second epoch on every
         # hook batch replays a plan.
         return self._cache.lookup(arr)
@@ -802,9 +778,8 @@ class CompiledTrainer:
     plans, or returns ``None`` when the batch must take the eager path
     (unsupported strategy, first sighting of a signature, capture failure,
     a new signature past ``max_signatures``, reallocated parameter storage).
-    A changed channel mask (the IB-RAR Eq. 3 refresh installs a new mask
-    array) invalidates every plan, since masks are baked into graphs as
-    constants.
+    Plans read the channel mask in place, so an IB-RAR Eq. (3) refresh
+    changes no plan.
     """
 
     def __init__(self, model, optimizer, loss_strategy, max_signatures: int = 4) -> None:
@@ -818,22 +793,21 @@ class CompiledTrainer:
         if self.adapter is not None and not _supports_fused_step(optimizer):
             self.adapter = None
         self.stats = TrainingCompileStats()
+        # The builder holds no reference to this trainer: a bound method in
+        # its own cache would form a reference cycle, keeping every plan alive
+        # after the trainer is dropped until the next cyclic collection.
         self._cache = SignatureCache(
-            self._build_context, capacity=max_signatures, name="trainer"
+            functools.partial(_SignatureContext, model, adapter=self.adapter, stats=self.stats),
+            capacity=max_signatures,
+            name="trainer",
         )
         self._accums: Dict[int, np.ndarray] = {}
-        self._mask_ref = getattr(model, "channel_mask", None)
         self._fallback_counter = get_registry().counter("trainer.fallback")
 
     def _fallback(self) -> None:
         """Record a *genuine* eager fallback (a batch that stays eager forever)."""
         self.stats.fallbacks += 1
         self._fallback_counter.inc()
-
-    def _build_context(self, sample: np.ndarray) -> _SignatureContext:
-        ctx = _SignatureContext(self.model, sample, self.adapter, self.stats)
-        self.stats.plans_built += len(ctx.plans)
-        return ctx
 
     @property
     def supported(self) -> bool:
@@ -873,10 +847,6 @@ class CompiledTrainer:
     def plans(self) -> int:
         return sum(len(ctx.plans) for ctx in self._cache.entries.values() if ctx is not None)
 
-    def invalidate(self) -> None:
-        """Drop every cached plan (next batches recompile on second sighting)."""
-        self._cache.clear()
-
     # -- gradient accumulation --------------------------------------------------
     def accumulate(self, plan: Plan) -> None:
         """Add ``plan``'s parameter gradients into the per-parameter sums."""
@@ -907,9 +877,6 @@ class CompiledTrainer:
             return None
         images = np.asarray(images, dtype=get_default_dtype())
         labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-        if _mask_changed(self.model.channel_mask, self._mask_ref):
-            self.invalidate()
-        self._mask_ref = self.model.channel_mask
         ctx = self._cache.lookup(images)
         if ctx is None:
             self.stats.eager_batches += 1

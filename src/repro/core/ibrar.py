@@ -65,8 +65,9 @@ class IBRAR:
     compile:
         Forwarded to :class:`~repro.training.Trainer`: run the IB-RAR loss
         (and its adversarial base strategies) through compiled training
-        plans, with automatic eager fallback.  Mask refreshes invalidate
-        the plans (the Eq. 3 mask is baked into the captured graph).
+        plans, with automatic eager fallback.  A mask refresh overwrites
+        the model's Eq. (3) mask in place, which the plans read, so it
+        keeps every plan.
     """
 
     def __init__(
@@ -101,7 +102,6 @@ class IBRAR:
             scheduler=scheduler,
             eval_natural=eval_natural,
             eval_adversarial=eval_adversarial,
-            epoch_callback=self._refresh_mask,
             verbose=verbose,
             compile=compile,
         )
@@ -140,7 +140,15 @@ class IBRAR:
         if self.config.use_mask:
             subset = min(self.mask_examples, len(dataset))
             self._mask_data = (dataset.images[:subset], dataset.labels[:subset])
-        history = self.trainer.fit(loader, epochs=epochs)
+        # Hooked only while fitting: a bound method left on the trainer
+        # would make this object and its trainer a reference cycle, keeping
+        # the trainer's compiled plans alive after both are dropped until
+        # the next cyclic garbage collection.
+        self.trainer.epoch_callback = self._refresh_mask
+        try:
+            history = self.trainer.fit(loader, epochs=epochs)
+        finally:
+            self.trainer.epoch_callback = None
         return IBRARResult(
             model=self.model,
             history=history,

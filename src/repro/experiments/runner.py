@@ -3,8 +3,10 @@
 :class:`ExperimentRunner` runs one :class:`~repro.experiments.ExperimentSpec`
 end to end against an :class:`~repro.experiments.ArtifactStore`:
 
-1. if the store already holds a report for the spec's content hash, it is
-   served as-is — **zero** forward passes;
+1. if the store already holds a report for the spec's content hash, and its
+   model artifact (checkpoint and training record) is whole, it is served
+   as-is — **zero** forward passes (a report whose model artifact is gone is
+   quarantined and recomputed, so its history is recovered);
 2. else, if it holds a checkpoint for the spec's training hash, the model is
    rebuilt from disk and only the evaluation runs;
 3. else the model is trained (with per-spec RNG isolation: every seed is
@@ -252,15 +254,33 @@ class ExperimentRunner:
         return engine.run(model, images, labels, method_name=spec.label)
 
     # -- the end-to-end unit -----------------------------------------------------
+    def load_cached(self, spec: ExperimentSpec) -> Optional[Tuple[Dict[str, Any], Dict[str, Any]]]:
+        """The stored ``(report record, training record)`` pair, or ``None``.
+
+        A report is only a hit while its model artifact is whole: one whose
+        checkpoint is gone or whose training record does not load (the model
+        directory is quarantined after a corrupt ``train.json``) is
+        quarantined too, so the spec is recomputed and its history and
+        checkpoint recovered instead of staying missing forever.
+        """
+        record = self.store.load_report(spec)
+        if record is None:
+            return None
+        train_record = self.store.load_train_record(spec)
+        if train_record is None or not self.store.has_model(spec):
+            self.store._quarantine(self.store.report_dir(spec.content_hash))
+            return None
+        return record, train_record
+
     def run(self, spec: ExperimentSpec, force: bool = False) -> ExperimentResult:
         """Train (or load) and evaluate (or load) one spec."""
         start = time.perf_counter()
         if force:
             self.store._quarantine(self.store.report_dir(spec.content_hash))
             self.store._quarantine(self.store.model_dir(spec.training_hash))
-        record = self.store.load_report(spec)
-        if record is not None:
-            train_record = self.store.load_train_record(spec) or {}
+        hit = self.load_cached(spec)
+        if hit is not None:
+            record, train_record = hit
             report = dict(record["report"])
             # The stored report carries the label of whichever spec first
             # computed it; the name is not part of the content hash, so a
@@ -436,11 +456,12 @@ def run_grid(
             for spec in unique.values():
                 runner.store._quarantine(runner.store.report_dir(spec.content_hash))
                 runner.store._quarantine(runner.store.model_dir(spec.training_hash))
-        # Pending = specs whose stored report does not *load* (not merely "a
-        # file exists"): corrupt reports are quarantined here and rescheduled
-        # into the waves, instead of surfacing as surprise recomputes during
+        # Pending = specs that are not a cache hit by the rule run() applies
+        # (not merely "a file exists"): corrupt reports, and reports whose
+        # model artifact is gone, are quarantined here and rescheduled into
+        # the waves, instead of surfacing as surprise recomputes during
         # collection.
-        pending = [s for h, s in unique.items() if runner.store.load_report(s) is None]
+        pending = [s for s in unique.values() if runner.load_cached(s) is None]
 
         # Schedule in two waves so specs sharing a *training* recipe (e.g. the
         # same model re-evaluated under different suites) never train the same

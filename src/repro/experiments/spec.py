@@ -253,6 +253,12 @@ class ExperimentSpec:
         # dropout-free specs keep their original hashes.
         if self.model_kwargs.get("dropout"):
             payload["dropout_rng"] = "counter-v1"
+        # Compiled plans read the Eq. (3) mask in place instead of being
+        # rebuilt after each refresh, so the batch after a refresh runs
+        # compiled rather than eager and compiled masked IB-RAR trajectories
+        # move at rounding level; eager and mask-free specs keep their hashes.
+        if self.train_compile and self.ibrar is not None and self.ibrar_config.use_mask:
+            payload["compiled_mask"] = "live-v1"
         return payload
 
     def eval_dict(self) -> Dict[str, Any]:
@@ -289,10 +295,11 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
-        # "dtype", "hsic" and "dropout_rng" are derived annotations that
-        # as_dict() emits (ambient dtype; HSIC-estimator and dropout-RNG
-        # scheme versions) — accepted on input, never stored as fields.
-        known = {"dataset", "model", "loss", "ibrar", "optimizer", "epochs", "batch_size", "seed", "dtype", "hsic", "dropout_rng", "train_compile", "eval", "name"}
+        # "dtype", "hsic", "dropout_rng" and "compiled_mask" are derived
+        # annotations that as_dict() emits (ambient dtype; HSIC-estimator,
+        # dropout-RNG and compiled-mask versions) — accepted on input, never
+        # stored as fields.
+        known = {"dataset", "model", "loss", "ibrar", "optimizer", "epochs", "batch_size", "seed", "dtype", "hsic", "dropout_rng", "compiled_mask", "train_compile", "eval", "name"}
         # Older spec JSON may carry "provider": "numpy"; that is the only
         # kernel set plans run, so it loads with unchanged hashes.
         provider = data.get("provider", "numpy")

@@ -37,6 +37,11 @@ class ImageClassifier(Module):
         (via :meth:`set_channel_mask`) the output of the last convolutional
         block is multiplied channel-wise by this mask on every forward pass,
         implementing Eq. (3) of the paper.
+
+    Every forward multiplies by one mask Tensor the model owns: all ones
+    until a mask is installed (``x * 1.0`` is exact), then overwritten in
+    place by each :meth:`set_channel_mask`.  Compiled plans alias that
+    Tensor's array, so a mask refresh reaches them without a recapture.
     """
 
     #: name of the hidden entry holding the last convolutional block output
@@ -46,6 +51,7 @@ class ImageClassifier(Module):
         super().__init__()
         self.num_classes = num_classes
         self.channel_mask: Optional[np.ndarray] = None
+        self._mask: Optional[Tensor] = None
 
     # -- mask management -------------------------------------------------------
     @property
@@ -63,16 +69,18 @@ class ImageClassifier(Module):
                     f"{self.last_conv_channels} channels"
                 )
         self.channel_mask = mask
+        self._mask_tensor().data[...] = 1.0 if mask is None else mask
+
+    def _mask_tensor(self) -> Tensor:
+        """The mask Tensor every forward multiplies by, created on first use."""
+        if self._mask is None:
+            self._mask = Tensor(np.ones(self.last_conv_channels))
+        return self._mask
 
     def _apply_channel_mask(self, features: Tensor) -> Tensor:
-        """Multiply an NCHW (or NC) tensor channel-wise by the installed mask."""
-        if self.channel_mask is None:
-            return features
-        if features.ndim == 4:
-            mask = self.channel_mask.reshape(1, -1, 1, 1)
-        else:
-            mask = self.channel_mask.reshape(1, -1)
-        return features * Tensor(mask)
+        """Multiply an NCHW (or NC) tensor channel-wise by the mask Tensor."""
+        shape = (1, -1, 1, 1) if features.ndim == 4 else (1, -1)
+        return features * self._mask_tensor().reshape(shape)
 
     # -- forward interface -------------------------------------------------------
     def forward_with_hidden(self, x: Tensor) -> Tuple[Tensor, "OrderedDict[str, Tensor]"]:

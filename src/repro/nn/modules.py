@@ -84,13 +84,14 @@ class Module:
         """Capture this module's forward into a static, replayable plan.
 
         Runs one eval-mode forward on ``sample_input`` under graph tracing,
-        optimizes the captured graph (constant and batch-norm folding, ReLU
-        fusion, dead-node elimination) and binds it to pre-allocated buffers.
-        Returns a :class:`repro.compile.CompiledModel` whose ``__call__`` and
-        ``value_and_grad`` replay the plan without rebuilding the autograd
-        graph; an input shape the plan has not seen runs eagerly on its
-        first sighting and is compiled on its second (up to ``max_plans``
-        signatures).  ``options`` are forwarded to
+        optimizes the captured graph (ReLU fusion, dead-node elimination)
+        and binds it to pre-allocated buffers.  The plan reads this module's
+        parameters, buffers and channel mask in place, so in-place updates
+        need no recompile.  Returns a :class:`repro.compile.CompiledModel`
+        whose ``__call__`` and ``value_and_grad`` replay the plan without
+        rebuilding the autograd graph; an input shape the plan has not seen
+        runs eagerly on its first sighting and is compiled on its second (up
+        to ``max_plans`` signatures).  ``options`` are forwarded to
         :func:`repro.compile.compile_model`.
         """
         from ..compile import compile_model

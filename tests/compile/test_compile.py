@@ -10,6 +10,7 @@ import pytest
 from repro.attacks import AttackEngine, AttackSpec
 from repro.compile import (
     CompileError,
+    SignatureCache,
     capture_forward,
     compile_model,
     linf_step,
@@ -24,6 +25,7 @@ from repro.models.base import ImageClassifier
 from repro.models.wide_resnet import WideResNet
 from repro.nn import Module, Tensor, no_grad
 from repro.nn.modules import BatchNorm2d, Conv2d, Linear
+from repro.nn.optim import SGD
 from repro.nn import functional as F
 from repro.nn import tensor as tensor_mod
 
@@ -89,14 +91,6 @@ class TestCapture:
 
 
 class TestPasses:
-    def test_bn_folding_removes_bn_nodes(self, small_cnn, batch):
-        small_cnn.eval()
-        graph = capture_forward(small_cnn, batch)
-        optimized = optimize(graph)
-        counts = optimized.op_counts()
-        assert "batch_norm2d" not in counts
-        assert counts["conv2d"] == 2
-
     def test_relu_and_affine_fusion(self, small_cnn, batch):
         small_cnn.eval()
         optimized = optimize(capture_forward(small_cnn, batch))
@@ -137,25 +131,13 @@ class TestPasses:
         plan.backward(np.ones((4, 5)))
         assert np.array_equal(plan.aux_grad("other"), (x + other > 0).astype(np.float64))
 
-    def test_bn_folding_keeps_aux_inputs(self, small_cnn, batch):
-        small_cnn.eval()
-        graph = capture_forward(small_cnn, batch)
-        logits = graph.output_node
-        aux_id = graph.add_aux("other", logits.shape, logits.dtype)
-        graph.add_op("add", (graph.output_id, aux_id), logits.shape, logits.dtype, name="sum")
-        optimized = optimize(graph)
-        assert "batch_norm2d" not in optimized.op_counts()
-        assert optimized.aux == {"other": aux_id}
-
     def test_relu_fusion_keeps_named_output_value(self, rng):
         # A hidden output feeding a ReLU keeps its pre-activation value, and
         # a gradient seeded there is not ReLU-masked.
         model = NamedConv(batch_norm=False)
         model.train()
         x = rng.normal(size=(2, 3, 8, 8))
-        graph = optimize(
-            capture_forward(model, x, training=True, with_hidden=True, live_params=True)
-        )
+        graph = optimize(capture_forward(model, x, training=True, with_hidden=True))
         pre_id = graph.outputs["pre"]
         plan = Plan(graph, grad="params", seed_ids=(pre_id,))
         plan.forward(x)
@@ -171,21 +153,6 @@ class TestPasses:
         for param in model.parameters():
             np.testing.assert_allclose(grads[id(param)], param.grad, rtol=1e-12, atol=1e-12)
 
-    def test_bn_folding_keeps_named_output_value(self, rng):
-        # A hidden conv output feeding BN then ReLU is not folded over.
-        model = NamedConv(batch_norm=True)
-        x = rng.normal(size=(2, 3, 8, 8))
-        with no_grad():
-            model.forward(Tensor(x))  # non-trivial running statistics
-        model.eval()
-        plan = Plan(optimize(capture_forward(model, x, with_hidden=True)))
-        plan.forward(x)
-        with no_grad():
-            _, hidden = model.forward_with_hidden(Tensor(x))
-        np.testing.assert_allclose(
-            plan.output_value("pre"), hidden["pre"].data, rtol=0, atol=1e-12
-        )
-
 
 class TestIdentity:
     def test_small_cnn_forward_and_grad(self, small_cnn, batch, labels):
@@ -200,10 +167,9 @@ class TestIdentity:
         assert np.allclose(eager_grad, grad, rtol=1e-7, atol=1e-12)
 
     def test_unfolded_eval_batch_norm(self, rng):
-        # Each pre-activation block's input BN and the final BN read an add
-        # or a conv with a second consumer (the identity shortcut), so they
-        # cannot fold: the eval BN kernel pair over constant parameters
-        # stays on the path, checked against eager.
+        # No BN is folded: all seven eval BNs of the pre-activation blocks
+        # run the eval BN kernel pair over the live parameters and running
+        # buffers, checked against eager.
         model = WideResNet(depth=10, widen_factor=1, num_classes=10, width_multiplier=0.5, seed=0)
         x = rng.random((4, 3, 16, 16))
         y = np.arange(4)
@@ -213,7 +179,7 @@ class TestIdentity:
         model.eval()
         compiled = compile_model(model, x)
         (plan,) = compiled._plans.values()
-        assert plan.graph.op_counts()["batch_norm2d"] == 4
+        assert plan.graph.op_counts()["batch_norm2d"] == 7
         with no_grad():
             eager = model.forward(Tensor(x)).data
         np.testing.assert_allclose(compiled(x), eager, rtol=0, atol=1e-12)
@@ -354,12 +320,30 @@ class TestBufferPool:
         assert eager_ops.count > 0
         assert steady_allocations < eager_ops.count
 
-    def test_invalidate_drops_plans(self, small_cnn, batch):
+    def test_in_place_step_kept_and_reallocation_rebuilds(self, small_cnn, batch, labels):
         small_cnn.eval()
         compiled = compile_model(small_cnn, batch)
-        assert compiled.plans == 1
-        compiled.invalidate()
-        assert compiled.plans == 0
+        (plan,) = compiled._plans.values()
+        # An in-place SGD step: the same plan replays the new weights.
+        eager_value_and_grad(small_cnn, batch, labels)
+        optimizer = SGD(small_cnn.parameters(), lr=0.5)
+        optimizer.step_with_grads([p.grad for p in small_cnn.parameters()])
+        with no_grad():
+            stepped = small_cnn.forward(Tensor(batch)).data
+        np.testing.assert_allclose(compiled(batch), stepped, rtol=0, atol=1e-12)
+        assert compiled._plans[SignatureCache.key(batch)] is plan
+        assert compiled.stats.plans_built == 1 and compiled.stats.fallback_calls == 0
+        # Reallocated storage: the call falls back to eager and evicts the
+        # stale plan; the next call rebuilds against the new storage.
+        parameter = small_cnn.parameters()[0]
+        parameter.data = parameter.data.copy()
+        np.testing.assert_array_equal(compiled(batch), stepped)
+        assert compiled.stats.fallback_calls == 1 and compiled.plans == 0
+        loss, grad = compiled.value_and_grad(batch, labels)
+        assert compiled.stats.plans_built == 2 and compiled.stats.grad_calls == 1
+        eager_loss, eager_grad = eager_value_and_grad(small_cnn, batch, labels)
+        assert abs(loss - eager_loss) <= 1e-12
+        np.testing.assert_allclose(grad, eager_grad, rtol=0, atol=1e-12)
 
 
 class _GetItemClassifier(ImageClassifier):

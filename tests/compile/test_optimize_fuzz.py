@@ -182,7 +182,7 @@ def check_eval(model, x, y) -> None:
 def check_training(model, x, rng) -> None:
     model.train()
     saved = bn_state(model)
-    graph = optimize(capture_forward(model, x, training=True, with_hidden=True, live_params=True))
+    graph = optimize(capture_forward(model, x, training=True, with_hidden=True))
     hidden_id = graph.outputs["hidden"]
     plan = Plan(graph, grad="params", seed_ids=(hidden_id,))
     out = plan.forward(x)

@@ -303,7 +303,7 @@ class TestFusedInputParamBackward:
         model.train()
         x = rng.random((4, 6))
         y = rng.integers(0, 3, 4)
-        graph = capture_forward(model, x, training=True, live_params=True)
+        graph = capture_forward(model, x, training=True)
         plan = Plan(optimize(graph), grad="both")
 
         def value():
@@ -330,7 +330,7 @@ class TestFusedInputParamBackward:
         model.train()
         x = rng.random((4, 6))
         y = rng.integers(0, 3, 4)
-        graph = capture_forward(model, x, training=True, live_params=True)
+        graph = capture_forward(model, x, training=True)
         plan = Plan(optimize(graph), grad="both")
         plan.forward(x)
         _, seed = plan.ce_loss_and_seed(y)

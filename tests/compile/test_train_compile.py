@@ -68,9 +68,7 @@ class TestParameterGradcheck:
         model = tiny_model()
         model.train()
         saved = bn_state(model)
-        graph = optimize(
-            capture_forward(model, x, training=True, with_hidden=True, live_params=True)
-        )
+        graph = optimize(capture_forward(model, x, training=True, with_hidden=True))
         plan = Plan(graph, grad="params", seed_ids=tuple(graph.outputs.values()))
         plan.forward(x)
         _, seed = plan.ce_loss_and_seed(y)
@@ -156,8 +154,8 @@ class TestTrainingParity:
     def test_pgd_at_ibrar_parity_with_mask_refresh(self, dataset):
         """The acceptance trajectory: >=2 epochs of PGD-AT + IB-RAR.
 
-        ``mask_refresh_every=1`` also exercises plan invalidation when the
-        Eq. (3) channel mask changes between epochs.
+        ``mask_refresh_every=1`` also exercises the plans reading the Eq. (3)
+        channel mask in place when it changes between epochs.
         """
 
         def run(compile):
@@ -384,34 +382,104 @@ class TestStrategySwap:
         assert total.as_dict() == trainer.history.compile_stats
 
 
-class TestMaskInvalidation:
-    def test_equal_valued_mask_refresh_keeps_plans(self):
+class TestLiveModuleState:
+    """Plans alias module state: mask changes and in-place steps keep them."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_mask_and_steps_keep_plans(self, dtype):
+        import copy
+
+        from repro.compile import compile_model
+        from repro.compile.training import LiveEvalModel
+        from repro.nn import no_grad, set_default_dtype
+        from test_loss_parity import F32_LOSS_RTOL, F32_PARAM_TOL
+
+        rtol, atol = (0.0, 1e-12) if dtype == "float64" else (F32_LOSS_RTOL, F32_PARAM_TOL)
+        previous = set_default_dtype(dtype)
+        try:
+            rng = np.random.default_rng(0)
+            model = SmallCNN(num_classes=10, image_size=16, base_channels=4, hidden_dim=16, seed=0)
+            x = rng.random((6, 3, 16, 16)).astype(dtype)
+            y = rng.integers(0, 10, 6)
+            model.train()
+            trainer = CompiledTrainer(
+                model, SGD(model.parameters(), lr=0.05, momentum=0.9), CrossEntropyLoss()
+            )
+            live = LiveEvalModel(model)
+            for _ in range(2):  # the second sighting builds
+                trainer.train_batch(x, y)
+                live(x)
+            model.eval()
+            compiled = compile_model(model, x)
+            model.train()
+            captures, built = trainer.stats.captures, trainer.stats.plans_built
+            live_builds = live._cache.stats()["builds"]
+
+            first = np.ones(model.last_conv_channels)
+            first[::3] = 0.0
+            second = np.ones(model.last_conv_channels)
+            second[1::2] = 0.0
+            for mask in (first, second, None):  # install, change, clear
+                model.set_channel_mask(mask)
+                replica = copy.deepcopy(model)
+                eager_loss = float(F.cross_entropy(replica.forward(Tensor(x)), y).item())
+                outcome = trainer.train_batch(x, y)  # an in-place optimizer step
+                assert outcome is not None, "the batch fell back to eager"
+                assert outcome[0] == pytest.approx(eager_loss, rel=rtol, abs=atol)
+                model.eval()
+                with no_grad():
+                    eager = model.forward(Tensor(x)).data
+                np.testing.assert_allclose(compiled(x), eager, rtol=rtol, atol=atol)
+                np.testing.assert_allclose(live(x), eager, rtol=rtol, atol=atol)
+                model.train()
+        finally:
+            set_default_dtype(previous)
+        assert trainer.stats.captures == captures and trainer.stats.plans_built == built
+        assert trainer.stats.compiled_batches == 4 and trainer.stats.fallbacks == 0
+        assert live._cache.stats()["builds"] == live_builds
+        assert compiled.stats.plans_built == 1 and compiled.stats.fallback_calls == 0
+        mask = model._mask.data
+        assert mask.dtype == np.dtype(dtype)
+        plans = [plan for ctx in trainer._cache.entries.values() for plan in ctx.plans]
+        plans += [*compiled._plans.values(), *live._plans.values()]
+        assert len(plans) == 3
+        for plan in plans:
+            (leaf,) = [
+                n for n in plan.graph.nodes if n.op == "const" and n.shape == mask.shape
+            ]
+            assert np.shares_memory(plan.values[leaf.id], mask)
+
+
+class TestPlanLifetime:
+    def test_dropped_owners_free_plans_at_once(self):
+        # Training plans hold hundreds of MB on paper-sized models: dropping
+        # their owner must free them at once, not at the next cyclic
+        # collection.
+        import gc
+        import weakref
+
+        from repro.compile.training import LiveEvalModel
+
         rng = np.random.default_rng(0)
-        model = SmallCNN(num_classes=10, image_size=16, base_channels=4, hidden_dim=16, seed=0)
-        mask = np.ones(model.last_conv_channels)
-        mask[0] = 0.0
-        model.set_channel_mask(mask)
-        model.train()
-        optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
-        compiled = CompiledTrainer(model, optimizer, CrossEntropyLoss())
         x = rng.random((6, 3, 16, 16))
         y = rng.integers(0, 10, 6)
-        compiled.train_batch(x, y)
-        assert compiled.train_batch(x, y) is not None
-        built = compiled.stats.plans_built
-        # A refresh installing the *same* values (new array object) — the
-        # stabilized-selection case — must not recapture anything.
-        model.set_channel_mask(mask.copy())
-        assert compiled.train_batch(x, y) is not None
-        assert compiled.stats.plans_built == built
-        # A genuine value change does invalidate (and recompiles on second
-        # sighting of the signature).
-        changed = mask.copy()
-        changed[1] = 0.0
-        model.set_channel_mask(changed)
-        assert compiled.train_batch(x, y) is None
-        assert compiled.train_batch(x, y) is not None
-        assert compiled.stats.plans_built > built
+        model = SmallCNN(num_classes=10, image_size=16, base_channels=4, hidden_dim=16, seed=0)
+        gc.collect()
+        gc.disable()
+        try:
+            ibrar = IBRAR(model, IBRARConfig(alpha=0.05, beta=0.01), compile=True)
+            ibrar.fit(x, y, epochs=2, batch_size=3)
+            contexts = ibrar.trainer._compiled_trainer._cache.entries.values()
+            plans = [weakref.ref(plan) for ctx in contexts for plan in ctx.plans]
+            live = LiveEvalModel(model)
+            live(x)
+            live(x)
+            plans += [weakref.ref(plan) for plan in live._plans.values()]
+            assert len(plans) == 2
+            del ibrar, contexts, live
+            assert [ref() for ref in plans] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestCompiledEvalHooks:

@@ -90,6 +90,26 @@ class TestRunner:
         assert redone.history is not None
         assert (directory / "checkpoint.npz").read_bytes() == checkpoint
 
+    @pytest.mark.parametrize("damage", ["train.json", "checkpoint.npz"])
+    def test_report_without_model_is_recomputed(self, runner, damage):
+        spec = tiny_spec()
+        fresh = runner.run(spec)
+        directory = runner.store.model_dir(spec.training_hash)
+        checkpoint = (directory / "checkpoint.npz").read_bytes()
+        if damage == "train.json":
+            record = directory / "train.json"
+            record.write_bytes(record.read_bytes()[:40])
+        else:
+            (directory / "checkpoint.npz").unlink()
+        redone = runner.run(spec)  # the report was kept
+        # A report is no hit without its whole model artifact: the run
+        # retrains, recovering the history and republishing the model.
+        assert redone.from_cache is False
+        assert redone.history is not None
+        assert runner.store.has_model(spec)
+        assert (directory / "checkpoint.npz").read_bytes() == checkpoint
+        assert redone.report_json() == fresh.report_json()
+
     def test_partial_artifact_reuses_model_and_reevaluates(self, runner):
         spec = tiny_spec()
         fresh = runner.run(spec)
@@ -180,6 +200,17 @@ class TestGrid:
         assert again.cached == 1
         assert again.stats[0]["model_from_cache"] is True
         assert again.train_forward_examples == 0
+
+    def test_report_without_model_record_rescheduled(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        specs = grid_specs()[:2]
+        first = run_grid(specs, workers=1, store=store)
+        record = store.model_dir(specs[0].training_hash) / "train.json"
+        record.write_bytes(record.read_bytes()[:40])
+        again = run_grid(specs, workers=1, store=store)
+        assert again.computed == [specs[0].content_hash]
+        assert again.results[0].history is not None and store.has_model(specs[0])
+        assert again.report_json() == first.report_json()
 
     def test_renamed_spec_served_from_cache_with_new_label(self, tmp_path):
         spec = tiny_spec(name="CE")

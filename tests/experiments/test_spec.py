@@ -113,6 +113,22 @@ class TestHashing:
         assert "dropout_rng" not in zero.training_dict()
         assert ExperimentSpec.from_dict(dropped.as_dict()) == dropped
 
+    def test_compiled_mask_version_splits_masked_ibrar_hashes_only(self):
+        # Compiled plans read the Eq. (3) mask in place, which moves compiled
+        # IB-RAR trajectories with the mask on; every other spec keeps its hash.
+        ibrar = {"alpha": 0.05, "beta": 0.01, "mask_fraction": 0.1}
+        masked = tiny_spec(ibrar=ibrar, train_compile=True)
+        assert masked.training_dict()["compiled_mask"] == "live-v1"
+        for spec in (
+            tiny_spec(ibrar=ibrar),
+            tiny_spec(ibrar=dict(ibrar, use_mask=False), train_compile=True),
+            tiny_spec(train_compile=True),
+            tiny_spec(loss="ib-rar-mi", train_compile=True),
+        ):
+            assert "compiled_mask" not in spec.training_dict()
+        assert ExperimentSpec.from_dict(masked.as_dict()) == masked
+        assert ExperimentSpec.from_dict(masked.as_dict()).training_hash == masked.training_hash
+
 
 class TestValidation:
     def test_unknown_top_level_key_rejected(self):
