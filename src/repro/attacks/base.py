@@ -4,7 +4,11 @@ Every attack follows the Torchattacks convention the paper uses: it is
 constructed with a model and its hyperparameters and exposes
 ``attack(images, labels) -> adversarial_images`` on NumPy arrays.  Images are
 assumed to live in ``[0, 1]`` (the paper's eps = 8/255 and step = 2/255 are
-expressed in that range).  Gradients are obtained from the autograd engine.
+expressed in that range).  Gradients come from three helpers —
+:meth:`Attack._input_gradient` (loss gradients), :meth:`Attack._logits`
+(differentiable logits) and :meth:`Attack._class_jacobian` (per-class
+input gradients) — which replay a compiled plan when one is installed
+(:meth:`Attack.use_compiled`) and use the autograd engine otherwise.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from ..compile.model import eager_jacobian
 from ..nn import Tensor, get_default_dtype
 from ..nn import functional as F
 from ..models.base import ImageClassifier
@@ -77,14 +82,21 @@ class Attack:
         self.clip_max = clip_max
         self.loss_fn = loss_fn or _default_loss
         #: optional :class:`repro.compile.CompiledModel` driving the attack's
-        #: gradient queries through a static plan.  Installed via
+        #: model queries through a static plan.  Installed via
         #: :meth:`use_compiled` (the engine does this for ``compile=True``
-        #: runs); only honoured while the loss is the default cross-entropy,
-        #: since that is the loss the compiled plan fuses.
+        #: runs).
         self._compiled = None
 
     def use_compiled(self, compiled) -> "Attack":
-        """Route default-loss gradient queries through a compiled plan."""
+        """Route model queries through a compiled plan (``None`` clears it).
+
+        Loss gradients use the plan's fused cross-entropy while the loss is
+        the default one (:meth:`_input_gradient`); differentiable logits
+        (:meth:`_logits`, CW) and per-class Jacobians
+        (:meth:`_class_jacobian`, FAB and DeepFool) always use it.  The
+        plan falls back to eager per call, so results are produced either
+        way.
+        """
         self._compiled = compiled
         return self
 
@@ -106,6 +118,22 @@ class Attack:
         if x.grad is None:
             raise RuntimeError("attack loss produced no input gradient")
         return x.grad, float(loss.item())
+
+    def _logits(self, x: Tensor) -> Tensor:
+        """Differentiable logits of ``x``, through the compiled plan if installed."""
+        if self._compiled is not None:
+            return self._compiled.forward(x)
+        return self.model.forward(x)
+
+    def _class_jacobian(self, images: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Logits and per-class input gradients, ``(num_classes,) + images.shape``.
+
+        A compiled plan runs one forward plus one input-only backward per
+        class; eager autograd runs a forward and backward per class.
+        """
+        if self._compiled is not None:
+            return self._compiled.jacobian(images)
+        return eager_jacobian(self.model, images)
 
     def _project(self, adversarial: np.ndarray, original: np.ndarray) -> np.ndarray:
         """Project onto the L_inf ball around ``original`` and the valid range."""

@@ -12,6 +12,10 @@ for an untargeted attack, where ``Z`` are the logits.  The best (lowest
 distortion) adversarial example found over the optimization is returned; if
 no misclassification is found, the final iterate is returned, matching the
 Torchattacks behaviour of always returning a perturbed image.
+
+The objective is defined once, as eager Tensor code over the logits; under
+a compiled plan the logits come from :meth:`Attack._logits`, an autograd
+node whose backward replays the plan's input-only backward.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ class CW(Attack):
         for step in range(1, self.steps + 1):
             w_tensor = Tensor(w, requires_grad=True)
             adv = (w_tensor.tanh() + 1.0) * (span / 2.0) + self.clip_min
-            logits = self.model.forward(adv)
+            logits = self._logits(adv)
 
             real = (logits * Tensor(one_hot)).sum(axis=1)
             other = (logits + Tensor(one_hot * (-1e4))).max(axis=1)

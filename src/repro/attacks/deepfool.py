@@ -39,21 +39,6 @@ class DeepFool(Attack):
         self.steps = steps
         self.overshoot = overshoot
 
-    def _class_gradients(self, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Logits and per-class input gradients for a single image."""
-        num_classes = self.model.num_classes
-        gradients = np.zeros((num_classes,) + image.shape)
-        logits_out = None
-        for class_index in range(num_classes):
-            x = Tensor(image[None], requires_grad=True)
-            logits = self.model.forward(x)
-            mask = np.zeros_like(logits.data)
-            mask[:, class_index] = 1.0
-            (logits * Tensor(mask)).sum().backward()
-            gradients[class_index] = x.grad[0]
-            logits_out = logits.data[0]
-        return logits_out, gradients
-
     def _generate(self, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
         adversarial = images.copy()
         for i in range(len(images)):
@@ -64,7 +49,8 @@ class DeepFool(Attack):
                     prediction = self.model.predict(Tensor(current[None]))[0]
                 if prediction != original_label:
                     break
-                logits, gradients = self._class_gradients(current)
+                logits, jacobian = self._class_jacobian(current[None])
+                logits, gradients = logits[0], jacobian[:, 0]
                 margins = logits - logits[original_label]
                 gradient_diffs = gradients - gradients[original_label]
                 norms = np.sqrt((gradient_diffs.reshape(len(margins), -1) ** 2).sum(axis=1))

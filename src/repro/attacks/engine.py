@@ -503,12 +503,14 @@ class AttackEngine:
         the worst-case number matters and speed does.
     compile:
         Capture the model into a static, buffer-pooled execution plan
-        (:mod:`repro.compile`) once per :meth:`run` and drive predictions and
-        the PGD-family gradient loop through it.  Falls back to eager
-        execution — per batch for unseen shapes, wholesale when the model
-        cannot be captured — so results are produced either way;
-        ``EngineResult.compiled`` / ``compile_error`` report what happened
-        and the telemetry counts compiled vs eager passes.
+        (:mod:`repro.compile`) once per :meth:`run` and drive every attack's
+        model queries through it: predictions, the PGD-family loss
+        gradients, FAB's (and DeepFool's) per-class Jacobians and CW's
+        differentiable logits.  Falls back to eager execution — per call
+        for unseen shapes, wholesale when the model cannot be captured — so
+        results are produced either way; ``EngineResult.compiled`` /
+        ``compile_error`` report what happened and the telemetry counts
+        compiled vs eager passes.
     """
 
     def __init__(

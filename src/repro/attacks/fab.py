@@ -17,7 +17,9 @@ norm with the standard simplifications used in lightweight re-implementations:
 4. finally, clip into the eps-ball / valid range, as the paper evaluates FAB
    at the same eps as the other attacks.
 
-The attack is gradient-based and white-box, like the original.
+The attack is gradient-based and white-box, like the original.  Each step
+needs every class's input gradient (:meth:`Attack._class_jacobian`): under
+a compiled plan that is one forward plus one input-only backward per class.
 """
 
 from __future__ import annotations
@@ -56,26 +58,6 @@ class FAB(Attack):
         self.seed = seed
         self._rng = np.random.default_rng(seed)
 
-    def _logits_and_full_jacobian(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Logits and per-class input gradients, via one backward pass per class.
-
-        Returns ``(logits, jacobian)`` with ``jacobian`` of shape
-        ``(num_classes, N, C, H, W)``.
-        """
-        num_classes = self.model.num_classes
-        n = images.shape[0]
-        jacobian = np.zeros((num_classes,) + images.shape)
-        logits_out = None
-        for class_index in range(num_classes):
-            x = Tensor(images, requires_grad=True)
-            logits = self.model.forward(x)
-            mask = np.zeros_like(logits.data)
-            mask[:, class_index] = 1.0
-            (logits * Tensor(mask)).sum().backward()
-            jacobian[class_index] = x.grad
-            logits_out = logits.data
-        return logits_out, jacobian
-
     def _generate(self, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
         n = images.shape[0]
         adversarial = images.copy()
@@ -83,7 +65,7 @@ class FAB(Attack):
         best_distance = np.full(n, np.inf)
 
         for _ in range(self.steps):
-            logits, jacobian = self._logits_and_full_jacobian(adversarial)
+            logits, jacobian = self._class_jacobian(adversarial)
             predictions = np.argmax(logits, axis=1)
 
             # Record currently-misclassified iterates with the smallest distortion.
@@ -124,7 +106,7 @@ class FAB(Attack):
             adversarial = self._project(adversarial, images)
 
         # Final bookkeeping with the last iterate.
-        logits_final = self.model.forward(Tensor(adversarial)).data
+        logits_final = self._logits(Tensor(adversarial)).data
         predictions = np.argmax(logits_final, axis=1)
         distances = np.abs(adversarial - images).reshape(n, -1).max(axis=1)
         improved = (predictions != labels) & (distances < best_distance)

@@ -1,8 +1,8 @@
 """Static-graph capture, graph passes, and buffer-pooled execution.
 
 The attack hot path — tens of forward+backward passes per batch for
-PGD/NIFGSM/CW — previously rebuilt the dynamic Python autograd graph and
-allocated fresh arrays on every step.  This subsystem traces a module's
+PGD/NIFGSM/CW, and one per class per step for FAB — previously rebuilt the
+dynamic Python autograd graph and allocated fresh arrays on every step.  This subsystem traces a module's
 eval-mode forward **once** into a static :class:`~repro.compile.graph.Graph`,
 optimizes it with :func:`~repro.compile.passes.optimize` (ReLU fusion and
 dead-node elimination — the one pipeline training plans go through too) and
@@ -36,15 +36,18 @@ capture through the :func:`~repro.compile.passes.lower_to_eval` pass.
 Entry points:
 
 * ``model.compile(sample_input)`` / :func:`compile_model` — returns a
-  :class:`CompiledModel` with ``__call__`` (logits), ``predict`` and
-  ``value_and_grad(x, y)`` (fused cross-entropy), with automatic eager
-  fallback for unseen shapes, training mode, uncompilable graphs or
-  reallocated parameter storage.
+  :class:`CompiledModel` with ``__call__`` (logits), ``predict``,
+  ``value_and_grad(x, y)`` (fused cross-entropy), ``jacobian(x)`` (one
+  forward plus one input-only backward per class) and ``forward(x)``
+  (logits as an autograd node whose backward replays the plan), with
+  automatic eager fallback for unseen shapes, training mode, uncompilable
+  graphs or reallocated parameter storage.
 * ``AttackEngine(..., compile=True)`` / ``evaluate_robustness(...,
   compile=True)`` / ``ExperimentSpec(eval_compile=True)`` — opt the
-  evaluation stack in; PGD-family attacks pick the compiled
-  ``value_and_grad`` up automatically and telemetry reports compiled vs
-  eager pass counts.
+  evaluation stack in; every attack of the paper suite runs through the
+  plan (PGD-family attacks through ``value_and_grad``, FAB through
+  ``jacobian``, CW's eager objective over ``forward``) and telemetry
+  reports compiled vs eager pass counts.
 * ``Trainer(compile=True)`` / ``ExperimentSpec(train_compile=True)`` — opt
   the training loop in; per-batch eager fallback keeps it always safe and
   ``TrainingHistory.compile_stats`` reports the split.

@@ -164,6 +164,9 @@ class Plan:
         #: the seed ids it honours.
         self._programs: Dict[str, dict] = {}
         self._ce: Optional[dict] = None
+        #: forward replays so far; a caller holding a forward's activations
+        #: for a later backward checks it is unchanged.
+        self.forward_count = 0
         self._bind()
 
     @property
@@ -355,6 +358,11 @@ class Plan:
                 return True
         return False
 
+    @property
+    def differentiable(self) -> bool:
+        """Whether :meth:`backward` has an input-gradient program to replay."""
+        return "input" in self._programs
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Replay the forward pass; returns the (plan-owned) output array."""
         if self.stale():
@@ -362,6 +370,7 @@ class Plan:
                 "parameter storage was reallocated (non-in-place update); recompile the plan"
             )
         np.copyto(self._input, x)
+        self.forward_count += 1
         if _PROFILER.enabled:
             self._replay_profiled(self._forward_steps, self._forward_meta)
         else:

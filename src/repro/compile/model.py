@@ -12,6 +12,14 @@ module is in training mode, a parameter's storage was reallocated (that
 plan is evicted and rebuilt on the next sighting), or a non-CE loss is
 requested — the call **falls back to eager execution**, so opting in is
 always safe.
+
+Four entry points replay a plan: logits (``__call__``), the fused CE loss
+and input gradient (:meth:`CompiledModel.value_and_grad`, PGD-family
+attacks), the per-class input Jacobian (:meth:`CompiledModel.jacobian`,
+FAB: one forward plus one input-only backward per class), and
+differentiable logits (:meth:`CompiledModel.forward`, CW: an autograd node
+whose backward is the plan's input-only backward, so an eager objective
+built on the logits differentiates through the plan).
 :attr:`CompiledModel.stats` counts compiled vs eager passes; the attack
 engine surfaces those counters as telemetry.
 """
@@ -29,7 +37,27 @@ from .executor import Plan
 from .graph import CompileError, capture_forward
 from .passes import optimize
 
-__all__ = ["CompiledModel", "CompiledStats", "compile_model"]
+__all__ = ["CompiledModel", "CompiledStats", "compile_model", "eager_jacobian"]
+
+
+def eager_jacobian(module, images: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Logits and per-class input gradients by eager autograd.
+
+    One forward and one backward per class, each seeded with that logit
+    column's one-hot cotangent (the eager graph accumulates into every
+    node, so each class needs a fresh one).  Returns ``(logits, jacobian)``
+    with ``jacobian`` of shape ``(num_classes,) + images.shape`` (float64).
+    """
+    columns = []
+    logits = None
+    while logits is None or len(columns) < logits.shape[1]:
+        x = Tensor(images, requires_grad=True)
+        logits = module.forward(x)
+        mask = np.zeros_like(logits.data)
+        mask[:, len(columns)] = 1.0
+        (logits * Tensor(mask)).sum().backward()
+        columns.append(x.grad)
+    return logits.data, np.array(columns, dtype=np.float64)
 
 
 @dataclass
@@ -77,7 +105,12 @@ class CompiledModel:
         Bound on cached plans; further signatures run eagerly.
 
     Plans alias the module's state, so every replay sees the current
-    weights and channel mask.
+    weights and channel mask.  Every differentiated entry point
+    (:meth:`value_and_grad`, :meth:`jacobian`, :meth:`forward`) shares one
+    fallback rule: a first sighting, a training-mode module and a signature
+    whose plan cannot backward run eagerly, and a plan whose parameter
+    storage was reallocated is evicted; :attr:`stats` counts plan forwards,
+    backward replays and fallbacks.
     """
 
     def __init__(
@@ -123,6 +156,31 @@ class CompiledModel:
         # an iterated attack loop comes back immediately.
         return self._cache.lookup(x)
 
+    def _grad_plan(self, x: np.ndarray) -> Optional[Plan]:
+        """The plan for a differentiated call, or ``None`` to run eagerly."""
+        key = self._key(x)
+        if self.module.training or key in self._grad_failed:
+            return None
+        plan = self._plan_for(x)
+        if plan is not None and not plan.differentiable:
+            self._grad_failed.add(key)
+            return None
+        return plan
+
+    def _replay_failed(self, plan: Plan, x: np.ndarray) -> None:
+        """Handle a ``CompileError`` from a differentiated replay."""
+        if plan.stale():  # parameter storage reallocated: rebuild
+            self._cache.evict(x)
+        else:
+            # Any other failure repeats for this signature; remember it so
+            # later calls skip the wasted compiled forward while keeping the
+            # plan alive for forward-only use.
+            self._grad_failed.add(self._key(x))
+
+    def _fallback(self, x: np.ndarray) -> None:
+        self.stats.fallback_calls += 1
+        self.stats.fallback_examples += len(x)
+
     def profile(self) -> Dict[str, dict]:
         """Per-op-kind executor profile by plan signature (see :mod:`repro.obs`).
 
@@ -167,8 +225,7 @@ class CompiledModel:
                 self.stats.forward_calls += 1
                 self.stats.forward_examples += len(arr)
                 return logits
-        self.stats.fallback_calls += 1
-        self.stats.fallback_examples += len(arr)
+        self._fallback(arr)
         with no_grad():
             return self.module.forward(Tensor(arr)).data
 
@@ -188,36 +245,95 @@ class CompiledModel:
         """
         arr = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=get_default_dtype())
         labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-        plan = None
-        if loss == "ce" and not self.module.training and self._key(arr) not in self._grad_failed:
-            plan = self._plan_for(arr)
+        plan = self._grad_plan(arr) if loss == "ce" else None
         if plan is not None:
             try:
                 value, grad = plan.value_and_grad_ce(arr, labels)
             except CompileError:
-                if plan.stale():  # parameter storage reallocated: rebuild
-                    self._cache.evict(arr)
-                else:
-                    # A plan that forwards but cannot backward (e.g. a detach
-                    # on the only input path) will never succeed here;
-                    # remember the failure so later calls skip the wasted
-                    # compiled forward while keeping the plan alive for
-                    # forward-only use.
-                    self._grad_failed.add(self._key(arr))
+                self._replay_failed(plan, arr)
             else:
                 self.stats.grad_calls += 1
                 self.stats.grad_examples += len(arr)
                 return value, grad
         if loss != "ce":
             raise ValueError(f"unknown compiled loss '{loss}'; supported: 'ce'")
-        self.stats.fallback_calls += 1
-        self.stats.fallback_examples += len(arr)
+        self._fallback(arr)
         from ..nn import functional as F
 
         x_t = Tensor(arr, requires_grad=True)
         loss_t = F.cross_entropy(self.module.forward(x_t), labels)
         loss_t.backward()
         return float(loss_t.item()), x_t.grad
+
+    def jacobian(self, x) -> Tuple[np.ndarray, np.ndarray]:
+        """Logits and the per-class input Jacobian of a batch.
+
+        Returns ``(logits, jacobian)`` with ``jacobian[k]`` the input
+        gradient of logit column ``k``, shape ``(num_classes,) + x.shape``
+        (float64).  A plan runs one forward, then one input-only backward
+        replay per class seeded with that column's one-hot cotangent — the
+        eager oracle (:func:`eager_jacobian`) runs a forward *and* a
+        parameter-differentiating backward per class.  Falls back to that
+        oracle by the shared rule; both arrays are caller-owned.
+        """
+        arr = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=get_default_dtype())
+        plan = self._grad_plan(arr)
+        if plan is not None:
+            try:
+                logits = plan.forward(arr).copy()
+                jacobian = np.empty((logits.shape[1],) + arr.shape)
+                seed = np.zeros_like(logits)
+                for class_index in range(len(jacobian)):
+                    seed[:, class_index] = 1.0
+                    jacobian[class_index] = plan.backward(seed)
+                    seed[:, class_index] = 0.0
+            except CompileError:
+                self._replay_failed(plan, arr)
+            else:
+                self.stats.forward_calls += 1
+                self.stats.forward_examples += len(arr)
+                self.stats.grad_calls += len(jacobian)
+                self.stats.grad_examples += len(jacobian) * len(arr)
+                return logits, jacobian
+        self._fallback(arr)
+        return eager_jacobian(self.module, arr)
+
+    def forward(self, x: Tensor) -> Tensor:
+        """Differentiable logits: one plan forward as a single autograd node.
+
+        The node's backward is the plan's input-only backward — the adjoint
+        of the forward it replayed — accumulated into ``x``, so an eager
+        objective built on the logits (CW's margin and L2 terms) keeps its
+        one definition and differentiates through the plan.  It raises
+        :class:`CompileError` rather than return a wrong gradient if the
+        plan has replayed another forward since the node was made.  Falls
+        back to ``module.forward(x)`` by the shared rule.
+        """
+        arr = np.asarray(x.data, dtype=get_default_dtype())
+        plan = self._grad_plan(arr)
+        if plan is not None:
+            try:
+                logits = plan.forward(arr).copy()
+            except CompileError:
+                self._replay_failed(plan, arr)
+            else:
+                self.stats.forward_calls += 1
+                self.stats.forward_examples += len(arr)
+                replay = plan.forward_count
+
+                def backward(grad: np.ndarray) -> None:
+                    if plan.forward_count != replay:
+                        raise CompileError(
+                            "the plan replayed another forward after this node was "
+                            "made; its activations no longer match the node's input"
+                        )
+                    x._accumulate(plan.backward(grad))
+                    self.stats.grad_calls += 1
+                    self.stats.grad_examples += len(arr)
+
+                return Tensor._make(logits, (x,), backward)
+        self._fallback(arr)
+        return self.module.forward(x)
 
     def __repr__(self) -> str:
         return (

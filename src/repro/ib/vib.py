@@ -71,6 +71,15 @@ class VIBClassifier(ImageClassifier):
         return self.backbone.last_conv_channels
 
     @property
+    def last_conv_name(self) -> str:
+        return self.backbone.last_conv_name
+
+    def set_channel_mask(self, mask: Optional[np.ndarray]) -> None:
+        """Install (or clear) the Eq. (3) mask on the backbone, whose forward applies it."""
+        self.backbone.set_channel_mask(mask)
+        self.channel_mask = self.backbone.channel_mask
+
+    @property
     def hidden_layer_names(self) -> List[str]:
         return self.backbone.hidden_layer_names + ["bottleneck"]
 

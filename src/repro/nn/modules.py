@@ -88,8 +88,9 @@ class Module:
         and binds it to pre-allocated buffers.  The plan reads this module's
         parameters, buffers and channel mask in place, so in-place updates
         need no recompile.  Returns a :class:`repro.compile.CompiledModel`
-        whose ``__call__`` and ``value_and_grad`` replay the plan without
-        rebuilding the autograd graph; an input shape the plan has not seen
+        whose ``__call__``, ``value_and_grad``, ``jacobian`` and ``forward``
+        replay the plan without rebuilding the autograd graph of the model;
+        an input shape the plan has not seen
         runs eagerly on its first sighting and is compiled on its second (up
         to ``max_plans`` signatures).  ``options`` are forwarded to
         :func:`repro.compile.compile_model`.

@@ -19,6 +19,7 @@ from repro.compile import (
 )
 from repro.compile.executor import Plan
 from repro.compile.graph import Graph, Node
+from repro.compile.model import eager_jacobian
 from repro.experiments import ExperimentSpec
 from repro.models import MLP, SmallCNN, ResNet18, VGG16
 from repro.models.base import ImageClassifier
@@ -221,6 +222,49 @@ class TestIdentity:
         _, grad = compiled.value_and_grad(x, y)
         assert np.allclose(eager_grad, grad, rtol=1e-7, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "build, shape",
+        [
+            (lambda: SmallCNN(num_classes=10, image_size=16, base_channels=4, hidden_dim=16, seed=0),
+             (5, 3, 16, 16)),
+            (lambda: VGG16(num_classes=10, width_multiplier=0.125, seed=0), (3, 3, 32, 32)),
+        ],
+        ids=["smallcnn", "vgg16"],
+    )
+    def test_jacobian_matches_eager(self, rng, build, shape):
+        # One plan forward plus K input-only backward replays against K
+        # eager forward+backward passes, every class column.
+        model = build()
+        model.eval()
+        x = rng.random(shape)
+        compiled = compile_model(model, x)
+        logits, jacobian = compiled.jacobian(x)
+        eager_logits, eager_jac = eager_jacobian(model, x)
+        assert jacobian.shape == (10,) + x.shape and jacobian.dtype == np.float64
+        np.testing.assert_allclose(logits, eager_logits, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(jacobian, eager_jac, rtol=0, atol=1e-12)
+        assert compiled.stats.forward_calls == 1 and compiled.stats.grad_calls == 10
+        assert compiled.stats.fallback_calls == 0
+
+    def test_forward_node_gradient_matches_eager(self, small_cnn, batch, rng):
+        # An eager objective over the plan-backed logits: the node's backward
+        # joins the eager graph like any other op.
+        small_cnn.eval()
+        compiled = compile_model(small_cnn, batch)
+        weights = rng.normal(size=(len(batch), 10))
+
+        def objective(logits, x):
+            return (logits * Tensor(weights)).max(axis=1).sum() + (x * x).sum()
+
+        grads = []
+        for forward in (compiled.forward, small_cnn.forward):
+            w = Tensor(batch, requires_grad=True)
+            x = w.tanh() * 0.5 + 0.5
+            objective(forward(x), x).backward()
+            grads.append(w.grad)
+        np.testing.assert_allclose(grads[0], grads[1], rtol=0, atol=1e-12)
+        assert compiled.stats.forward_calls == 1 and compiled.stats.grad_calls == 1
+
     def test_pool_tie_breaking_matches_eager(self, rng, labels):
         # Quantized inputs force exact ties inside max-pool windows; the
         # compiled winner masks must pick the same (first) element as the
@@ -288,6 +332,84 @@ class TestFallback:
         # ...while forward-only execution keeps using the plan.
         compiled(batch)
         assert compiled.stats.forward_calls == 1
+
+    def test_jacobian_and_forward_node_fall_back_like_value_and_grad(self, small_cnn, batch):
+        small_cnn.eval()
+        compiled = compile_model(small_cnn, batch)
+        eager_logits, eager_jac = eager_jacobian(small_cnn, batch)
+
+        def run_both():
+            logits, jacobian = compiled.jacobian(batch)
+            x = Tensor(batch, requires_grad=True)
+            compiled.forward(x).sum().backward()
+            return logits, jacobian, x.grad
+
+        # A signature whose plan cannot backward runs eagerly and counts.
+        compiled._grad_failed.add(SignatureCache.key(batch))
+        logits, jacobian, _ = run_both()
+        assert np.array_equal(logits, eager_logits) and np.array_equal(jacobian, eager_jac)
+        assert compiled.stats.fallback_calls == 2 and compiled.stats.grad_calls == 0
+        compiled._grad_failed.clear()
+        # So does a training-mode module (batch statistics are not replayed).
+        small_cnn.train()
+        run_both()
+        assert compiled.stats.fallback_calls == 4
+        assert compiled.stats.forward_calls == 0 and compiled.stats.grad_calls == 0
+        small_cnn.eval()
+        # Back in eval mode both replay the plan (over the running
+        # statistics the training-mode passes updated): one forward and ten
+        # backwards for the Jacobian, one of each for the node.
+        _, jacobian, _ = run_both()
+        np.testing.assert_allclose(
+            jacobian, eager_jacobian(small_cnn, batch)[1], rtol=0, atol=1e-12
+        )
+        assert compiled.stats.forward_calls == 2 and compiled.stats.grad_calls == 11
+        assert compiled.stats.fallback_calls == 4
+
+    def test_plan_without_input_gradient_is_remembered(self, rng):
+        class Detached(Module):
+            def forward(self, x):
+                return (x.detach() * 2.0).sum(axis=(2, 3))
+
+        module = Detached()
+        module.eval()
+        x = rng.random((4, 3, 2, 2))
+        compiled = compile_model(module, x)
+        x_t = Tensor(x, requires_grad=True)
+        out = compiled.forward(x_t)
+        np.testing.assert_array_equal(out.data, (x * 2.0).sum(axis=(2, 3)))
+        assert SignatureCache.key(x) in compiled._grad_failed
+        assert compiled.stats.fallback_calls == 1
+        compiled.forward(x_t)  # skipped without retrying the plan
+        assert compiled.stats.fallback_calls == 2 and compiled.stats.forward_calls == 0
+        compiled(x)  # forward-only use keeps the plan
+        assert compiled.stats.forward_calls == 1
+
+    def test_forward_node_refuses_backward_after_another_replay(self, small_cnn, batch):
+        small_cnn.eval()
+        compiled = compile_model(small_cnn, batch)
+        x = Tensor(batch, requires_grad=True)
+        logits = compiled.forward(x)
+        compiled(batch[::-1].copy())  # the plan now holds other activations
+        with pytest.raises(CompileError):
+            logits.sum().backward()
+        assert x.grad is None
+        # A fresh node over the current replay differentiates again.
+        logits = compiled.forward(x)
+        logits.sum().backward()
+        assert x.grad is not None and compiled.stats.grad_calls == 1
+
+    def test_stale_parameter_evicts_for_jacobian_and_forward_node(self, small_cnn, batch):
+        small_cnn.eval()
+        compiled = compile_model(small_cnn, batch)
+        parameter = small_cnn.parameters()[0]
+        parameter.data = parameter.data.copy()
+        _, jacobian = compiled.jacobian(batch)
+        assert compiled.stats.fallback_calls == 1 and compiled.plans == 0
+        np.testing.assert_array_equal(jacobian, eager_jacobian(small_cnn, batch)[1])
+        x = Tensor(batch, requires_grad=True)
+        compiled.forward(x).sum().backward()  # second sighting: rebuilt plan
+        assert compiled.stats.plans_built == 2 and compiled.stats.grad_calls == 1
 
     def test_results_identical_across_fallback_and_plan(self, small_cnn, batch, labels):
         small_cnn.eval()
@@ -439,6 +561,50 @@ class TestEngineIntegration:
             assert trained_small_cnn.training
         finally:
             trained_small_cnn.eval()
+
+    def test_compiled_cw_and_fab_match_eager(self, trained_small_cnn, tiny_dataset):
+        images, labels = tiny_dataset.x_test[:40], tiny_dataset.y_test[:40]
+        suite = [
+            AttackSpec("cw", dict(steps=8, c=5.0, lr=0.05)),
+            AttackSpec("fab", dict(eps=0.1, steps=4)),
+        ]
+        eager = AttackEngine(suite, batch_size=16).run(trained_small_cnn, images, labels)
+        compiled = AttackEngine(suite, batch_size=16, compile=True).run(
+            trained_small_cnn, images, labels
+        )
+        assert compiled.compiled
+        assert dict(compiled.adversarial) == dict(eager.adversarial)
+        assert compiled.worst_case == eager.worst_case
+        for entry in compiled.telemetry[1:]:
+            assert entry.compiled_grad_calls > 0
+        # Per example: the plan's adversarial examples are eager's up to
+        # rounding (the plan's eval batch norm is a scale-and-shift).
+        plan = compile_model(trained_small_cnn, images[:16])
+        for spec in suite:
+            reference = spec.build(trained_small_cnn).attack(images[:16], labels[:16])
+            fast = spec.build(trained_small_cnn).use_compiled(plan).attack(
+                images[:16], labels[:16]
+            )
+            np.testing.assert_allclose(fast, reference, rtol=0, atol=1e-10)
+
+    def test_compiled_fab_and_cw_run_no_eager_passes(self, trained_small_cnn, tiny_dataset):
+        # Without early exit the attacked batch has the compiled sample's
+        # signature, so its plan exists before the first step.
+        images, labels = tiny_dataset.x_test[:16], tiny_dataset.y_test[:16]
+        steps = 3
+        suite = [AttackSpec("fab", dict(steps=steps)), AttackSpec("cw", dict(steps=steps))]
+        result = AttackEngine(suite, batch_size=16, early_exit=False, compile=True).run(
+            trained_small_cnn, images, labels
+        )
+        fab, cw = result.telemetry[1:]
+        assert fab.forward_calls == 0 and cw.forward_calls == 0
+        assert fab.compiled_fallbacks == 0 and cw.compiled_fallbacks == 0
+        assert fab.compiled_grad_calls == steps * trained_small_cnn.num_classes
+        assert cw.compiled_grad_calls == steps
+        # FAB: a forward per step and its final forward; both: the engine's
+        # prediction on the adversarial batch.
+        assert fab.compiled_forward_calls == steps + 2
+        assert cw.compiled_forward_calls == steps + 1
 
     def test_ensemble_propagates_compiled_plan(self, trained_small_cnn, tiny_dataset):
         images, labels = tiny_dataset.x_test[:16], tiny_dataset.y_test[:16]

@@ -81,6 +81,39 @@ class TestVIB:
         backbone = SmallCNN(num_classes=10, image_size=16, seed=0)
         model = VIBClassifier(backbone, seed=0)
         assert model.last_conv_channels == backbone.last_conv_channels
+        assert model.last_conv_name == backbone.last_conv_name
+
+    def test_channel_mask_reaches_the_backbone_forward(self):
+        backbone = SmallCNN(num_classes=10, image_size=16, base_channels=4, hidden_dim=16, seed=0)
+        model = VIBClassifier(backbone, seed=0)
+        model.eval()
+        x = Tensor(batch()[0])
+        unmasked = model.forward(x).data
+        mask = np.zeros(model.last_conv_channels)
+        model.set_channel_mask(mask)
+        assert np.array_equal(backbone.channel_mask, mask)
+        assert np.array_equal(model.channel_mask, mask)
+        masked = model.forward(x).data
+        assert not np.array_equal(masked, unmasked)
+        # Exactly the VIB head (eval mode: the mean code) over the masked
+        # backbone's penultimate features.
+        _, hidden = backbone.forward_with_hidden(x)
+        features = hidden[backbone.hidden_layer_names[-1]]
+        expected = model.decoder(model.encoder_mu(features)).data
+        assert np.array_equal(masked, expected)
+        model.set_channel_mask(None)
+        assert model.channel_mask is None and backbone.channel_mask is None
+        assert np.array_equal(model.forward(x).data, unmasked)
+
+    def test_feature_mask_scores_one_per_channel(self):
+        from repro.core import FeatureChannelMask
+
+        backbone = SmallCNN(num_classes=10, image_size=16, base_channels=4, hidden_dim=16, seed=0)
+        model = VIBClassifier(backbone, seed=0)
+        images, labels = batch(n=16)
+        scores = FeatureChannelMask().scores(model, images, labels)
+        assert scores.shape == (model.last_conv_channels,)
+        assert np.all(np.isfinite(scores))
 
 
 class TestHBaR:
