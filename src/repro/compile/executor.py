@@ -1,12 +1,14 @@
 """Buffer-bound plan execution: ``out=`` kernels over a :class:`BufferPool`.
 
 A :class:`Plan` binds an optimized :class:`~repro.compile.graph.Graph` to
-pre-allocated buffers: every op output, gradient accumulator and scratch
-array (im2col columns, pooling argmax indices, ReLU masks) is allocated once
-at bind time, and replays write into those same arrays with ``out=``-style
-NumPy kernels.  Steady-state iterations therefore perform zero pool
-allocations — the property the attack hot path (tens of gradient steps per
-batch) is bought with.
+pre-allocated buffers: every op output, gradient accumulator and mask is
+allocated once at bind time, scratch that dies with its step comes from
+one step-local region sized to the largest step (a plan's steps never
+overlap), and replays write into those arrays with ``out=``-style NumPy
+kernels — zero steady-state pool allocations, the property the attack hot
+path (tens of gradient steps per batch) is bought with.  Convolution and
+pooling call the kernels eager autograd calls (``conv2d_*`` and the pool
+kernels of :mod:`repro.nn.functional`), so both round identically.
 
 Three gradient modes exist.  ``grad="input"`` (the attack/eval default)
 computes the gradient **with respect to the input only** — parameters are
@@ -18,13 +20,12 @@ accumulates **full parameter gradients** into pre-allocated pooled buffers;
 :meth:`Plan.run_backward` additionally accepts gradient seeds at named
 intermediate nodes (registered via ``seed_ids``).  ``grad="both"`` binds
 **two backward programs over shared gradient buffers**: a fused
-input+param program (one im2col read and one col2im scatter per
-convolution emit the input gradient *and* the weight/bias gradients in a
-single pass) driven by :meth:`run_backward`, and an input-only program
-driven by :meth:`backward` — the attack hot path, which skips every
-weight-gradient matmul.  A mode-invariant graph (no batch norm) can then
-serve PGD-AT's inner attack loop and its outer optimizer step from one
-plan.
+input+param program (each convolution reorders its output gradient once
+for the input, weight and bias gradients) driven by :meth:`run_backward`,
+and an input-only program driven by :meth:`backward` — the attack hot
+path, which skips every weight-gradient matmul.  A mode-invariant graph
+(no batch norm) can then serve PGD-AT's inner attack loop and its outer
+optimizer step from one plan.
 
 Graphs may carry named ``aux`` input leaves (per-batch arrays that are not
 the traced input: another plan's logits buffer, a one-hot label matrix).
@@ -37,7 +38,8 @@ TRADES' KL, the MART objective, the IB-RAR HSIC regularizers — is traced
 from its eager code (:meth:`~repro.compile.graph.Graph.append_traced`), so
 it binds the same generic per-primitive kernels as the model itself; the
 only loss-specific kernel is the forward-only ``rbf_scale`` (the Gaussian
-kernel's per-batch median bandwidth).
+kernel's per-batch median bandwidth).  Gradients follow eager autograd's
+operation order.
 
 Plans copy no module state: ``param`` leaves alias ``param.data``, ``const``
 leaves (the Eq. 3 channel mask, literals) alias their arrays, and batch
@@ -45,7 +47,7 @@ norms read the module's running buffers, all re-read on every replay — one
 plan survives every in-place optimizer step and mask refresh.  Eval-mode
 batch norms re-derive their per-channel scale and shift per replay;
 training-mode batch norms recompute batch statistics and update the running
-buffers in place, reproducing the eager update sequence bit for bit.
+buffers in place with the eager expressions' operation order.
 
 Losses are fused: :meth:`Plan.value_and_grad_ce` evaluates softmax
 cross-entropy and seeds the backward pass with the closed-form
@@ -58,24 +60,22 @@ from time import perf_counter as _perf_counter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
+from ..nn.functional import (
+    avg_pool2d_grad,
+    avg_pool2d_values,
+    conv2d_buffers,
+    conv2d_columns,
+    conv2d_input_grad,
+    conv2d_weight_grad,
+    max_pool2d_values,
+    pool_windows,
+)
 from ..obs.profiler import PROFILER as _PROFILER
 from .graph import CompileError, Graph, LEAF_OPS as _LEAF_OPS, Node
 from .pool import BufferPool
 
 __all__ = ["Plan"]
-
-
-def _patch_view(x: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int) -> np.ndarray:
-    """(N, C, out_h, out_w, k, k) sliding-window view over an NCHW array."""
-    n, c = x.shape[:2]
-    s0, s1, s2, s3 = x.strides
-    return as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kernel, kernel),
-        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
-    )
 
 
 def _reduction_spec(from_shape: Tuple[int, ...], to_shape: Tuple[int, ...]):
@@ -89,6 +89,11 @@ def _reduction_spec(from_shape: Tuple[int, ...], to_shape: Tuple[int, ...]):
         1 if i in axes else from_shape[i] for i in range(len(from_shape))
     )
     return tuple(axes), kept
+
+
+def _slot_nbytes(shape: Tuple[int, ...], dtype) -> int:
+    """Bytes of a ``shape`` buffer, rounded up to a 64-byte cache line."""
+    return -(-int(np.prod(shape)) * np.dtype(dtype).itemsize // 64) * 64
 
 
 class Plan:
@@ -218,6 +223,14 @@ class Plan:
     # ------------------------------------------------------------------ #
     def _bind(self) -> None:
         graph = self.graph
+        # One step-local region serves every step's scratch: a plan's steps
+        # never overlap, and none reads what another left there.
+        sizes = [
+            sum(_slot_nbytes(shape, node.dtype) for shape in shapes.values())
+            for node in graph.nodes if node.op in _STEP_SCRATCH
+            for shapes in _STEP_SCRATCH[node.op](self, node)
+        ]
+        self._scratch = self.pool.empty((max(sizes, default=0),), np.uint8)
         self._input = self.pool.empty(graph.input_node.shape, graph.input_node.dtype)
         self.values[graph.input_id] = self._input
         for node in graph.nodes:
@@ -334,6 +347,16 @@ class Plan:
             "diff": frozenset(self._diff),
             "seeds": set(self._seed_ids),
         }
+
+    def _step_scratch(self, node: Node, backward: bool) -> Dict[str, np.ndarray]:
+        """Named views of ``node``'s forward or backward step-local buffers
+        (its :data:`_STEP_SCRATCH` shapes), packed from the region's start."""
+        views: Dict[str, np.ndarray] = {}
+        offset = 0
+        for name, shape in _STEP_SCRATCH[node.op](self, node)[int(backward)].items():
+            views[name] = self._scratch[offset:].view(node.dtype)[: int(np.prod(shape))].reshape(shape)
+            offset += _slot_nbytes(shape, node.dtype)
+        return views
 
     def _sink(self, target_id: int, supports_write: bool = True) -> Tuple[bool, np.ndarray]:
         """``(write, buffer)`` for a kernel contributing a gradient to ``target_id``.
@@ -460,8 +483,9 @@ class Plan:
 
         Evaluates mean CE over ``labels`` in scratch buffers and returns the
         closed-form ``(softmax(z) - onehot(y)) / N`` seed (a plan-owned
-        scratch array) ready for :meth:`backward` / :meth:`run_backward` —
-        no loss graph is ever built.
+        scratch array, rounded as eager autograd rounds it) ready for
+        :meth:`backward` / :meth:`run_backward` — no loss graph is ever
+        built.
         """
         logits = self.values[self.graph.output_id]
         if logits.ndim != 2:
@@ -489,9 +513,11 @@ class Plan:
         np.sum(p, axis=1, keepdims=True, out=z)
         np.log(z, out=logz)
         loss = float(np.mean(logz) - np.mean(picked))
-        np.divide(p, z, out=p)
-        p[arange, labels] -= 1.0
-        p *= 1.0 / len(labels)
+        # Eager autograd's order: e * ((1/N) / z) - (1/N) at the labels.
+        inverse = 1.0 / len(labels)
+        np.divide(inverse, z, out=z)
+        np.multiply(p, z, out=p)
+        p[arange, labels] -= inverse
         if _PROFILER.enabled:
             profile = self._profile
             if profile is None:
@@ -509,35 +535,40 @@ class Plan:
 # --------------------------------------------------------------------------- #
 # forward binders: node -> (step callable | None, output array)
 # --------------------------------------------------------------------------- #
+def _conv_scratch(plan: Plan, node: Node):
+    """``(forward, backward)`` step-local buffer shapes of one convolution."""
+    weight_shape = plan.graph.node(node.inputs[1]).shape
+    shapes = conv2d_buffers(
+        plan.graph.node(node.inputs[0]).shape, weight_shape, node.meta["stride"], node.meta["padding"]
+    )
+    forward = {"xpad": shapes.pop("xpad"), "w_mat": shapes["w_mat"]}
+    cols = shapes.pop("cols")
+    if plan.grad_mode == "input":  # no weight gradient reads the columns later
+        forward["cols"] = cols
+    return forward, dict(shapes, gw=weight_shape)
+
+
 def _bind_conv2d(plan: Plan, node: Node):
     x = plan.values[node.inputs[0]]
     weight = plan.values[node.inputs[1]]
     bias = plan.values[node.inputs[2]] if len(node.inputs) > 2 else None
     stride, padding = node.meta["stride"], node.meta["padding"]
     fuse_relu = node.meta.get("fuse_relu", False)
-    n, c, h, w = x.shape
-    oc = weight.shape[0]
-    kernel = weight.shape[2]
+    n, c = x.shape[:2]
+    oc, _, kernel, _ = weight.shape
     _, _, out_h, out_w = node.shape
     dtype = node.dtype
-
-    # Weights change under the optimizer every step: matmul against a
-    # transposed *view* so each replay reads the current values (BLAS
-    # handles the transposed operand natively, same math as the eager
-    # ``cols @ w_mat.T``).
-    w_t = weight.reshape(oc, -1).T
-
-    if padding:
-        padded = plan.pool.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype)
-        interior = padded[:, :, padding:-padding, padding:-padding]
-        source = padded
-    else:
-        interior = None
-        source = x
-    patches = _patch_view(source, kernel, stride, out_h, out_w).transpose(0, 2, 3, 1, 4, 5)
-    cols = plan.pool.empty((n * out_h * out_w, c * kernel * kernel), dtype)
-    node.meta["_cols"] = cols  # the weight-gradient matmul reads these
-    cols6 = cols.reshape(n, out_h, out_w, c, kernel, kernel)
+    scratch = plan._step_scratch(node, backward=False)
+    xpad = scratch["xpad"]
+    cols = scratch.get("cols")
+    if cols is None:  # the weight gradient reads these after the step
+        cols = node.meta["_cols"] = plan.pool.empty((n * out_h * out_w, kernel * kernel * c), dtype)
+    # Weights change under the optimizer every step: each replay refreshes
+    # their (k, k, C)-ordered copy, as the eager kernel builds it per call.
+    w_mat = scratch["w_mat"].reshape(oc, -1)
+    w_kkc = w_mat.reshape(oc, kernel, kernel, c)
+    w_src = weight.transpose(0, 2, 3, 1)
+    w_t = w_mat.T
     out2d = plan.pool.empty((n * out_h * out_w, oc), dtype)
     # The NCHW output is a transpose view of the matmul result (same trick as
     # the eager kernel) — consumers read it through its strides, so the
@@ -552,9 +583,8 @@ def _bind_conv2d(plan: Plan, node: Node):
         mask2d = None
 
     def step() -> None:
-        if interior is not None:
-            interior[...] = x
-        cols6[...] = patches
+        conv2d_columns(x, kernel, stride, padding, out=cols, xpad=xpad)
+        np.copyto(w_kkc, w_src)
         np.matmul(cols, w_t, out=out2d)
         if bias is not None:
             np.add(out2d, bias, out=out2d)
@@ -664,11 +694,11 @@ def _bind_batch_norm_train(plan: Plan, node: Node):
     """Batch-stat batch norm with in-place running-statistic updates.
 
     Reproduces :func:`repro.nn.functional.batch_norm2d`'s training branch
-    operation for operation: batch mean/var in the input dtype, running
-    buffers (kept in their own dtype) updated with the eager expression's
-    evaluation order, normalization through ``x_hat`` (stored for the
-    backward kernel) and the unbiased-variance correction on the running
-    update.
+    operation for operation, so the running buffers match eager bitwise:
+    batch mean/var in the input dtype, normalization through ``x_hat``
+    (stored for the backward kernel), and running buffers (kept in their
+    own dtype) updated as ``((momentum * var) * count) / (count - 1)``, the
+    unbiased correction in the eager expression's order.
     """
     x = plan.values[node.inputs[0]]
     gamma = plan.values[node.inputs[1]]
@@ -681,7 +711,6 @@ def _bind_batch_norm_train(plan: Plan, node: Node):
     running_mean = node.meta["running_mean"]
     running_var = node.meta["running_var"]
     count = n * h * w
-    var_factor = count / max(count - 1, 1)
 
     mean_c = plan.pool.empty((c,), dtype)
     var_c = plan.pool.empty((c,), dtype)
@@ -705,7 +734,8 @@ def _bind_batch_norm_train(plan: Plan, node: Node):
         np.add(running_mean, scratch_c, out=running_mean)
         np.multiply(running_var, 1.0 - momentum, out=running_var)
         np.multiply(var_c, momentum, out=scratch_c)
-        np.multiply(scratch_c, var_factor, out=scratch_c)
+        np.multiply(scratch_c, count, out=scratch_c)
+        np.divide(scratch_c, max(count - 1, 1), out=scratch_c)
         np.add(running_var, scratch_c, out=running_var)
         np.add(var_c, eps, out=std_c)
         np.sqrt(std_c, out=std_c)
@@ -722,60 +752,15 @@ def _bind_batch_norm_train(plan: Plan, node: Node):
 def _bind_max_pool(plan: Plan, node: Node):
     x = plan.values[node.inputs[0]]
     kernel, stride = node.meta["kernel"], node.meta["stride"]
-    n, c, out_h, out_w = node.shape
-
-    if kernel == 2 and stride == 2:
-        # Specialized 2x2/stride-2 pool: a maximum tree over four strided
-        # window views — no patch materialization, no argmax pass.  The
-        # backward kernel re-derives the winner masks from the stored output
-        # with argmax (first-index) tie-breaking.
-        windows = [
-            x[:, :, ki : ki + 2 * out_h : 2, kj : kj + 2 * out_w : 2]
-            for ki in (0, 1)
-            for kj in (0, 1)
-        ]
-        node.meta["_windows"] = windows
-        scratch = plan.pool.empty(node.shape, node.dtype)
-        out = plan.pool.empty(node.shape, node.dtype)
-
-        def step() -> None:
-            np.maximum(windows[0], windows[1], out=out)
-            np.maximum(windows[2], windows[3], out=scratch)
-            np.maximum(out, scratch, out=out)
-
-        return step, out
-
-    patches = _patch_view(x, kernel, stride, out_h, out_w)
-    flat = plan.pool.empty((n, c, out_h, out_w, kernel * kernel), node.dtype)
-    flat6 = flat.reshape(n, c, out_h, out_w, kernel, kernel)
-    flat2 = flat.reshape(-1, kernel * kernel)
-    argmax = np.empty((n, c, out_h, out_w), dtype=np.intp)
-    plan.pool._register(argmax)
-    argmax_flat = argmax.reshape(-1)
-    rows = np.arange(n * c * out_h * out_w)
-    plan.pool._register(rows)
-    node.meta["_argmax"] = argmax
-    node.meta["_rows"] = rows
     out = plan.pool.empty(node.shape, node.dtype)
-    out_flat = out.reshape(-1)
-
-    def step() -> None:
-        flat6[...] = patches
-        np.argmax(flat, axis=-1, out=argmax)
-        # Gather the winners through the argmax (cheaper than a second
-        # full reduction, and tie-breaking matches the eager kernel).
-        out_flat[...] = flat2[rows, argmax_flat]
-
-    return step, out
+    return (lambda: max_pool2d_values(x, kernel, stride, out=out)), out
 
 
 def _bind_avg_pool(plan: Plan, node: Node):
     x = plan.values[node.inputs[0]]
     kernel, stride = node.meta["kernel"], node.meta["stride"]
-    n, c, out_h, out_w = node.shape
-    patches = _patch_view(x, kernel, stride, out_h, out_w)
     out = plan.pool.empty(node.shape, node.dtype)
-    return (lambda: np.mean(patches, axis=(-1, -2), out=out)), out
+    return (lambda: avg_pool2d_values(x, kernel, stride, out=out)), out
 
 
 def _bind_sum(plan: Plan, node: Node):
@@ -986,32 +971,31 @@ def _back_conv2d(plan: Plan, node: Node):
         # gradient path), kept as a safe default.
         return _relu_mask_step(plan, node)
     stride, padding = node.meta["stride"], node.meta["padding"]
-    _, oc, out_h, out_w = node.shape
+    n, oc, out_h, out_w = node.shape
     weight = plan.values[w_id]
     kernel = weight.shape[2]
     dtype = node.dtype
     g = plan.grads[node.id]
     mask2d = node.meta.get("_relu_mask2d")
-    cols = node.meta["_cols"]
-
-    n = node.shape[0]
-    grad_mat = plan.pool.empty((n * out_h * out_w, oc), dtype)
+    scratch = plan._step_scratch(node, backward=True)
+    grad_mat = scratch["grad_mat"]
     gm_nhwc = grad_mat.reshape(n, out_h, out_w, oc)
     g_nhwc = g.transpose(0, 2, 3, 1)
 
     steps: List[Callable[[], None]] = []
     if need_w:
-        # grad_w = grad_mat.T @ cols — the exact matmul the eager kernel
-        # runs, reading the im2col buffer the forward replay just filled.
+        cols = node.meta["_cols"]
         write_w, gw = plan._sink(w_id)
-        gw2d = gw.reshape(oc, -1)
-        grad_mat_t = grad_mat.T
+        gw_mat = scratch["gw_mat"]
         if write_w:
-            steps.append(lambda: np.matmul(grad_mat_t, cols, out=gw2d))
+            steps.append(lambda: conv2d_weight_grad(grad_mat, cols, kernel, out=gw, gw_mat=gw_mat))
         else:
-            scratch_w = plan.pool.empty(gw2d.shape, dtype)
+            part = scratch["gw"]
             steps.append(
-                lambda: (np.matmul(grad_mat_t, cols, out=scratch_w), np.add(gw2d, scratch_w, out=gw2d))
+                lambda: (
+                    conv2d_weight_grad(grad_mat, cols, kernel, out=part, gw_mat=gw_mat),
+                    np.add(gw, part, out=gw),
+                )
             )
     if need_b:
         write_b, gb = plan._sink(b_id)
@@ -1023,66 +1007,15 @@ def _back_conv2d(plan: Plan, node: Node):
                 lambda: (np.sum(grad_mat, axis=0, out=scratch_b), np.add(gb, scratch_b, out=gb))
             )
     if need_x:
-        x_node = plan.graph.node(x_id)
-        n, c, h, w = x_node.shape
+        x_shape = plan.graph.node(x_id).shape
         write, gx = plan._sink(x_id)
-        grad_cols = plan.pool.empty((n * out_h * out_w, kernel * kernel * c), dtype)
-
-        # The col2im scatter is k*k strided slice-adds; pick the layout whose
-        # innermost contiguous run is longest.  Wide feature maps with few
-        # channels (stem convolutions) scatter fastest over NCHW rows; deep
-        # layers (channels >= spatial width) over NHWC channel vectors.
-        nhwc = c >= out_w
-        if nhwc:
-            # Refresh a persistent buffer from the live weights each replay
-            # (a strided copy — no allocation).
-            w_mat = plan.pool.empty((oc, kernel * kernel * c), dtype)
-            w_mat_src = weight.transpose(0, 2, 3, 1)
-            w_mat_view = w_mat.reshape(oc, kernel, kernel, c)
-            refresh = lambda: np.copyto(w_mat_view, w_mat_src)
-            gc = grad_cols.reshape(n, out_h, out_w, kernel, kernel, c)
-            gpad = plan.pool.empty((n, h + 2 * padding, w + 2 * padding, c), dtype)
-            interior = gpad[:, padding : padding + h, padding : padding + w, :].transpose(0, 3, 1, 2)
-
-            def slice_of(target, ki: int, kj: int):
-                return target[:, ki : ki + stride * out_h : stride, kj : kj + stride * out_w : stride, :]
-
-            def col_of(ki: int, kj: int):
-                return gc[:, :, :, ki, kj, :]
-
-        else:
-            # weight.reshape on the contiguous parameter array is a view, so
-            # the weights need no refresh here.
-            w_mat = weight.reshape(oc, -1)
-            refresh = None
-            gc = grad_cols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(0, 3, 1, 2, 4, 5)
-            gpad = plan.pool.empty((n, c, h + 2 * padding, w + 2 * padding), dtype)
-            interior = gpad[:, :, padding : padding + h, padding : padding + w]
-
-            def slice_of(target, ki: int, kj: int):
-                return target[:, :, ki : ki + stride * out_h : stride, kj : kj + stride * out_w : stride]
-
-            def col_of(ki: int, kj: int):
-                return gc[:, :, :, :, ki, kj]
-
-        # The col2im (scatter target view, column view) pairs, built once.
-        pairs = [
-            (slice_of(gpad, ki, kj), col_of(ki, kj))
-            for ki in range(kernel)
-            for kj in range(kernel)
-        ]
 
         def input_step() -> None:
-            if refresh is not None:
-                refresh()
-            np.matmul(grad_mat, w_mat, out=grad_cols)
-            gpad.fill(0)
-            for target, column in pairs:
-                np.add(target, column, out=target)
+            result = conv2d_input_grad(grad_mat, weight, x_shape, stride, padding, scratch)
             if write:
-                np.copyto(gx, interior)
+                np.copyto(gx, result)
             else:
-                np.add(gx, interior, out=gx)
+                np.add(gx, result, out=gx)
 
         steps.append(input_step)
 
@@ -1170,7 +1103,7 @@ def _back_mul(plan: Plan, node: Node):
 def _back_div(plan: Plan, node: Node):
     a_id, b_id = node.inputs
     g = plan.grads[node.id]
-    out = plan.values[node.id]
+    a = plan.values[a_id]
     b = plan.values[b_id]
     scratch = plan.pool.empty(node.shape, node.dtype)
     steps: List[Callable[[], None]] = []
@@ -1181,12 +1114,14 @@ def _back_div(plan: Plan, node: Node):
         )
     if b_id in plan._diff:
         accumulate_b = _accumulate_into(plan, b_id, scratch)
+        b_squared = plan.pool.empty(b.shape, node.dtype)
 
         def db() -> None:
-            # d(a/b)/db = -a / b^2 = -(a/b) / b = -out / b
-            np.multiply(g, out, out=scratch)
-            np.divide(scratch, b, out=scratch)
-            np.negative(scratch, out=scratch)
+            # d(a/b)/db = -a / b^2, in eager autograd's order ((-g) * a) / b**2
+            np.negative(g, out=scratch)
+            np.multiply(scratch, a, out=scratch)
+            np.square(b, out=b_squared)
+            np.divide(scratch, b_squared, out=scratch)
             accumulate_b()
 
         steps.append(db)
@@ -1245,45 +1180,9 @@ def _back_relu(plan: Plan, node: Node):
     return run
 
 
-def _back_clip(plan: Plan, node: Node):
-    x = plan.values[node.inputs[0]]
-    low, high = node.meta["low"], node.meta["high"]
-    g = plan.grads[node.id]
-    write, gx = plan._sink(node.inputs[0])
-    mask = plan.pool.empty(node.shape, bool)
-    scratch_mask = plan.pool.empty(node.shape, bool)
-    target = gx if write else plan.pool.empty(node.shape, node.dtype)
-
-    def run() -> None:
-        np.greater_equal(x, low, out=mask)
-        np.less_equal(x, high, out=scratch_mask)
-        np.logical_and(mask, scratch_mask, out=mask)
-        np.multiply(g, mask, out=target)
-        if not write:
-            np.add(gx, target, out=gx)
-
-    return run
-
-
-def _back_pow(plan: Plan, node: Node):
-    x = plan.values[node.inputs[0]]
-    exponent = node.meta["exponent"]
-    g = plan.grads[node.id]
-    write, gx = plan._sink(node.inputs[0])
-    target = gx if write else plan.pool.empty(node.shape, node.dtype)
-
-    def run() -> None:
-        np.power(x, exponent - 1, out=target)
-        np.multiply(target, exponent, out=target)
-        np.multiply(target, g, out=target)
-        if not write:
-            np.add(gx, target, out=gx)
-
-    return run
-
-
-def _back_unary_from_out(factor: Callable[[np.ndarray, np.ndarray, np.ndarray], None]):
-    """Backward for unary ops whose derivative is a function of x and out."""
+def _back_unary(grad: Callable[..., None]):
+    """Backward for unary ops: ``grad(g, x, out, target, tmp, meta)`` writes
+    the input gradient into ``target`` in eager autograd's operation order."""
 
     def bind(plan: Plan, node: Node):
         x = plan.values[node.inputs[0]]
@@ -1291,10 +1190,11 @@ def _back_unary_from_out(factor: Callable[[np.ndarray, np.ndarray, np.ndarray], 
         g = plan.grads[node.id]
         write, gx = plan._sink(node.inputs[0])
         target = gx if write else plan.pool.empty(node.shape, node.dtype)
+        tmp = plan.pool.empty(node.shape, node.dtype)
+        meta = node.meta
 
         def run() -> None:
-            factor(x, out, target)
-            np.multiply(target, g, out=target)
+            grad(g, x, out, target, tmp, meta)
             if not write:
                 np.add(gx, target, out=gx)
 
@@ -1347,8 +1247,7 @@ def _back_batch_norm_train(plan: Plan, node: Node):
     gamma_r = node.meta["_gamma_r"]
     relu_step = _relu_mask_step(plan, node)
 
-    s1 = plan.pool.empty(node.shape, dtype)
-    s2 = plan.pool.empty(node.shape, dtype)
+    s1, s2 = plan._step_scratch(node, backward=True).values()
     sg = plan.pool.empty((1, c, 1, 1), dtype)
     sgx = plan.pool.empty((1, c, 1, 1), dtype)
     steps: List[Callable[[], None]] = []
@@ -1405,96 +1304,34 @@ def _back_batch_norm_train(plan: Plan, node: Node):
 
 
 def _back_max_pool(plan: Plan, node: Node):
+    """Route each gradient to its window's first maximum (eager argmax order)."""
     kernel, stride = node.meta["kernel"], node.meta["stride"]
-    n, c, out_h, out_w = node.shape
-    g = plan.grads[node.id]
+    _, _, out_h, out_w = node.shape
+    out, g = plan.values[node.id], plan.grads[node.id]
     _, gx = plan._sink(node.inputs[0], supports_write=False)
-
-    if kernel == 2 and stride == 2:
-        out = plan.values[node.id]
-        windows = node.meta["_windows"]
-        grad_windows = [
-            gx[:, :, ki : ki + 2 * out_h : 2, kj : kj + 2 * out_w : 2]
-            for ki in (0, 1)
-            for kj in (0, 1)
-        ]
-        mask = plan.pool.empty(node.shape, bool)
-        taken = plan.pool.empty(node.shape, bool)
-        free = plan.pool.empty(node.shape, bool)
-        scratch = plan.pool.empty(node.shape, node.dtype)
-
-        def run() -> None:
-            # First window equal to the max wins, matching argmax order.
-            taken.fill(False)
-            for window, grad_window in zip(windows, grad_windows):
-                np.equal(window, out, out=mask)
-                np.logical_not(taken, out=free)
-                np.logical_and(mask, free, out=mask)
-                np.multiply(g, mask, out=scratch)
-                np.add(grad_window, scratch, out=grad_window)
-                np.logical_or(taken, mask, out=taken)
-
-        return run
-
-    argmax = node.meta["_argmax"]
-
-    if stride >= kernel:
-        # Non-overlapping windows: scatter the grad to its argmax slot in a
-        # (n, c, oh, ow, k*k) buffer and add it through a disjoint patch view
-        # of gx — fully vectorized, no np.add.at.
-        flat_grad = plan.pool.empty((n, c, out_h, out_w, kernel * kernel), node.dtype)
-        fg2 = flat_grad.reshape(-1, kernel * kernel)
-        fg6 = flat_grad.reshape(n, c, out_h, out_w, kernel, kernel)
-        rows = node.meta["_rows"]
-        argmax_flat = argmax.reshape(-1)
-        g_flat = g.reshape(-1)
-        patch_target = _patch_view(gx, kernel, stride, out_h, out_w)
-
-        def run() -> None:
-            flat_grad.fill(0)
-            fg2[rows, argmax_flat] = g_flat
-            np.add(patch_target, fg6, out=patch_target)
-
-        return run
-
-    # Overlapping windows: fall back to an indexed scatter-add.
-    n_idx, c_idx, i_idx, j_idx = np.meshgrid(
-        np.arange(n), np.arange(c), np.arange(out_h), np.arange(out_w), indexing="ij"
-    )
-    rows_base = i_idx * stride
-    cols_base = j_idx * stride
-    ki = np.empty(argmax.shape, dtype=np.intp)
-    kj = np.empty(argmax.shape, dtype=np.intp)
-    for buffer in (n_idx, c_idx, rows_base, cols_base, ki, kj):
-        plan.pool._register(buffer)
+    windows = pool_windows(plan.values[node.inputs[0]], kernel, stride, out_h, out_w)
+    targets = pool_windows(gx, kernel, stride, out_h, out_w)
+    mask, taken = plan.pool.empty(node.shape, bool), plan.pool.empty(node.shape, bool)
+    scratch = plan.pool.empty(node.shape, node.dtype)
 
     def run() -> None:
-        np.floor_divide(argmax, kernel, out=ki)
-        np.remainder(argmax, kernel, out=kj)
-        np.add(ki, rows_base, out=ki)
-        np.add(kj, cols_base, out=kj)
-        np.add.at(gx, (n_idx, c_idx, ki, kj), g)
+        taken.fill(False)
+        for window, target in zip(windows, targets):
+            np.equal(window, out, out=mask)
+            np.greater(mask, taken, out=mask)  # a maximum no earlier window took
+            np.logical_or(taken, mask, out=taken)
+            np.multiply(g, mask, out=scratch)
+            np.add(target, scratch, out=target)
 
     return run
 
 
 def _back_avg_pool(plan: Plan, node: Node):
     kernel, stride = node.meta["kernel"], node.meta["stride"]
-    _, _, out_h, out_w = node.shape
     g = plan.grads[node.id]
     _, gx = plan._sink(node.inputs[0], supports_write=False)
     scratch = plan.pool.empty(node.shape, node.dtype)
-    inverse_area = 1.0 / (kernel * kernel)
-
-    def run() -> None:
-        np.multiply(g, inverse_area, out=scratch)
-        for ki in range(kernel):
-            for kj in range(kernel):
-                gx[
-                    :, :, ki : ki + stride * out_h : stride, kj : kj + stride * out_w : stride
-                ] += scratch
-
-    return run
+    return lambda: avg_pool2d_grad(g, kernel, stride, gx, scratch)
 
 
 def _back_sum(plan: Plan, node: Node):
@@ -1571,6 +1408,15 @@ def _back_pad2d(plan: Plan, node: Node):
     return lambda: np.add(gx, interior, out=gx)
 
 
+#: op -> ``(plan, node) -> (forward shapes, backward shapes)`` of the
+#: step-local buffers its binders take from :meth:`Plan._step_scratch`.
+_STEP_SCRATCH = {
+    "conv2d": _conv_scratch,
+    "batch_norm2d": lambda plan, node: (
+        {}, {"s1": node.shape, "s2": node.shape} if node.meta.get("training") else {}
+    ),
+}
+
 _BACKWARD = {
     "conv2d": _back_conv2d,
     "matmul": _back_matmul,
@@ -1580,19 +1426,42 @@ _BACKWARD = {
     "maximum": _back_maximum,
     "neg": _back_neg,
     "relu": _back_relu,
-    "clip": _back_clip,
-    "pow": _back_pow,
-    "exp": _back_unary_from_out(lambda x, out, s: np.copyto(s, out)),
-    "log": _back_unary_from_out(lambda x, out, s: np.divide(1.0, x, out=s)),
-    "sqrt": _back_unary_from_out(
-        lambda x, out, s: (np.maximum(out, 1e-12, out=s), np.divide(0.5, s, out=s))
+    # inside [low, high] exactly where clipping left x unchanged
+    "clip": _back_unary(
+        lambda g, x, out, t, tmp, meta: (np.equal(out, x, out=tmp), np.multiply(g, tmp, out=t))
     ),
-    "abs": _back_unary_from_out(lambda x, out, s: np.sign(x, out=s)),
-    "tanh": _back_unary_from_out(
-        lambda x, out, s: (np.multiply(out, out, out=s), np.subtract(1.0, s, out=s))
+    "pow": _back_unary(
+        lambda g, x, out, t, tmp, meta: (
+            np.multiply(g, meta["exponent"], out=t),
+            np.power(x, meta["exponent"] - 1, out=tmp),
+            np.multiply(t, tmp, out=t),
+        )
     ),
-    "sigmoid": _back_unary_from_out(
-        lambda x, out, s: (np.subtract(1.0, out, out=s), np.multiply(s, out, out=s))
+    "exp": _back_unary(lambda g, x, out, t, tmp, meta: np.multiply(g, out, out=t)),
+    "log": _back_unary(lambda g, x, out, t, tmp, meta: np.divide(g, x, out=t)),
+    "sqrt": _back_unary(
+        lambda g, x, out, t, tmp, meta: (
+            np.multiply(g, 0.5, out=t),
+            np.maximum(out, 1e-12, out=tmp),
+            np.divide(t, tmp, out=t),
+        )
+    ),
+    "abs": _back_unary(
+        lambda g, x, out, t, tmp, meta: (np.sign(x, out=tmp), np.multiply(g, tmp, out=t))
+    ),
+    "tanh": _back_unary(
+        lambda g, x, out, t, tmp, meta: (
+            np.multiply(out, out, out=tmp),
+            np.subtract(1.0, tmp, out=tmp),
+            np.multiply(g, tmp, out=t),
+        )
+    ),
+    "sigmoid": _back_unary(
+        lambda g, x, out, t, tmp, meta: (
+            np.multiply(g, out, out=t),
+            np.subtract(1.0, out, out=tmp),
+            np.multiply(t, tmp, out=t),
+        )
     ),
     "batch_norm2d": _back_batch_norm,
     "max_pool2d": _back_max_pool,

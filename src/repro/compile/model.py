@@ -26,6 +26,7 @@ engine surfaces those counters as telemetry.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -58,6 +59,12 @@ def eager_jacobian(module, images: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         (logits * Tensor(mask)).sum().backward()
         columns.append(x.grad)
     return logits.data, np.array(columns, dtype=np.float64)
+
+
+def _build_plan(module, stats: "CompiledStats", sample: np.ndarray) -> Plan:
+    plan = Plan(optimize(capture_forward(module, sample)))
+    stats.plans_built += 1
+    return plan
 
 
 @dataclass
@@ -124,14 +131,18 @@ class CompiledModel:
         self.stats = CompiledStats()
         #: the shared compile-on-second-sighting policy (one implementation
         #: serves CompiledModel, CompiledTrainer and LiveEvalModel alike).
-        self._cache = SignatureCache(self._build_plan, capacity=max_plans, name="model")
+        #: The builder does not reference this object, so dropping it frees
+        #: its plans at once instead of at the next cyclic collection.
+        self._cache = SignatureCache(
+            functools.partial(_build_plan, module, self.stats), capacity=max_plans, name="model"
+        )
         #: signatures whose plan forwards but cannot backward (kept for
         #: forward use; value_and_grad skips them without re-trying).
         self._grad_failed: set = set()
         sample = np.asarray(sample_input, dtype=get_default_dtype())
         # The caller-provided sample compiles immediately (errors propagate);
         # later signatures go through the second-sighting policy.
-        self._cache.insert(sample, self._build_plan(sample))
+        self._cache.insert(sample, _build_plan(module, self.stats, sample))
 
     # ------------------------------------------------------------------ #
     # plan management
@@ -143,11 +154,6 @@ class CompiledModel:
     @property
     def _plans(self) -> Dict[Tuple[Tuple[int, ...], str], Optional[Plan]]:
         return self._cache.entries
-
-    def _build_plan(self, sample: np.ndarray) -> Plan:
-        plan = Plan(optimize(capture_forward(self.module, sample)))
-        self.stats.plans_built += 1
-        return plan
 
     def _plan_for(self, x: np.ndarray) -> Optional[Plan]:
         # Compile an unseen signature on its *second* sighting: a shape

@@ -1,7 +1,7 @@
 """Buffer arena for compiled plans.
 
 Every ndarray a :class:`~repro.compile.executor.Plan` writes into — op
-outputs, gradient accumulators, im2col scratch, pooling index buffers — is
+outputs, gradient accumulators, masks, the step-local scratch region — is
 allocated exactly once, at bind time, through a :class:`BufferPool`.  Replays
 then reuse the same arrays via ``out=``-style NumPy kernels, so steady-state
 attack iterations perform **zero** pool allocations; the pool's counters make

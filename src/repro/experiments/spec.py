@@ -259,6 +259,11 @@ class ExperimentSpec:
         # move at rounding level; eager and mask-free specs keep their hashes.
         if self.train_compile and self.ibrar is not None and self.ibrar_config.use_mask:
             payload["compiled_mask"] = "live-v1"
+        # Kernel numerics version of every spec: eager convolutions and
+        # compiled plans share one im2col kernel set, and the compiled CE
+        # seed, log and divide gradients round as eager autograd does, so
+        # eager conv and compiled trajectories moved at rounding level.
+        payload["kernels"] = "shared-conv-v1"
         return payload
 
     def eval_dict(self) -> Dict[str, Any]:
@@ -295,11 +300,11 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
-        # "dtype", "hsic", "dropout_rng" and "compiled_mask" are derived
-        # annotations that as_dict() emits (ambient dtype; HSIC-estimator,
-        # dropout-RNG and compiled-mask versions) — accepted on input, never
-        # stored as fields.
-        known = {"dataset", "model", "loss", "ibrar", "optimizer", "epochs", "batch_size", "seed", "dtype", "hsic", "dropout_rng", "compiled_mask", "train_compile", "eval", "name"}
+        # "dtype", "hsic", "dropout_rng", "compiled_mask" and "kernels" are
+        # derived annotations that as_dict() emits (ambient dtype;
+        # HSIC-estimator, dropout-RNG, compiled-mask and kernel versions) —
+        # accepted on input, never stored as fields.
+        known = {"dataset", "model", "loss", "ibrar", "optimizer", "epochs", "batch_size", "seed", "dtype", "hsic", "dropout_rng", "compiled_mask", "kernels", "train_compile", "eval", "name"}
         # Older spec JSON may carry "provider": "numpy"; that is the only
         # kernel set plans run, so it loads with unchanged hashes.
         provider = data.get("provider", "numpy")

@@ -1,17 +1,18 @@
 """Differentiable neural-network operations built on :class:`repro.nn.Tensor`.
 
 Implements the forward and backward passes of every operation used by the
-IB-RAR pipeline: 2-D convolution (via im2col), max/average pooling, batch
-normalization, dropout, softmax / log-softmax, cross-entropy,
-Kullback-Leibler divergence (needed by TRADES and MART) and a handful of
-helpers shared by the attack implementations.
+IB-RAR pipeline: 2-D convolution (through im2col kernels that compiled plans
+share), max/average pooling, batch normalization, dropout, softmax /
+log-softmax, cross-entropy, Kullback-Leibler divergence (needed by TRADES
+and MART) and a handful of helpers shared by the attack implementations.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .rng import new_dropout_mask, state_key as rng_state_key
 from .tensor import Tensor, as_tensor, get_default_dtype, is_tracing
@@ -32,8 +33,15 @@ __all__ = [
     "kl_div_with_logits",
     "mse_loss",
     "one_hot",
-    "im2col",
-    "col2im",
+    "conv2d_gathers",
+    "conv2d_buffers",
+    "conv2d_columns",
+    "conv2d_weight_grad",
+    "conv2d_input_grad",
+    "pool_windows",
+    "max_pool2d_values",
+    "avg_pool2d_values",
+    "avg_pool2d_grad",
 ]
 
 
@@ -157,64 +165,162 @@ def dropout(
 
 
 # --------------------------------------------------------------------------- #
-# im2col-based convolution
+# convolution: one kernel set for eager autograd and compiled plans, which
+# pass fresh and pooled ``out=`` buffers respectively and so round alike.
+# Columns are (k, k, C)-ordered rows gathered from a zero-bordered NHWC copy
+# of the input: k runs of k*C contiguous values each.
 # --------------------------------------------------------------------------- #
 def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
-def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> Tuple[np.ndarray, int, int]:
-    """Rearrange (N, C, H, W) image patches into a matrix for convolution.
+def conv2d_gathers(kernel: int, stride: int, padding: int) -> bool:
+    """Whether the input gradient is a gather + GEMM: for stride 1 it is the
+    output gradient, zero-padded by ``k - 1 - p``, correlated with the
+    flipped kernel.  Strided convolutions, and paddings past ``k - 1``
+    (a negative pad), scatter their column gradients instead."""
+    return stride == 1 and padding <= kernel - 1
 
-    Returns ``(cols, out_h, out_w)`` with ``cols`` of shape
-    ``(N * out_h * out_w, C * kernel * kernel)``.
+
+def conv2d_buffers(
+    x_shape: Tuple[int, int, int, int],
+    weight_shape: Tuple[int, int, int, int],
+    stride: int,
+    padding: int,
+) -> Dict[str, Tuple[int, ...]]:
+    """Shapes of the scratch the conv kernels take, by name.
+
+    ``xpad`` and ``cols`` for :func:`conv2d_columns` of the input;
+    ``grad_mat`` (the NHWC output gradient) and ``gw_mat`` for
+    :func:`conv2d_weight_grad`; ``w_mat``, ``gpad``, ``gcols`` and, when
+    :func:`conv2d_gathers`, ``out`` for :func:`conv2d_input_grad`.
+    """
+    n, c, h, w = x_shape
+    oc, _, kernel, _ = weight_shape
+    out_h = _conv_output_size(h, kernel, stride, padding)
+    out_w = _conv_output_size(w, kernel, stride, padding)
+    rows, width = n * out_h * out_w, kernel * kernel * c
+    shapes = {
+        "xpad": (n, h + 2 * padding, w + 2 * padding, c),
+        "cols": (rows, width),
+        "grad_mat": (rows, oc),
+        "gw_mat": (oc, width),
+        "w_mat": (oc * width,),
+    }
+    if conv2d_gathers(kernel, stride, padding):
+        pad = kernel - 1 - padding  # the output gradient's zero border
+        shapes["gpad"] = (n, out_h + 2 * pad, out_w + 2 * pad, oc)
+        shapes["gcols"] = (n * h * w, kernel * kernel * oc)
+        shapes["out"] = (n * h * w, c)
+    else:
+        shapes["gpad"] = shapes["xpad"]
+        shapes["gcols"] = shapes["cols"]
+    return shapes
+
+
+def conv2d_columns(
+    x: np.ndarray,
+    kernel: int,
+    stride: int,
+    padding: int,
+    out: Optional[np.ndarray] = None,
+    xpad: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """im2col of an NCHW array: ``(N * out_h * out_w, k * k * C)`` columns.
+
+    ``x`` may have any strides; it is copied into the interior of ``xpad``,
+    an ``(N, H + 2p, W + 2p, C)`` buffer whose border this function zeroes.
     """
     n, c, h, w = x.shape
     out_h = _conv_output_size(h, kernel, stride, padding)
     out_w = _conv_output_size(w, kernel, stride, padding)
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-
-    strides = x.strides
-    shape = (n, c, out_h, out_w, kernel, kernel)
-    view_strides = (
-        strides[0],
-        strides[1],
-        strides[2] * stride,
-        strides[3] * stride,
-        strides[2],
-        strides[3],
+    if xpad is None:
+        xpad = np.empty((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
+    if out is None:
+        out = np.empty((n * out_h * out_w, kernel * kernel * c), dtype=x.dtype)
+    if padding:  # zero the border; the interior is overwritten below
+        xpad[:, :padding] = xpad[:, padding + h :] = 0
+        xpad[:, :, :padding] = xpad[:, :, padding + w :] = 0
+    xpad[:, padding : padding + h, padding : padding + w] = x.transpose(0, 2, 3, 1)
+    s0, s1, s2, s3 = xpad.strides
+    patches = as_strided(
+        xpad,
+        shape=(n, out_h, out_w, kernel, kernel, c),
+        strides=(s0, s1 * stride, s2 * stride, s1, s2, s3),
     )
-    patches = np.lib.stride_tricks.as_strided(x, shape=shape, strides=view_strides)
-    # (N, out_h, out_w, C, k, k) -> (N*out_h*out_w, C*k*k)
-    cols = patches.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * kernel * kernel)
-    return np.ascontiguousarray(cols), out_h, out_w
+    out.reshape(n, out_h, out_w, kernel, kernel, c)[...] = patches
+    return out
 
 
-def col2im(
+def conv2d_weight_grad(
+    grad_mat: np.ndarray,
     cols: np.ndarray,
-    x_shape: Tuple[int, int, int, int],
     kernel: int,
+    out: Optional[np.ndarray] = None,
+    gw_mat: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """``(OC, C, k, k)`` weight gradient: ``grad_mat.T @ cols``, reordered.
+
+    ``grad_mat`` is the ``(N * out_h * out_w, OC)`` output gradient and
+    ``cols`` the forward's :func:`conv2d_columns`; ``gw_mat`` holds the
+    ``(OC, k * k * C)`` product.
+    """
+    oc, width = grad_mat.shape[1], cols.shape[1]
+    c = width // (kernel * kernel)
+    if gw_mat is None:
+        gw_mat = np.empty((oc, width), dtype=grad_mat.dtype)
+    if out is None:
+        out = np.empty((oc, c, kernel, kernel), dtype=grad_mat.dtype)
+    np.matmul(grad_mat.T, cols, out=gw_mat)
+    np.copyto(out, gw_mat.reshape(oc, kernel, kernel, c).transpose(0, 3, 1, 2))
+    return out
+
+
+def conv2d_input_grad(
+    grad_mat: np.ndarray,
+    weight: np.ndarray,
+    x_shape: Tuple[int, int, int, int],
     stride: int,
     padding: int,
-    out_h: int,
-    out_w: int,
+    scratch: Optional[Mapping[str, np.ndarray]] = None,
 ) -> np.ndarray:
-    """Inverse of :func:`im2col`: scatter column gradients back to image space."""
+    """Input gradient, as an NCHW view of an NHWC result, from the
+    ``(N * out_h * out_w, OC)`` output gradient ``grad_mat``; ``scratch``
+    maps :func:`conv2d_buffers` names to buffers (fresh when omitted).
+    """
     n, c, h, w = x_shape
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    cols_reshaped = cols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(0, 3, 1, 2, 4, 5)
+    oc, _, kernel, _ = weight.shape
+    out_h = _conv_output_size(h, kernel, stride, padding)
+    out_w = _conv_output_size(w, kernel, stride, padding)
+    if scratch is None:
+        shapes = conv2d_buffers(x_shape, weight.shape, stride, padding)
+        scratch = {
+            name: np.empty(shapes[name], dtype=grad_mat.dtype)
+            for name in ("w_mat", "gpad", "gcols", "out")
+            if name in shapes
+        }
+    w_mat, gpad, gcols = scratch["w_mat"], scratch["gpad"], scratch["gcols"]
+    if conv2d_gathers(kernel, stride, padding):
+        flipped = w_mat.reshape(c, kernel * kernel * oc)
+        np.copyto(
+            flipped.reshape(c, kernel, kernel, oc),
+            weight[:, :, ::-1, ::-1].transpose(1, 2, 3, 0),
+        )
+        grad_nchw = grad_mat.reshape(n, out_h, out_w, oc).transpose(0, 3, 1, 2)
+        conv2d_columns(grad_nchw, kernel, 1, kernel - 1 - padding, out=gcols, xpad=gpad)
+        out = scratch["out"]
+        np.matmul(gcols, flipped.T, out=out)
+        return out.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+    w_kkc = w_mat.reshape(oc, kernel * kernel * c)
+    np.copyto(w_kkc.reshape(oc, kernel, kernel, c), weight.transpose(0, 2, 3, 1))
+    np.matmul(grad_mat, w_kkc, out=gcols)
+    columns = gcols.reshape(n, out_h, out_w, kernel, kernel, c)
+    gpad.fill(0)
     for ki in range(kernel):
         for kj in range(kernel):
-            padded[
-                :,
-                :,
-                ki : ki + stride * out_h : stride,
-                kj : kj + stride * out_w : stride,
-            ] += cols_reshaped[:, :, :, :, ki, kj]
-    if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+            target = gpad[:, ki : ki + stride * out_h : stride, kj : kj + stride * out_w : stride]
+            np.add(target, columns[:, :, :, ki, kj], out=target)
+    return gpad[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2)
 
 
 def conv2d(
@@ -226,7 +332,8 @@ def conv2d(
 ) -> Tensor:
     """2-D convolution over an NCHW tensor.
 
-    ``weight`` has shape ``(out_channels, in_channels, k, k)``.
+    ``weight`` has shape ``(out_channels, in_channels, k, k)``.  Every
+    gradient it returns is C-contiguous NCHW, like a plan's buffers.
     """
     n, c, h, w = x.shape
     out_channels, in_channels, kernel, kernel2 = weight.shape
@@ -235,66 +342,108 @@ def conv2d(
     if in_channels != c:
         raise ValueError(f"channel mismatch: input has {c}, weight expects {in_channels}")
 
-    cols, out_h, out_w = im2col(x.data, kernel, stride, padding)
-    w_mat = weight.data.reshape(out_channels, -1)
+    cols = conv2d_columns(x.data, kernel, stride, padding)
+    out_h = _conv_output_size(h, kernel, stride, padding)
+    out_w = _conv_output_size(w, kernel, stride, padding)
+    w_mat = np.ascontiguousarray(weight.data.transpose(0, 2, 3, 1)).reshape(out_channels, -1)
     out = cols @ w_mat.T  # (N*out_h*out_w, out_channels)
     if bias is not None:
-        out = out + bias.data
+        out += bias.data
     out_data = out.reshape(n, out_h, out_w, out_channels).transpose(0, 3, 1, 2)
 
     def backward(grad: np.ndarray) -> None:
         grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, out_channels)
         if weight.requires_grad:
-            grad_w = grad_mat.T @ cols
-            weight._accumulate(grad_w.reshape(weight.shape))
+            weight._accumulate(conv2d_weight_grad(grad_mat, cols, kernel))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_mat.sum(axis=0))
         if x.requires_grad:
-            grad_cols = grad_mat @ w_mat
-            grad_x = col2im(grad_cols, (n, c, h, w), kernel, stride, padding, out_h, out_w)
-            x._accumulate(grad_x)
+            grad_x = conv2d_input_grad(grad_mat, weight.data, x.shape, stride, padding)
+            x._accumulate(np.ascontiguousarray(grad_x))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._make(out_data, parents, backward, op="conv2d", meta={"stride": stride, "padding": padding})
 
 
 # --------------------------------------------------------------------------- #
-# pooling
+# pooling: forward kernels shared with compiled plans
 # --------------------------------------------------------------------------- #
+def pool_windows(x: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int):
+    """The ``k * k`` strided ``(N, C, out_h, out_w)`` views, one per window offset."""
+    return [
+        x[:, :, ki : ki + stride * out_h : stride, kj : kj + stride * out_w : stride]
+        for ki in range(kernel)
+        for kj in range(kernel)
+    ]
+
+
+def _pool_patches(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """``(N, C, out_h, out_w, k, k)`` sliding-window view of an NCHW array."""
+    n, c, h, w = x.shape
+    s0, s1, s2, s3 = x.strides
+    return as_strided(
+        x,
+        shape=(n, c, (h - kernel) // stride + 1, (w - kernel) // stride + 1, kernel, kernel),
+        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
+    )
+
+
+def max_pool2d_values(
+    x: np.ndarray, kernel: int, stride: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Window maxima of an NCHW array: a running maximum over the window views."""
+    if out is None:
+        out = np.empty(_pool_patches(x, kernel, stride).shape[:4], dtype=x.dtype)
+    windows = pool_windows(x, kernel, stride, *out.shape[2:])
+    np.copyto(out, windows[0])
+    for window in windows[1:]:
+        np.maximum(out, window, out=out)
+    return out
+
+
+def avg_pool2d_values(
+    x: np.ndarray, kernel: int, stride: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Window means of an NCHW array."""
+    return np.mean(_pool_patches(x, kernel, stride), axis=(-1, -2), out=out)
+
+
+def avg_pool2d_grad(
+    grad: np.ndarray,
+    kernel: int,
+    stride: int,
+    grad_x: np.ndarray,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Add ``grad / k^2`` into every window of ``grad_x``."""
+    scaled = np.divide(grad, kernel * kernel, out=scratch)
+    for target in pool_windows(grad_x, kernel, stride, *grad.shape[2:]):
+        np.add(target, scaled, out=target)
+    return grad_x
+
+
 def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tensor:
     """Max pooling with square windows over an NCHW tensor."""
     stride = stride or kernel
-    n, c, h, w = x.shape
-    out_h = (h - kernel) // stride + 1
-    out_w = (w - kernel) // stride + 1
-
-    strides = x.data.strides
-    shape = (n, c, out_h, out_w, kernel, kernel)
-    view_strides = (
-        strides[0],
-        strides[1],
-        strides[2] * stride,
-        strides[3] * stride,
-        strides[2],
-        strides[3],
-    )
-    patches = np.lib.stride_tricks.as_strided(x.data, shape=shape, strides=view_strides)
-    flat = patches.reshape(n, c, out_h, out_w, kernel * kernel)
-    argmax = flat.argmax(axis=-1)
-    out_data = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
+    out_data = max_pool2d_values(x.data, kernel, stride)
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        grad_x = np.zeros_like(x.data)
-        ki = argmax // kernel
-        kj = argmax % kernel
+        # Scatter each gradient to its window's argmax (first maximum wins,
+        # as in the plans' window-mask kernel).  C-order like a plan's
+        # gradient buffers, whatever x's strides: downstream batch-norm sums
+        # then reduce in the same order.
+        grad_x = np.zeros(x.shape, dtype=x.data.dtype)
+        n, c, out_h, out_w = grad.shape
+        flat = _pool_patches(x.data, kernel, stride).reshape(n, c, out_h, out_w, kernel * kernel)
+        argmax = flat.argmax(axis=-1)
         n_idx, c_idx, i_idx, j_idx = np.meshgrid(
             np.arange(n), np.arange(c), np.arange(out_h), np.arange(out_w), indexing="ij"
         )
-        rows = i_idx * stride + ki
-        cols_ = j_idx * stride + kj
-        np.add.at(grad_x, (n_idx, c_idx, rows, cols_), grad)
+        rows = i_idx * stride + argmax // kernel
+        cols = j_idx * stride + argmax % kernel
+        np.add.at(grad_x, (n_idx, c_idx, rows, cols), grad)
         x._accumulate(grad_x)
 
     return Tensor._make(out_data, (x,), backward, op="max_pool2d", meta={"kernel": kernel, "stride": stride})
@@ -303,37 +452,11 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
 def avg_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tensor:
     """Average pooling with square windows over an NCHW tensor."""
     stride = stride or kernel
-    n, c, h, w = x.shape
-    out_h = (h - kernel) // stride + 1
-    out_w = (w - kernel) // stride + 1
-
-    strides = x.data.strides
-    shape = (n, c, out_h, out_w, kernel, kernel)
-    view_strides = (
-        strides[0],
-        strides[1],
-        strides[2] * stride,
-        strides[3] * stride,
-        strides[2],
-        strides[3],
-    )
-    patches = np.lib.stride_tricks.as_strided(x.data, shape=shape, strides=view_strides)
-    out_data = patches.mean(axis=(-1, -2))
+    out_data = avg_pool2d_values(x.data, kernel, stride)
 
     def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        grad_x = np.zeros_like(x.data)
-        scaled = grad / (kernel * kernel)
-        for ki in range(kernel):
-            for kj in range(kernel):
-                grad_x[
-                    :,
-                    :,
-                    ki : ki + stride * out_h : stride,
-                    kj : kj + stride * out_w : stride,
-                ] += scaled
-        x._accumulate(grad_x)
+        if x.requires_grad:  # C-order, as in max_pool2d
+            x._accumulate(avg_pool2d_grad(grad, kernel, stride, np.zeros(x.shape, x.data.dtype)))
 
     return Tensor._make(out_data, (x,), backward, op="avg_pool2d", meta={"kernel": kernel, "stride": stride})
 

@@ -1,9 +1,12 @@
 """Differential fuzzing of the one pass pipeline against eager float64.
 
-Hypothesis draws small conv stacks: 1-3 blocks of ``conv2d`` (kernel 1 or
-3, stride 1 or 2, padding 0 or 1, bias on or off), each optionally followed
-by batch norm, ReLU and a 2x2 max- or avg-pool, then flatten -> Linear ->
-ReLU -> Linear.  One hidden output is named at a random point of a random
+Hypothesis draws small conv stacks over 8 or 16 px images: 1-3 blocks of
+``conv2d`` (1-12 channels, kernel 1 or 3, stride 1 or 2, padding 0-2, bias
+on or off), each optionally followed by batch norm, ReLU and a 2x2 max- or
+avg-pool, then flatten -> Linear -> ReLU -> Linear.  The draws reach both
+input-gradient paths of the shared conv kernels: the gather (stride 1,
+``padding <= k - 1``) and the scatter (stride 2, or a 1x1 kernel padded by
+1 or 2, where the gather would need a negative pad).  One hidden output is named at a random point of a random
 block: after its conv, BN, ReLU or pool.  Every plan built through
 :func:`~repro.compile.optimize` must match eager execution from the same
 batch-norm state, to 1e-12 relative to ``max(1, |eager|)``:
@@ -30,7 +33,6 @@ from repro.nn import Module, Tensor, no_grad
 from repro.nn import functional as F
 from repro.nn.modules import BatchNorm2d, Conv2d, Linear
 
-IMAGE = 8
 CLASSES = 3
 TOL = 1e-12
 
@@ -108,12 +110,14 @@ class Stack(Module):
         return self.forward_with_hidden(x)[0]
 
 
-def draw_stack(data) -> Stack:
+def draw_stack(data):
+    """A random :class:`Stack` and the image size it takes."""
+    image = data.draw(st.sampled_from([8, 16]), label="image")
     blocks = []
-    size = IMAGE
+    size = image
     for _ in range(data.draw(st.integers(1, 3), label="blocks")):
         kernel = data.draw(st.sampled_from([1, 3]), label="kernel")
-        padding = data.draw(st.sampled_from([0, 1]), label="padding")
+        padding = data.draw(st.integers(0, 2), label="padding")
         if size + 2 * padding < kernel:
             padding = 1  # keep the output at least 1x1
         stride = data.draw(st.sampled_from([1, 2]), label="stride")
@@ -125,7 +129,7 @@ def draw_stack(data) -> Stack:
             size //= 2
         blocks.append(
             {
-                "channels": data.draw(st.integers(1, 4), label="channels"),
+                "channels": data.draw(st.integers(1, 12), label="channels"),
                 "kernel": kernel,
                 "stride": stride,
                 "padding": padding,
@@ -141,7 +145,7 @@ def draw_stack(data) -> Stack:
     hidden_point = data.draw(st.sampled_from(points), label="hidden point")
     features = blocks[-1]["channels"] * size * size
     seed = data.draw(st.integers(0, 2**16), label="weight seed")
-    return Stack(blocks, features, hidden_block, hidden_point, seed)
+    return Stack(blocks, features, hidden_block, hidden_point, seed), image
 
 
 def bn_state(model):
@@ -219,10 +223,10 @@ def check_training(model, x, rng) -> None:
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_optimized_plans_match_eager(data):
-    model = draw_stack(data)
+    model, image = draw_stack(data)
     batch = data.draw(st.integers(1, 3), label="batch")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="input seed"))
-    x = rng.normal(size=(batch, 3, IMAGE, IMAGE))
+    x = rng.normal(size=(batch, 3, image, image))
     y = rng.integers(0, CLASSES, batch)
     with no_grad():
         model.forward(Tensor(x))  # a training forward: non-trivial BN statistics

@@ -481,6 +481,33 @@ class TestPlanLifetime:
         finally:
             gc.enable()
 
+    def test_dropped_compiled_model_frees_plans_at_once(self):
+        # An attack engine run builds a CompiledModel per run: its plans
+        # must go with it, not wait for a cyclic collection.
+        import gc
+        import weakref
+
+        from repro.compile import compile_model
+
+        rng = np.random.default_rng(0)
+        x = rng.random((6, 3, 16, 16))
+        y = rng.integers(0, 10, 6)
+        model = SmallCNN(num_classes=10, image_size=16, base_channels=4, hidden_dim=16, seed=0)
+        model.eval()
+        gc.collect()
+        gc.disable()
+        try:
+            compiled = compile_model(model, x)
+            compiled.value_and_grad(x, y)
+            compiled(x[:3])
+            compiled(x[:3])  # a second signature, built by the cache's builder
+            plans = [weakref.ref(plan) for plan in compiled._plans.values()]
+            assert len(plans) == 2
+            del compiled
+            assert [ref() for ref in plans] == [None, None]
+        finally:
+            gc.enable()
+
 
 class TestCompiledEvalHooks:
     def test_live_eval_model_persists_across_epochs(self):

@@ -129,6 +129,22 @@ class TestHashing:
         assert ExperimentSpec.from_dict(masked.as_dict()) == masked
         assert ExperimentSpec.from_dict(masked.as_dict()).training_hash == masked.training_hash
 
+    def test_kernel_version_joins_every_training_hash(self):
+        # Eager convolutions and compiled plans share one kernel set whose
+        # rounding differs from the older kernels', so every spec's hash
+        # (and the report hashed over it) carries the kernel version.
+        for spec in (
+            tiny_spec(),
+            tiny_spec(train_compile=True),
+            tiny_spec(ibrar={"alpha": 0.05, "beta": 0.01}, train_compile=True),
+        ):
+            data = spec.as_dict()
+            assert data["kernels"] == "shared-conv-v1"
+            loaded = ExperimentSpec.from_dict(data)
+            assert loaded == spec
+            assert loaded.training_hash == spec.training_hash
+            assert loaded.content_hash == spec.content_hash
+
 
 class TestValidation:
     def test_unknown_top_level_key_rejected(self):

@@ -169,15 +169,24 @@ class TestConv2d:
         with pytest.raises(ValueError):
             F.conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 3, 2))))
 
-    def test_im2col_col2im_adjoint(self):
-        # col2im is the adjoint of im2col: <im2col(x), c> == <x, col2im(c)>.
+    @pytest.mark.parametrize(
+        "stride, padding",
+        [(1, 1), (1, 0), (2, 1), (1, 3)],
+        ids=["gather", "gather-unpadded", "scatter-strided", "scatter-overpadded"],
+    )
+    def test_columns_input_grad_adjoint(self, stride, padding):
+        # The input gradient is the adjoint of the columns map through the
+        # kernel: <columns(x), g @ W> == <x, input_grad(g)>, on both paths.
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(1, 2, 6, 6))
-        cols, oh, ow = F.im2col(x, kernel=3, stride=1, padding=1)
-        c = rng.normal(size=cols.shape)
+        x = rng.normal(size=(2, 3, 6, 6))
+        w = rng.normal(size=(4, 3, 3, 3))
+        cols = F.conv2d_columns(x, kernel=3, stride=stride, padding=padding)
+        g = rng.normal(size=(cols.shape[0], 4))
+        c = g @ w.transpose(0, 2, 3, 1).reshape(4, -1)
         lhs = float((cols * c).sum())
-        back = F.col2im(c, x.shape, kernel=3, stride=1, padding=1, out_h=oh, out_w=ow)
+        back = F.conv2d_input_grad(g, w, x.shape, stride=stride, padding=padding)
         rhs = float((x * back).sum())
+        assert F.conv2d_gathers(3, stride, padding) == (stride == 1 and padding <= 2)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
