@@ -454,6 +454,38 @@ def paper_rows_header(title: str) -> str:
     )
 
 
+def probe_gflops() -> float:
+    """One-thread float64 matmul GFLOP/s: the speed gates' machine yardstick.
+
+    ``tests/compile/test_speedup.py`` divides compiled examples/s by it,
+    round by round, so a slower machine lowers the throughput and its
+    yardstick alike.  It is ``cellbench/machine.py``'s ``matmul_gflops``
+    (the median of nine 384-square matmuls) run on one OpenBLAS thread: the
+    gated SmallCNN loops are Python, elementwise NumPy and small GEMMs, and
+    on a 2-vCPU box a second BLAS thread left their time within noise while
+    it doubled the probe's rate, so a probe on every core would grow with a
+    runner's core count while they do not.  With another BLAS the thread
+    count is left as it is.
+    """
+    import sys
+
+    import numpy as np
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cellbench = os.path.join(root, "cellbench")
+    if cellbench not in sys.path:
+        sys.path.insert(0, cellbench)
+    import machine
+
+    threads = machine.blas_threads()
+    machine.set_blas_threads(1)
+    try:
+        return machine.matmul_gflops(np.float64)
+    finally:
+        if threads > 0:
+            machine.set_blas_threads(threads)
+
+
 def training_benchmark(
     dataset,
     strategy_factory,
@@ -465,10 +497,12 @@ def training_benchmark(
 
     Both trainers start from identical fresh seeded models and loader
     seeds; one warm-up epoch runs per mode (compiled plans build on their
-    second batch sighting), then ``epochs_timed`` matched epochs are
-    **interleaved** — so load spikes hit both modes — and the best wall
-    time per mode is kept.  Returns a dict with the trainers/models (for
-    trajectory assertions) and the measured seconds.
+    second batch sighting), then ``epochs_timed`` rounds of one eager
+    epoch, one compiled epoch and one :func:`probe_gflops` reading run, so
+    load spikes hit both modes and the probe.  Returns a dict with the
+    trainers/models (for trajectory assertions), the ``(eager s,
+    compiled s, probe GFLOP/s)`` of every round and the examples of one
+    epoch.
     """
     import time
 
@@ -502,22 +536,22 @@ def training_benchmark(
     compiled_trainer.fit(compiled_loader, epochs=1)
     warm_allocations = compiled_trainer._compiled_trainer.pool_allocations
 
-    eager_seconds = compiled_seconds = float("inf")
+    rounds = []
     for _ in range(epochs_timed):
         start = time.perf_counter()
         eager_trainer.fit(eager_loader, epochs=1)
-        eager_seconds = min(eager_seconds, time.perf_counter() - start)
+        eager_seconds = time.perf_counter() - start
         start = time.perf_counter()
         compiled_trainer.fit(compiled_loader, epochs=1)
-        compiled_seconds = min(compiled_seconds, time.perf_counter() - start)
+        rounds.append((eager_seconds, time.perf_counter() - start, probe_gflops()))
 
     return {
         "eager_model": eager_model,
         "eager_trainer": eager_trainer,
         "compiled_model": compiled_model,
         "compiled_trainer": compiled_trainer,
-        "eager_seconds": eager_seconds,
-        "compiled_seconds": compiled_seconds,
+        "rounds": rounds,
+        "epoch_examples": len(dataset.x_train) // batch_size * batch_size,
         "warm_allocations": warm_allocations,
         "epochs_timed": epochs_timed,
     }

@@ -6,9 +6,12 @@ allocated once at bind time, scratch that dies with its step comes from
 one step-local region sized to the largest step (a plan's steps never
 overlap), and replays write into those arrays with ``out=``-style NumPy
 kernels — zero steady-state pool allocations, the property the attack hot
-path (tens of gradient steps per batch) is bought with.  Convolution and
-pooling call the kernels eager autograd calls (``conv2d_*`` and the pool
-kernels of :mod:`repro.nn.functional`), so both round identically.
+path (tens of gradient steps per batch) is bought with.  Convolution, batch
+norm and pooling, forward and backward, call the kernels eager autograd
+calls (the ``conv2d_*``, ``batch_norm2d_*`` and pool kernels of
+:mod:`repro.nn.functional`): eager passes fresh C-order arrays, the binders
+here pooled and step-local ones, so both round identically and their
+binders hold no arithmetic of their own beyond a fused ReLU.
 
 Three gradient modes exist.  ``grad="input"`` (the attack/eval default)
 computes the gradient **with respect to the input only** — parameters are
@@ -47,7 +50,7 @@ norms read the module's running buffers, all re-read on every replay — one
 plan survives every in-place optimizer step and mask refresh.  Eval-mode
 batch norms re-derive their per-channel scale and shift per replay;
 training-mode batch norms recompute batch statistics and update the running
-buffers in place with the eager expressions' operation order.
+buffers in place, as the shared kernel does for eager.
 
 Losses are fused: :meth:`Plan.value_and_grad_ce` evaluates softmax
 cross-entropy and seeds the backward pass with the closed-form
@@ -64,12 +67,16 @@ import numpy as np
 from ..nn.functional import (
     avg_pool2d_grad,
     avg_pool2d_values,
+    batch_norm2d_buffers,
+    batch_norm2d_grad,
+    batch_norm2d_saved,
+    batch_norm2d_values,
     conv2d_buffers,
     conv2d_columns,
     conv2d_input_grad,
     conv2d_weight_grad,
+    max_pool2d_grad,
     max_pool2d_values,
-    pool_windows,
 )
 from ..obs.profiler import PROFILER as _PROFILER
 from .graph import CompileError, Graph, LEAF_OPS as _LEAF_OPS, Node
@@ -512,9 +519,11 @@ class Plan:
         np.exp(p, out=p)
         np.sum(p, axis=1, keepdims=True, out=z)
         np.log(z, out=logz)
-        loss = float(np.mean(logz) - np.mean(picked))
-        # Eager autograd's order: e * ((1/N) / z) - (1/N) at the labels.
+        # Eager's order: the loss is sum(log z - picked) * (1/N), the seed
+        # e * ((1/N) / z) - (1/N) at the labels.
         inverse = 1.0 / len(labels)
+        np.subtract(logz.reshape(-1), picked, out=picked)
+        loss = float(np.sum(picked) * inverse)
         np.divide(inverse, z, out=z)
         np.multiply(p, z, out=p)
         p[arange, labels] -= inverse
@@ -652,97 +661,18 @@ def _bind_pow(plan: Plan, node: Node):
 
 
 def _bind_batch_norm(plan: Plan, node: Node):
-    if node.meta.get("training"):
-        return _bind_batch_norm_train(plan, node)
-    x = plan.values[node.inputs[0]]
-    gamma = plan.values[node.inputs[1]]
-    beta = plan.values[node.inputs[2]]
-    c = node.shape[1]
-    dtype = node.dtype
-    fuse_relu = node.meta.get("fuse_relu", False)
-    out = plan.pool.empty(node.shape, dtype)
-    # Gamma/beta (and the running stats, updated by interleaved training
-    # forwards) are live: re-derive the per-channel affine every replay, in
-    # float64, into persistent buffers.
-    mean_ref, var_ref = node.meta["mean"], node.meta["var"]
-    eps = node.meta["eps"]
-    scale64 = plan.pool.empty((c,), np.float64)
-    shift64 = plan.pool.empty((c,), np.float64)
-    scale_r = plan.pool.empty((1, c, 1, 1), dtype)
-    shift_r = plan.pool.empty((1, c, 1, 1), dtype)
-    scale_cast = scale_r.reshape(c)
-    shift_cast = shift_r.reshape(c)
-    node.meta["_scale"] = scale_r
+    """Training or eval batch norm: the shared kernel over a pooled output and
+    pooled saved buffers (read by the backward), then the fused ReLU."""
+    meta = node.meta
+    training = bool(meta["training"])
+    x, gamma, beta = (plan.values[i] for i in node.inputs)
+    out = plan.pool.empty(node.shape, node.dtype)
+    saved = meta["_saved"] = batch_norm2d_saved(node.shape, node.dtype, training, plan.pool.empty)
+    stats = (meta["running_mean"], meta["running_var"], training, meta["momentum"], meta["eps"])
+    fuse_relu = meta.get("fuse_relu", False)
 
     def step() -> None:
-        np.add(var_ref, eps, out=shift64)
-        np.sqrt(shift64, out=shift64)
-        np.divide(gamma, shift64, out=scale64)
-        np.multiply(mean_ref, scale64, out=shift64)
-        np.subtract(beta, shift64, out=shift64)
-        scale_cast[...] = scale64
-        shift_cast[...] = shift64
-        np.multiply(x, scale_r, out=out)
-        np.add(out, shift_r, out=out)
-        if fuse_relu:
-            np.maximum(out, 0.0, out=out)
-
-    return step, out
-
-
-def _bind_batch_norm_train(plan: Plan, node: Node):
-    """Batch-stat batch norm with in-place running-statistic updates.
-
-    Reproduces :func:`repro.nn.functional.batch_norm2d`'s training branch
-    operation for operation, so the running buffers match eager bitwise:
-    batch mean/var in the input dtype, normalization through ``x_hat``
-    (stored for the backward kernel), and running buffers (kept in their
-    own dtype) updated as ``((momentum * var) * count) / (count - 1)``, the
-    unbiased correction in the eager expression's order.
-    """
-    x = plan.values[node.inputs[0]]
-    gamma = plan.values[node.inputs[1]]
-    beta = plan.values[node.inputs[2]]
-    n, c, h, w = node.shape
-    dtype = node.dtype
-    fuse_relu = node.meta.get("fuse_relu", False)
-    momentum = node.meta["momentum"]
-    eps = node.meta["eps"]
-    running_mean = node.meta["running_mean"]
-    running_var = node.meta["running_var"]
-    count = n * h * w
-
-    mean_c = plan.pool.empty((c,), dtype)
-    var_c = plan.pool.empty((c,), dtype)
-    std_c = plan.pool.empty((c,), dtype)
-    scratch_c = plan.pool.empty((c,), dtype)
-    x_hat = plan.pool.empty(node.shape, dtype)
-    out = plan.pool.empty(node.shape, dtype)
-    mean_r = mean_c.reshape(1, c, 1, 1)
-    std_r = std_c.reshape(1, c, 1, 1)
-    gamma_r = gamma.reshape(1, c, 1, 1)
-    beta_r = beta.reshape(1, c, 1, 1)
-    node.meta["_x_hat"] = x_hat
-    node.meta["_std"] = std_r
-    node.meta["_gamma_r"] = gamma_r
-
-    def step() -> None:
-        np.mean(x, axis=(0, 2, 3), out=mean_c)
-        np.var(x, axis=(0, 2, 3), out=var_c)
-        np.multiply(running_mean, 1.0 - momentum, out=running_mean)
-        np.multiply(mean_c, momentum, out=scratch_c)
-        np.add(running_mean, scratch_c, out=running_mean)
-        np.multiply(running_var, 1.0 - momentum, out=running_var)
-        np.multiply(var_c, momentum, out=scratch_c)
-        np.multiply(scratch_c, count, out=scratch_c)
-        np.divide(scratch_c, max(count - 1, 1), out=scratch_c)
-        np.add(running_var, scratch_c, out=running_var)
-        np.add(var_c, eps, out=std_c)
-        np.sqrt(std_c, out=std_c)
-        np.subtract(x, mean_r, out=x_hat)
-        np.divide(x_hat, std_r, out=x_hat)
-        np.multiply(x_hat, gamma_r, out=out)
-        np.add(out, beta_r, out=out)
+        batch_norm2d_values(x, gamma, beta, *stats, out=out, saved=saved)
         if fuse_relu:
             np.maximum(out, 0.0, out=out)
 
@@ -1204,126 +1134,42 @@ def _back_unary(grad: Callable[..., None]):
 
 
 def _back_batch_norm(plan: Plan, node: Node):
-    if node.meta.get("training"):
-        return _back_batch_norm_train(plan, node)
-    x_id = node.inputs[0]
-    if x_id not in plan._diff:
-        return _relu_mask_step(plan, node)
-    g = plan.grads[node.id]
-    scale = node.meta["_scale"]
     relu_step = _relu_mask_step(plan, node)
-    write, gx = plan._sink(x_id)
-    target = gx if write else plan.pool.empty(node.shape, node.dtype)
+    targets: Dict[str, np.ndarray] = {}
+    adds: List[Tuple[np.ndarray, np.ndarray]] = []
+    for name, input_id in zip(("grad_x", "grad_gamma", "grad_beta"), node.inputs):
+        if input_id in plan._diff:
+            write, grad = plan._sink(input_id)
+            targets[name] = grad if write else plan.pool.empty(grad.shape, grad.dtype)
+            if not write:
+                adds.append((grad, targets[name]))
+    if not targets:
+        return relu_step
+    g = plan.grads[node.id]
+    x, gamma = plan.values[node.inputs[0]], plan.values[node.inputs[1]]
+    saved, training = node.meta["_saved"], bool(node.meta["training"])
+    scratch = plan._step_scratch(node, backward=True)
 
     def run() -> None:
         if relu_step is not None:
             relu_step()
-        np.multiply(g, scale, out=target)
-        if not write:
-            np.add(gx, target, out=gx)
-
-    return run
-
-
-def _back_batch_norm_train(plan: Plan, node: Node):
-    """Full training-mode BN backward (through the batch statistics).
-
-    Mirrors the eager kernel: gamma gets ``sum(grad * x_hat)``, beta gets
-    ``sum(grad)``, and the input gradient is
-    ``(grad_xhat - sum(grad_xhat)/m - x_hat * sum(grad_xhat * x_hat)/m) / std``.
-    """
-    x_id, gamma_id, beta_id = node.inputs[0], node.inputs[1], node.inputs[2]
-    need_x = x_id in plan._diff
-    need_gamma = gamma_id in plan._diff
-    need_beta = beta_id in plan._diff
-    if not (need_x or need_gamma or need_beta):
-        return _relu_mask_step(plan, node)
-    n, c, h, w = node.shape
-    dtype = node.dtype
-    count = n * h * w
-    g = plan.grads[node.id]
-    x_hat = node.meta["_x_hat"]
-    std_r = node.meta["_std"]
-    gamma_r = node.meta["_gamma_r"]
-    relu_step = _relu_mask_step(plan, node)
-
-    s1, s2 = plan._step_scratch(node, backward=True).values()
-    sg = plan.pool.empty((1, c, 1, 1), dtype)
-    sgx = plan.pool.empty((1, c, 1, 1), dtype)
-    steps: List[Callable[[], None]] = []
-    if need_gamma:
-        write_g, gg = plan._sink(gamma_id)
-        if write_g:
-            steps.append(lambda: (np.multiply(g, x_hat, out=s1), np.sum(s1, axis=(0, 2, 3), out=gg)))
-        else:
-            scratch_g = plan.pool.empty(gg.shape, dtype)
-            steps.append(
-                lambda: (
-                    np.multiply(g, x_hat, out=s1),
-                    np.sum(s1, axis=(0, 2, 3), out=scratch_g),
-                    np.add(gg, scratch_g, out=gg),
-                )
-            )
-    if need_beta:
-        write_b, gb = plan._sink(beta_id)
-        if write_b:
-            steps.append(lambda: np.sum(g, axis=(0, 2, 3), out=gb))
-        else:
-            scratch_b = plan.pool.empty(gb.shape, dtype)
-            steps.append(
-                lambda: (np.sum(g, axis=(0, 2, 3), out=scratch_b), np.add(gb, scratch_b, out=gb))
-            )
-    if need_x:
-        write, gx = plan._sink(x_id)
-
-        def input_step() -> None:
-            np.multiply(g, gamma_r, out=s1)  # grad_xhat
-            np.sum(s1, axis=(0, 2, 3), keepdims=True, out=sg)
-            np.multiply(s1, x_hat, out=s2)
-            np.sum(s2, axis=(0, 2, 3), keepdims=True, out=sgx)
-            np.divide(sg, count, out=sg)
-            np.multiply(x_hat, sgx, out=s2)
-            np.divide(s2, count, out=s2)
-            np.subtract(s1, sg, out=s1)
-            np.subtract(s1, s2, out=s1)
-            np.divide(s1, std_r, out=s1)
-            if write:
-                np.copyto(gx, s1)
-            else:
-                np.add(gx, s1, out=gx)
-
-        steps.append(input_step)
-
-    def run() -> None:
-        if relu_step is not None:
-            relu_step()
-        for step in steps:
-            step()
+        batch_norm2d_grad(g, x, gamma, saved, training, scratch=scratch, **targets)
+        for grad, target in adds:
+            np.add(grad, target, out=grad)
 
     return run
 
 
 def _back_max_pool(plan: Plan, node: Node):
-    """Route each gradient to its window's first maximum (eager argmax order)."""
     kernel, stride = node.meta["kernel"], node.meta["stride"]
-    _, _, out_h, out_w = node.shape
-    out, g = plan.values[node.id], plan.grads[node.id]
+    x, out, g = plan.values[node.inputs[0]], plan.values[node.id], plan.grads[node.id]
     _, gx = plan._sink(node.inputs[0], supports_write=False)
-    windows = pool_windows(plan.values[node.inputs[0]], kernel, stride, out_h, out_w)
-    targets = pool_windows(gx, kernel, stride, out_h, out_w)
-    mask, taken = plan.pool.empty(node.shape, bool), plan.pool.empty(node.shape, bool)
-    scratch = plan.pool.empty(node.shape, node.dtype)
-
-    def run() -> None:
-        taken.fill(False)
-        for window, target in zip(windows, targets):
-            np.equal(window, out, out=mask)
-            np.greater(mask, taken, out=mask)  # a maximum no earlier window took
-            np.logical_or(taken, mask, out=taken)
-            np.multiply(g, mask, out=scratch)
-            np.add(target, scratch, out=target)
-
-    return run
+    scratch = (
+        plan.pool.empty(node.shape, bool),
+        plan.pool.empty(node.shape, bool),
+        plan.pool.empty(node.shape, node.dtype),
+    )
+    return lambda: max_pool2d_grad(g, x, out, kernel, stride, gx, scratch)
 
 
 def _back_avg_pool(plan: Plan, node: Node):
@@ -1412,9 +1258,7 @@ def _back_pad2d(plan: Plan, node: Node):
 #: step-local buffers its binders take from :meth:`Plan._step_scratch`.
 _STEP_SCRATCH = {
     "conv2d": _conv_scratch,
-    "batch_norm2d": lambda plan, node: (
-        {}, {"s1": node.shape, "s2": node.shape} if node.meta.get("training") else {}
-    ),
+    "batch_norm2d": lambda plan, node: ({}, batch_norm2d_buffers(node.shape, node.meta["training"])),
 }
 
 _BACKWARD = {

@@ -35,8 +35,9 @@ def lower_to_eval(graph: Graph) -> Tuple[Graph, bool]:
     eval-semantics attack plan.
 
     A capturable graph can diverge from eval semantics in two ways.  Each
-    batch-stat ``batch_norm2d`` node is rewritten to normalize with the
-    module's **live running buffers** — exactly the statistics an eager
+    batch-stat ``batch_norm2d`` node has its ``training`` flag cleared, so
+    it normalizes with the module's **live running buffers** (the node's
+    ``running_mean``/``running_var``) — exactly the statistics an eager
     attack sees after ``model.eval()``, re-read on every replay because the
     training plan updates them in place.  Each ``rng_mask`` (counter-based
     dropout) node is stripped: eval-mode dropout is the identity, so its
@@ -53,15 +54,9 @@ def lower_to_eval(graph: Graph) -> Tuple[Graph, bool]:
             rewired[node.id] = node.inputs[0]
             changed = True
             continue
-        if node.op != "batch_norm2d" or not node.meta.get("training"):
-            continue
-        node.meta = {
-            "training": False,
-            "mean": node.meta["running_mean"],
-            "var": node.meta["running_var"],
-            "eps": node.meta["eps"],
-        }
-        changed = True
+        if node.op == "batch_norm2d" and node.meta["training"]:
+            node.meta["training"] = False  # a copy's own meta dict
+            changed = True
     if rewired:
         for node in lowered.nodes:
             node.inputs = tuple(_resolve(rewired, i) for i in node.inputs)

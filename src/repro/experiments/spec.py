@@ -259,11 +259,15 @@ class ExperimentSpec:
         # move at rounding level; eager and mask-free specs keep their hashes.
         if self.train_compile and self.ibrar is not None and self.ibrar_config.use_mask:
             payload["compiled_mask"] = "live-v1"
-        # Kernel numerics version of every spec: eager convolutions and
-        # compiled plans share one im2col kernel set, and the compiled CE
-        # seed, log and divide gradients round as eager autograd does, so
-        # eager conv and compiled trajectories moved at rounding level.
-        payload["kernels"] = "shared-conv-v1"
+        # Kernel numerics version of every spec.  shared-conv-v1: eager
+        # convolutions and compiled plans share one im2col kernel set, and
+        # the compiled CE seed, log and divide gradients round as eager
+        # autograd does.  shared-v2: batch norm and the max-pool backward
+        # are shared too (eager eval batch norm is the plans' float64
+        # scale/shift affine, eager batch-norm outputs are C-order), so
+        # eager attack steps, mask scoring and reports can move at rounding
+        # level.
+        payload["kernels"] = "shared-v2"
         return payload
 
     def eval_dict(self) -> Dict[str, Any]:

@@ -1,15 +1,22 @@
 """Differentiable neural-network operations built on :class:`repro.nn.Tensor`.
 
 Implements the forward and backward passes of every operation used by the
-IB-RAR pipeline: 2-D convolution (through im2col kernels that compiled plans
-share), max/average pooling, batch normalization, dropout, softmax /
-log-softmax, cross-entropy, Kullback-Leibler divergence (needed by TRADES
-and MART) and a handful of helpers shared by the attack implementations.
+IB-RAR pipeline: 2-D convolution, max/average pooling, batch normalization,
+dropout, softmax / log-softmax, cross-entropy, Kullback-Leibler divergence
+(needed by TRADES and MART) and a handful of helpers shared by the attack
+implementations.
+
+Convolution, pooling and batch normalization are defined once, as kernels
+that write into ``out=`` buffers (``conv2d_*``, ``*_pool2d_values``,
+``*_pool2d_grad``, ``batch_norm2d_*``).  The autograd ops below call them
+with fresh C-order arrays and compiled plans
+(:mod:`repro.compile.executor`) with pooled ones, so eager and compiled
+round identically.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -38,10 +45,14 @@ __all__ = [
     "conv2d_columns",
     "conv2d_weight_grad",
     "conv2d_input_grad",
-    "pool_windows",
     "max_pool2d_values",
     "avg_pool2d_values",
     "avg_pool2d_grad",
+    "max_pool2d_grad",
+    "batch_norm2d_saved",
+    "batch_norm2d_buffers",
+    "batch_norm2d_values",
+    "batch_norm2d_grad",
 ]
 
 
@@ -366,9 +377,9 @@ def conv2d(
 
 
 # --------------------------------------------------------------------------- #
-# pooling: forward kernels shared with compiled plans
+# pooling: forward and backward kernels shared with compiled plans
 # --------------------------------------------------------------------------- #
-def pool_windows(x: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int):
+def _pool_windows(x: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int):
     """The ``k * k`` strided ``(N, C, out_h, out_w)`` views, one per window offset."""
     return [
         x[:, :, ki : ki + stride * out_h : stride, kj : kj + stride * out_w : stride]
@@ -394,7 +405,7 @@ def max_pool2d_values(
     """Window maxima of an NCHW array: a running maximum over the window views."""
     if out is None:
         out = np.empty(_pool_patches(x, kernel, stride).shape[:4], dtype=x.dtype)
-    windows = pool_windows(x, kernel, stride, *out.shape[2:])
+    windows = _pool_windows(x, kernel, stride, *out.shape[2:])
     np.copyto(out, windows[0])
     for window in windows[1:]:
         np.maximum(out, window, out=out)
@@ -417,8 +428,42 @@ def avg_pool2d_grad(
 ) -> np.ndarray:
     """Add ``grad / k^2`` into every window of ``grad_x``."""
     scaled = np.divide(grad, kernel * kernel, out=scratch)
-    for target in pool_windows(grad_x, kernel, stride, *grad.shape[2:]):
+    for target in _pool_windows(grad_x, kernel, stride, *grad.shape[2:]):
         np.add(target, scaled, out=target)
+    return grad_x
+
+
+def max_pool2d_grad(
+    grad: np.ndarray,
+    x: np.ndarray,
+    out: np.ndarray,
+    kernel: int,
+    stride: int,
+    grad_x: np.ndarray,
+    scratch: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+) -> np.ndarray:
+    """Add each window's gradient into ``grad_x`` at its first maximum.
+
+    ``out`` is the forward's :func:`max_pool2d_values` of ``x``.  Window
+    offsets are visited in row-major order and each takes the gradients of
+    the windows whose maximum it holds and no earlier offset took, so ties
+    go to the first maximum, as an argmax would pick.  ``scratch`` holds two
+    boolean masks and a product buffer shaped like ``grad``.
+    """
+    if scratch is None:
+        scratch = (np.empty(grad.shape, bool), np.empty(grad.shape, bool), np.empty_like(grad))
+    mask, taken, product = scratch
+    out_h, out_w = grad.shape[2:]
+    taken.fill(False)
+    for window, target in zip(
+        _pool_windows(x, kernel, stride, out_h, out_w),
+        _pool_windows(grad_x, kernel, stride, out_h, out_w),
+    ):
+        np.equal(window, out, out=mask)
+        np.greater(mask, taken, out=mask)  # a maximum no earlier offset took
+        np.logical_or(taken, mask, out=taken)
+        np.multiply(grad, mask, out=product)
+        np.add(target, product, out=target)
     return grad_x
 
 
@@ -428,23 +473,11 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
     out_data = max_pool2d_values(x.data, kernel, stride)
 
     def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        # Scatter each gradient to its window's argmax (first maximum wins,
-        # as in the plans' window-mask kernel).  C-order like a plan's
-        # gradient buffers, whatever x's strides: downstream batch-norm sums
-        # then reduce in the same order.
-        grad_x = np.zeros(x.shape, dtype=x.data.dtype)
-        n, c, out_h, out_w = grad.shape
-        flat = _pool_patches(x.data, kernel, stride).reshape(n, c, out_h, out_w, kernel * kernel)
-        argmax = flat.argmax(axis=-1)
-        n_idx, c_idx, i_idx, j_idx = np.meshgrid(
-            np.arange(n), np.arange(c), np.arange(out_h), np.arange(out_w), indexing="ij"
-        )
-        rows = i_idx * stride + argmax // kernel
-        cols = j_idx * stride + argmax % kernel
-        np.add.at(grad_x, (n_idx, c_idx, rows, cols), grad)
-        x._accumulate(grad_x)
+        # C-order like a plan's gradient buffers, whatever x's strides:
+        # downstream batch-norm sums then reduce in the same order.
+        if x.requires_grad:
+            grad_x = np.zeros(x.shape, x.data.dtype)
+            x._accumulate(max_pool2d_grad(grad, x.data, out_data, kernel, stride, grad_x))
 
     return Tensor._make(out_data, (x,), backward, op="max_pool2d", meta={"kernel": kernel, "stride": stride})
 
@@ -467,8 +500,152 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
 
 
 # --------------------------------------------------------------------------- #
-# batch normalization
+# batch normalization: a forward and a backward kernel shared with compiled
+# plans.  Eval mode is the affine ``x * scale + shift`` derived in float64.
 # --------------------------------------------------------------------------- #
+def batch_norm2d_saved(
+    shape: Tuple[int, ...], dtype, training: bool, empty: Callable = np.empty
+) -> Dict[str, np.ndarray]:
+    """The buffers a :func:`batch_norm2d_values` call fills for its backward.
+
+    Training mode: ``x_hat`` and the per-channel ``stats`` rows (mean,
+    variance, std, scratch) in the input dtype.  Eval mode: the float64
+    ``affine`` rows (mean, std, scale, shift) and ``cast``, the scale and
+    shift in the input dtype.  ``empty(shape, dtype)`` allocates them.
+    """
+    c = shape[1]
+    if training:
+        return {"x_hat": empty(shape, dtype), "stats": empty((4, c), dtype)}
+    return {"affine": empty((4, c), np.float64), "cast": empty((2, c), dtype)}
+
+
+def batch_norm2d_buffers(shape: Tuple[int, ...], training: bool) -> Dict[str, Tuple[int, ...]]:
+    """Shapes of the scratch :func:`batch_norm2d_grad` takes, by name (all in
+    the input dtype)."""
+    if training:
+        return {"gxhat": shape, "prod": shape, "sums": (2, shape[1])}
+    return {"prod": shape}
+
+
+def batch_norm2d_values(
+    x: np.ndarray,
+    gamma: np.ndarray,
+    beta: np.ndarray,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    training: bool,
+    momentum: float,
+    eps: float,
+    out: Optional[np.ndarray] = None,
+    saved: Optional[Dict[str, np.ndarray]] = None,
+) -> np.ndarray:
+    """Batch-norm forward of an NCHW array (any strides) into ``out``.
+
+    ``saved`` maps :func:`batch_norm2d_saved` names to buffers (fresh when
+    omitted).  Training mode updates the running buffers as
+    ``r * (1 - momentum) + momentum * mean`` and
+    ``r * (1 - momentum) + ((momentum * var) * m) / max(m - 1, 1)``, with
+    ``m`` values per channel.
+    """
+    c = x.shape[1]
+    if out is None:
+        out = np.empty(x.shape, x.dtype)
+    if saved is None:
+        saved = batch_norm2d_saved(x.shape, x.dtype, training)
+    if training:
+        mean, var, std, tmp = saved["stats"]
+        count = x.size // c
+        np.mean(x, axis=(0, 2, 3), out=mean)
+        np.var(x, axis=(0, 2, 3), out=var)
+        np.multiply(running_mean, 1.0 - momentum, out=running_mean)
+        np.multiply(mean, momentum, out=tmp)
+        np.add(running_mean, tmp, out=running_mean)
+        np.multiply(running_var, 1.0 - momentum, out=running_var)
+        np.multiply(var, momentum, out=tmp)
+        np.multiply(tmp, count, out=tmp)
+        np.divide(tmp, max(count - 1, 1), out=tmp)
+        np.add(running_var, tmp, out=running_var)
+        np.add(var, eps, out=std)
+        np.sqrt(std, out=std)
+        x_hat = saved["x_hat"]
+        np.subtract(x, mean.reshape(1, c, 1, 1), out=x_hat)
+        np.divide(x_hat, std.reshape(1, c, 1, 1), out=x_hat)
+        np.multiply(x_hat, gamma.reshape(1, c, 1, 1), out=out)
+        np.add(out, beta.reshape(1, c, 1, 1), out=out)
+        return out
+    # Gamma, beta and the running buffers are live state: the affine is
+    # re-derived on every call.
+    mean, std, scale, shift = saved["affine"]
+    np.copyto(mean, running_mean)
+    np.add(running_var, eps, out=std)
+    np.sqrt(std, out=std)
+    np.divide(gamma, std, out=scale)
+    np.multiply(mean, scale, out=shift)
+    np.subtract(beta, shift, out=shift)
+    cast = saved["cast"]
+    cast[...] = saved["affine"][2:]
+    np.multiply(x, cast[0].reshape(1, c, 1, 1), out=out)
+    np.add(out, cast[1].reshape(1, c, 1, 1), out=out)
+    return out
+
+
+def batch_norm2d_grad(
+    grad: np.ndarray,
+    x: np.ndarray,
+    gamma: np.ndarray,
+    saved: Mapping[str, np.ndarray],
+    training: bool,
+    grad_x: Optional[np.ndarray] = None,
+    grad_gamma: Optional[np.ndarray] = None,
+    grad_beta: Optional[np.ndarray] = None,
+    scratch: Optional[Mapping[str, np.ndarray]] = None,
+) -> None:
+    """Write the requested gradients of one :func:`batch_norm2d_values` call.
+
+    ``gamma`` gets ``sum(grad * x_hat)`` and ``beta`` ``sum(grad)`` per
+    channel.  The training input gradient runs through the batch
+    statistics, ``(g - sum(g)/m - x_hat * sum(g * x_hat)/m) / std`` with
+    ``g = grad * gamma``; the eval one is ``grad * scale``.  ``scratch``
+    maps :func:`batch_norm2d_buffers` names to buffers (fresh when omitted).
+    """
+    n, c, h, w = grad.shape
+    if scratch is None:
+        shapes = batch_norm2d_buffers(grad.shape, training)
+        scratch = {name: np.empty(shape, grad.dtype) for name, shape in shapes.items()}
+    prod = scratch["prod"]
+    if grad_beta is not None:
+        np.sum(grad, axis=(0, 2, 3), out=grad_beta)
+    if not training:
+        mean, std = saved["affine"][:2]
+        if grad_gamma is not None:  # sum(grad * (x - mean)) / std
+            np.subtract(x, mean.reshape(1, c, 1, 1), out=prod)
+            np.multiply(prod, grad, out=prod)
+            np.sum(prod, axis=(0, 2, 3), out=grad_gamma)
+            np.divide(grad_gamma, std, out=grad_gamma)
+        if grad_x is not None:
+            np.multiply(grad, saved["cast"][0].reshape(1, c, 1, 1), out=grad_x)
+        return
+    x_hat, std = saved["x_hat"], saved["stats"][2].reshape(1, c, 1, 1)
+    if grad_gamma is not None:
+        np.multiply(grad, x_hat, out=prod)
+        np.sum(prod, axis=(0, 2, 3), out=grad_gamma)
+    if grad_x is None:
+        return
+    count = n * h * w
+    gxhat = scratch["gxhat"]
+    sum_g, sum_gx = (row.reshape(1, c, 1, 1) for row in scratch["sums"])
+    np.multiply(grad, gamma.reshape(1, c, 1, 1), out=gxhat)
+    np.sum(gxhat, axis=(0, 2, 3), keepdims=True, out=sum_g)
+    np.multiply(gxhat, x_hat, out=prod)
+    np.sum(prod, axis=(0, 2, 3), keepdims=True, out=sum_gx)
+    np.divide(sum_g, count, out=sum_g)
+    np.multiply(x_hat, sum_gx, out=prod)
+    np.divide(prod, count, out=prod)
+    np.subtract(gxhat, sum_g, out=gxhat)
+    np.subtract(gxhat, prod, out=gxhat)
+    np.divide(gxhat, std, out=grad_x)
+
+
 def batch_norm2d(
     x: Tensor,
     gamma: Tensor,
@@ -482,61 +659,27 @@ def batch_norm2d(
     """Batch normalization over the channel axis of an NCHW tensor.
 
     ``running_mean`` / ``running_var`` are updated in place while training,
-    matching PyTorch semantics.
+    matching PyTorch semantics.  Output and gradients are C-contiguous, like
+    a plan's buffers.
     """
-    n, c, h, w = x.shape
-    if training:
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var * (n * h * w) / max(n * h * w - 1, 1)
-    else:
-        mean = running_mean
-        var = running_var
-
-    # Running statistics are kept in float64; compute in the input's dtype so
-    # a float32 forward stays float32 end to end.
-    mean_r = np.asarray(mean, dtype=x.data.dtype).reshape(1, c, 1, 1)
-    std = np.sqrt(np.asarray(var, dtype=x.data.dtype) + eps).reshape(1, c, 1, 1)
-    x_hat = (x.data - mean_r) / std
-    out_data = gamma.data.reshape(1, c, 1, 1) * x_hat + beta.data.reshape(1, c, 1, 1)
-
-    count = n * h * w
+    saved = batch_norm2d_saved(x.shape, x.data.dtype, training)
+    out_data = batch_norm2d_values(
+        x.data, gamma.data, beta.data, running_mean, running_var, training, momentum, eps, saved=saved
+    )
+    inputs = {"grad_x": x, "grad_gamma": gamma, "grad_beta": beta}
 
     def backward(grad: np.ndarray) -> None:
-        g = gamma.data.reshape(1, c, 1, 1)
-        if gamma.requires_grad:
-            gamma._accumulate((grad * x_hat).sum(axis=(0, 2, 3)))
-        if beta.requires_grad:
-            beta._accumulate(grad.sum(axis=(0, 2, 3)))
-        if not x.requires_grad:
-            return
-        grad_xhat = grad * g
-        if training:
-            sum_grad = grad_xhat.sum(axis=(0, 2, 3), keepdims=True)
-            sum_grad_xhat = (grad_xhat * x_hat).sum(axis=(0, 2, 3), keepdims=True)
-            grad_x = (grad_xhat - sum_grad / count - x_hat * sum_grad_xhat / count) / std
-        else:
-            grad_x = grad_xhat / std
-        x._accumulate(grad_x)
+        grads = {
+            name: np.empty(t.shape, t.data.dtype) for name, t in inputs.items() if t.requires_grad
+        }
+        batch_norm2d_grad(grad, x.data, gamma.data, saved, training, **grads)
+        for name, result in grads.items():
+            inputs[name]._accumulate(result)
 
     meta = None
     if is_tracing():
-        # Record the statistics the pass used.  In eval mode ``mean``/``var``
-        # ARE the running buffers: plans that bind immediately (the only
-        # supported flow) read them before anything mutates them, and
-        # live-parameter plans re-read them on every replay.  Training-mode
-        # capture additionally needs the buffers and momentum so the compiled
-        # kernel can reproduce the in-place running-stat updates.
-        meta = {
-            "training": bool(training),
-            "mean": mean,
-            "var": var,
-            "eps": eps,
-            "momentum": momentum,
-            "running_mean": running_mean,
-            "running_var": running_var,
-        }
+        # The running buffers by reference: eval plans re-read them on every
+        # replay and training plans update them in place.
+        meta = {"training": bool(training), "eps": eps, "momentum": momentum,
+                "running_mean": running_mean, "running_var": running_var}
     return Tensor._make(out_data, (x, gamma, beta), backward, op="batch_norm2d", meta=meta)

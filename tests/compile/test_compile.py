@@ -246,6 +246,70 @@ class TestIdentity:
         assert compiled.stats.forward_calls == 1 and compiled.stats.grad_calls == 10
         assert compiled.stats.fallback_calls == 0
 
+    @pytest.mark.parametrize(
+        "build, shape, quantize",
+        [
+            (lambda: SmallCNN(num_classes=10, image_size=16, base_channels=4, hidden_dim=16, seed=0),
+             (6, 3, 16, 16), False),
+            (lambda: SmallCNN(num_classes=10, image_size=16, base_channels=4, hidden_dim=16, seed=0),
+             (6, 3, 16, 16), True),
+            (lambda: VGG16(num_classes=10, width_multiplier=0.125, seed=0), (3, 3, 32, 32), False),
+            (lambda: ResNet18(num_classes=10, width_multiplier=0.125, seed=0), (3, 3, 32, 32), False),
+        ],
+        ids=["smallcnn", "smallcnn-ties", "vgg16", "resnet18"],
+    )
+    def test_eval_is_bitwise_eager(self, rng, build, shape, quantize):
+        # Convolution, batch norm and pooling run the kernels eager autograd
+        # runs, with C-order outputs on both sides, so logits, the fused CE
+        # loss and input gradient, and the class Jacobian are equal, not
+        # close.  Two training-mode forwards leave non-trivial running
+        # statistics; quantized inputs tie elements inside max-pool windows.
+        model = build()
+        with no_grad():
+            for _ in range(2):
+                model.forward(Tensor(rng.random(shape)))
+        model.eval()
+        x = rng.random(shape)
+        if quantize:
+            x = np.round(x, 1)
+        labels = np.arange(shape[0]) % 10
+        compiled = compile_model(model, x)
+        with no_grad():
+            eager = model.forward(Tensor(x)).data
+        assert np.array_equal(compiled(x), eager)
+        eager_loss, eager_grad = eager_value_and_grad(model, x, labels)
+        loss, grad = compiled.value_and_grad(x, labels)
+        assert loss == eager_loss
+        assert np.array_equal(grad, eager_grad)
+        logits, jacobian = compiled.jacobian(x)
+        eager_logits, eager_jac = eager_jacobian(model, x)
+        assert np.array_equal(logits, eager_logits)
+        assert np.array_equal(jacobian, eager_jac)
+        assert compiled.stats.fallback_calls == 0
+
+    def test_eval_params_plan_matches_eager_gradients(self, rng):
+        # A parameter-gradient plan over an eval-mode capture: eval batch
+        # norms hand gamma and beta their gradients like every other layer.
+        model = SmallCNN(num_classes=10, image_size=16, base_channels=4, hidden_dim=16, seed=0)
+        x = rng.random((6, 3, 16, 16))
+        with no_grad():
+            model.forward(Tensor(rng.random(x.shape)))  # non-trivial running statistics
+        model.eval()
+        plan = Plan(optimize(capture_forward(model, x)), grad="params")
+        seed = rng.normal(size=(6, 10))
+        plan.forward(x)
+        plan.run_backward({plan.graph.output_id: seed})
+        model.zero_grad()
+        (model.forward(Tensor(x)) * Tensor(seed)).sum().backward()
+        grads = plan.param_grads()
+        for param in model.parameters():
+            assert np.array_equal(grads[id(param)], param.grad)
+        bn_grads = [
+            grads[id(p)] for m in model.modules() if isinstance(m, BatchNorm2d)
+            for p in (m.weight, m.bias)
+        ]
+        assert bn_grads and all(np.abs(g).max() > 0 for g in bn_grads)
+
     def test_forward_node_gradient_matches_eager(self, small_cnn, batch, rng):
         # An eager objective over the plan-backed logits: the node's backward
         # joins the eager graph like any other op.

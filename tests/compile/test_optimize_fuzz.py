@@ -2,14 +2,18 @@
 
 Hypothesis draws small conv stacks over 8 or 16 px images: 1-3 blocks of
 ``conv2d`` (1-12 channels, kernel 1 or 3, stride 1 or 2, padding 0-2, bias
-on or off), each optionally followed by batch norm, ReLU and a 2x2 max- or
-avg-pool, then flatten -> Linear -> ReLU -> Linear.  The draws reach both
+on or off), each optionally followed by batch norm, ReLU and a max- or
+avg-pool (kernel 2 or 3, stride 1 or 2, so windows may overlap or leave a
+remainder), then flatten -> Linear -> ReLU -> Linear.  The draws reach both
 input-gradient paths of the shared conv kernels: the gather (stride 1,
 ``padding <= k - 1``) and the scatter (stride 2, or a 1x1 kernel padded by
-1 or 2, where the gather would need a negative pad).  One hidden output is named at a random point of a random
-block: after its conv, BN, ReLU or pool.  Every plan built through
-:func:`~repro.compile.optimize` must match eager execution from the same
-batch-norm state, to 1e-12 relative to ``max(1, |eager|)``:
+1 or 2, where the gather would need a negative pad).  Some batches are
+quantized to one decimal, so max-pool windows hold tied maxima.  Batch
+norms start from random running statistics.  One hidden output is named
+at a random point of a random block: after its conv, BN, ReLU or pool.
+Every plan built through :func:`~repro.compile.optimize` must match eager
+execution from the same batch-norm state, to 1e-12 relative to
+``max(1, |eager|)``:
 
 * eval: ``compile_model`` logits and the fused ``value_and_grad`` loss and
   input gradient, plus the named hidden value of an
@@ -97,10 +101,9 @@ class Stack(Module):
                 h = points["bn"] = getattr(self, f"bn{index}")(h)
             if block["relu"]:
                 h = points["relu"] = h.relu()
-            if block["pool"] == "max":
-                h = points["pool"] = F.max_pool2d(h, 2)
-            elif block["pool"] == "avg":
-                h = points["pool"] = F.avg_pool2d(h, 2)
+            if block["pool"] is not None:
+                pool = F.max_pool2d if block["pool"] == "max" else F.avg_pool2d
+                h = points["pool"] = pool(h, block["pool_kernel"], block["pool_stride"])
             if index == self.hidden_block:
                 hidden["hidden"] = points[self.hidden_point]
         h = self.fc1(h.reshape((x.shape[0], -1))).relu()
@@ -123,10 +126,12 @@ def draw_stack(data):
         stride = data.draw(st.sampled_from([1, 2]), label="stride")
         size = (size + 2 * padding - kernel) // stride + 1
         pool = data.draw(st.sampled_from([None, "max", "avg"]), label="pool")
-        if size < 2:
+        pool_kernel = data.draw(st.sampled_from([2, 3]), label="pool kernel")
+        pool_stride = data.draw(st.sampled_from([1, 2]), label="pool stride")
+        if size < pool_kernel:
             pool = None
         elif pool is not None:
-            size //= 2
+            size = (size - pool_kernel) // pool_stride + 1
         blocks.append(
             {
                 "channels": data.draw(st.integers(1, 12), label="channels"),
@@ -137,6 +142,8 @@ def draw_stack(data):
                 "bn": data.draw(st.booleans(), label="bn"),
                 "relu": data.draw(st.booleans(), label="relu"),
                 "pool": pool,
+                "pool_kernel": pool_kernel,
+                "pool_stride": pool_stride,
             }
         )
     hidden_block = data.draw(st.integers(0, len(blocks) - 1), label="hidden block")
@@ -227,8 +234,11 @@ def test_optimized_plans_match_eager(data):
     batch = data.draw(st.integers(1, 3), label="batch")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="input seed"))
     x = rng.normal(size=(batch, 3, image, image))
+    if data.draw(st.booleans(), label="quantize"):
+        x = np.round(x, 1)  # tied maxima inside pooling windows
     y = rng.integers(0, CLASSES, batch)
-    with no_grad():
-        model.forward(Tensor(x))  # a training forward: non-trivial BN statistics
+    for module, _, _ in bn_state(model):
+        module.running_mean[...] = rng.normal(size=module.running_mean.shape)
+        module.running_var[...] = rng.uniform(0.25, 4.0, module.running_var.shape)
     check_eval(model, x, y)
     check_training(model, x, rng)

@@ -9,6 +9,7 @@ import pytest
 from repro.attacks import AttackSpec
 from repro.core import IBRARConfig
 from repro.experiments import ExperimentSpec, ExperimentSpecError, load_specs
+from repro.experiments.spec import _hash
 from repro.training import LossSpec
 
 
@@ -130,20 +131,30 @@ class TestHashing:
         assert ExperimentSpec.from_dict(masked.as_dict()).training_hash == masked.training_hash
 
     def test_kernel_version_joins_every_training_hash(self):
-        # Eager convolutions and compiled plans share one kernel set whose
-        # rounding differs from the older kernels', so every spec's hash
-        # (and the report hashed over it) carries the kernel version.
+        # Eager autograd and compiled plans share one kernel set (conv,
+        # batch norm, pooling) whose rounding differs from the older
+        # kernels', so every spec's hash (and the report hashed over it)
+        # carries the kernel version.
         for spec in (
             tiny_spec(),
             tiny_spec(train_compile=True),
             tiny_spec(ibrar={"alpha": 0.05, "beta": 0.01}, train_compile=True),
         ):
             data = spec.as_dict()
-            assert data["kernels"] == "shared-conv-v1"
+            assert data["kernels"] == "shared-v2"
             loaded = ExperimentSpec.from_dict(data)
             assert loaded == spec
             assert loaded.training_hash == spec.training_hash
             assert loaded.content_hash == spec.content_hash
+            # A spec JSON written under the conv-only kernel set loads as
+            # the same spec, now hashed under the current version.
+            old = ExperimentSpec.from_dict(dict(data, kernels="shared-conv-v1"))
+            assert old == spec
+            assert old.training_hash == spec.training_hash
+            assert old.as_dict()["kernels"] == "shared-v2"
+            v1_payload = dict(spec.training_dict(), kernels="shared-conv-v1")
+            assert old.training_hash != _hash(v1_payload)
+            assert _hash(dict(v1_payload, kernels="shared-v2")) == spec.training_hash
 
 
 class TestValidation:

@@ -221,6 +221,32 @@ class TestPooling:
         x = Tensor(np.zeros((1, 1, 6, 6)))
         assert F.max_pool2d(x, kernel=2, stride=3).shape == (1, 1, 2, 2)
 
+    @pytest.mark.parametrize(
+        "kernel, stride, size",
+        [(2, 2, 8), (2, 2, 7), (3, 2, 8), (3, 2, 7), (2, 1, 6), (3, 3, 8)],
+        ids=["2s2", "2s2-odd", "3s2-overlap", "3s2-overlap-odd", "2s1-overlap", "3s3-remainder"],
+    )
+    def test_max_pool_grad_matches_window_reference(self, kernel, stride, size):
+        # Few distinct values tie inside most windows; integer gradients
+        # make every sum exact, so overlapping windows compare bitwise
+        # whatever the order their contributions are added in.
+        rng = np.random.default_rng(kernel * 10 + stride + size)
+        x = rng.integers(0, 3, size=(2, 3, size, size)).astype(np.float64)
+        t = Tensor(x, requires_grad=True)
+        out = F.max_pool2d(t, kernel, stride)
+        grad = rng.integers(-4, 5, size=out.shape).astype(np.float64)
+        out.backward(grad)
+
+        expected = np.zeros_like(x)
+        for n, c, i, j in np.ndindex(*grad.shape):
+            window = x[n, c, i * stride : i * stride + kernel, j * stride : j * stride + kernel]
+            r, q = np.unravel_index(np.argmax(window), window.shape)  # first maximum
+            expected[n, c, i * stride + r, j * stride + q] += grad[n, c, i, j]
+        np.testing.assert_array_equal(t.grad, expected)
+        assert t.grad.flags.c_contiguous
+        kernel_grad = F.max_pool2d_grad(grad, x, out.data, kernel, stride, np.zeros_like(x))
+        np.testing.assert_array_equal(kernel_grad, expected)
+
 
 class TestBatchNorm:
     def test_training_normalizes_batch(self):
@@ -251,6 +277,71 @@ class TestBatchNorm:
             Tensor(x), Tensor(np.ones(1)), Tensor(np.zeros(1)), running_mean, running_var, training=False
         )
         np.testing.assert_allclose(out.data, np.zeros_like(x), atol=1e-6)
+
+    @staticmethod
+    def _inputs(rng, c=3):
+        # An NHWC-strided view, like a convolution's output.
+        x = rng.normal(1.0, 2.0, size=(4, 5, 6, c)).transpose(0, 3, 1, 2)
+        gamma, beta = rng.uniform(0.5, 1.5, c), rng.normal(size=c)
+        return x, gamma, beta, rng.normal(size=c), rng.uniform(0.5, 2.0, c)
+
+    def test_training_kernels_match_closed_form(self):
+        rng = np.random.default_rng(11)
+        x, gamma, beta, running_mean, running_var = self._inputs(rng)
+        start_mean, start_var = running_mean.copy(), running_var.copy()
+        saved = F.batch_norm2d_saved(x.shape, x.dtype, training=True)
+        out = F.batch_norm2d_values(
+            x, gamma, beta, running_mean, running_var, True, 0.1, 1e-5, saved=saved
+        )
+        m = x.size // x.shape[1]
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        std = np.sqrt(var + 1e-5)
+        x_hat = (x - mean[:, None, None]) / std[:, None, None]
+        expected = gamma[:, None, None] * x_hat + beta[:, None, None]
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+        assert out.flags.c_contiguous
+        np.testing.assert_allclose(running_mean, 0.9 * start_mean + 0.1 * mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            running_var, 0.9 * start_var + 0.1 * var * m / (m - 1), rtol=0, atol=1e-12
+        )
+
+        grad = rng.normal(size=x.shape)
+        grads = {name: np.empty(shape) for name, shape in
+                 (("grad_x", x.shape), ("grad_gamma", gamma.shape), ("grad_beta", beta.shape))}
+        F.batch_norm2d_grad(grad, x, gamma, saved, True, **grads)
+        sum_g = grad.sum(axis=(0, 2, 3))
+        sum_gx = (grad * x_hat).sum(axis=(0, 2, 3))
+        input_grad = (gamma / std / m)[:, None, None] * (
+            m * grad - sum_g[:, None, None] - x_hat * sum_gx[:, None, None]
+        )
+        np.testing.assert_allclose(grads["grad_x"], input_grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads["grad_gamma"], sum_gx, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads["grad_beta"], sum_g, rtol=0, atol=1e-12)
+
+    def test_eval_kernels_match_closed_form(self):
+        rng = np.random.default_rng(12)
+        x, gamma, beta, running_mean, running_var = self._inputs(rng)
+        saved = F.batch_norm2d_saved(x.shape, x.dtype, training=False)
+        out = F.batch_norm2d_values(
+            x, gamma, beta, running_mean, running_var, False, 0.1, 1e-5, saved=saved
+        )
+        std = np.sqrt(running_var + 1e-5)
+        x_hat = (x - running_mean[:, None, None]) / std[:, None, None]
+        expected = gamma[:, None, None] * x_hat + beta[:, None, None]
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+        assert out.flags.c_contiguous
+
+        grad = rng.normal(size=x.shape)
+        grads = {name: np.empty(shape) for name, shape in
+                 (("grad_x", x.shape), ("grad_gamma", gamma.shape), ("grad_beta", beta.shape))}
+        F.batch_norm2d_grad(grad, x, gamma, saved, False, **grads)
+        np.testing.assert_allclose(
+            grads["grad_x"], grad * (gamma / std)[:, None, None], rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            grads["grad_gamma"], (grad * x_hat).sum(axis=(0, 2, 3)), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(grads["grad_beta"], grad.sum(axis=(0, 2, 3)), rtol=0, atol=1e-12)
 
     def test_input_gradient_matches_numeric(self):
         rng = np.random.default_rng(5)
