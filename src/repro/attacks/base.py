@@ -9,6 +9,9 @@ expressed in that range).  Gradients come from three helpers —
 (differentiable logits) and :meth:`Attack._class_jacobian` (per-class
 input gradients) — which replay a compiled plan when one is installed
 (:meth:`Attack.use_compiled`) and use the autograd engine otherwise.
+While an attack runs, the model's parameters are graph constants: eager
+backward passes differentiate the input only and leave ``param.grad``
+untouched.
 """
 
 from __future__ import annotations
@@ -48,8 +51,9 @@ class Attack:
     Parameters
     ----------
     model:
-        The classifier under attack.  It is switched to ``eval`` mode for the
-        duration of the attack and restored afterwards.
+        The classifier under attack.  It is switched to ``eval`` mode, and
+        its trainable parameters to ``requires_grad=False``, for the
+        duration of the attack; both are restored afterwards.
     eps:
         Maximum L_inf perturbation (paper default 8/255).
     clip_min, clip_max:
@@ -149,9 +153,16 @@ class Attack:
             raise ValueError("images and labels must have the same batch size")
         was_training = self.model.training
         self.model.eval()
+        # No weight-gradient kernel runs and nothing accumulates into
+        # ``param.grad``.  A nested attack finds nothing left to freeze.
+        frozen = [p for p in self.model.parameters() if p.requires_grad]
+        for parameter in frozen:
+            parameter.requires_grad = False
         try:
             adversarial = self._generate(images, labels)
         finally:
+            for parameter in frozen:
+                parameter.requires_grad = True
             self.model.train(was_training)
         return adversarial
 

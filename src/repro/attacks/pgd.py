@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .base import Attack, LossFn
-from ..compile.kernels import linf_step
+from ..compile.kernels import pgd_loop
 from ..models.base import ImageClassifier
 
 __all__ = ["PGD"]
@@ -45,23 +45,13 @@ class PGD(Attack):
         self._rng = np.random.default_rng(seed)
 
     def _generate(self, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        adversarial = images.copy()
-        if self.random_start and self.eps > 0:
-            adversarial = adversarial + self._rng.uniform(-self.eps, self.eps, size=images.shape)
-            adversarial = np.clip(adversarial, self.clip_min, self.clip_max)
-        # The fused step writes into ping-pong buffers (the gradient may be a
-        # plan-owned array the next query overwrites, so it never aliases).
-        buffers = (np.empty_like(images), np.empty_like(images))
-        for step in range(self.steps):
-            gradient, _ = self._input_gradient(adversarial, labels)
-            adversarial = linf_step(
-                adversarial,
-                gradient,
-                self.alpha,
-                images,
-                self.eps,
-                self.clip_min,
-                self.clip_max,
-                out=buffers[step % 2],
-            )
-        return adversarial
+        return pgd_loop(
+            lambda adversarial: self._input_gradient(adversarial, labels)[0],
+            images,
+            self.eps,
+            self.alpha,
+            self.steps,
+            self._rng if self.random_start else None,
+            self.clip_min,
+            self.clip_max,
+        )

@@ -16,8 +16,7 @@ attacks always discard, are never materialized.
 
 Training is compiled too (:mod:`repro.compile.training`): training-mode
 forwards (batch-stat batch norm with in-place running updates), a full
-parameter-gradient backward into pooled buffers
-(or the fused input+param backward, ``grad="both"``), fused in-place
+parameter-gradient backward into pooled buffers, fused in-place
 optimizer kernels, and adapters building the paper's composite losses (CE,
 PGD-AT, TRADES, MART, IB-RAR) **fully in plan** — the fused softmax-CE seed
 plus the TRADES KL, the MART objective and the IB-RAR HSIC regularizers,
@@ -32,6 +31,9 @@ on attack outputs inside the plan.  One
 ``capture_forward`` trace per batch signature serves every plan of a
 training context: the eval-semantics attack plan derives from the training
 capture through the :func:`~repro.compile.passes.lower_to_eval` pass.
+Every plan binds one backward program: input gradients (``grad="input"``,
+eval and attack plans) or parameter gradients (``grad="params"``, training
+plans).
 
 Entry points:
 
@@ -52,8 +54,12 @@ Entry points:
   the training loop in; per-batch eager fallback keeps it always safe and
   ``TrainingHistory.compile_stats`` reports the split.
 * :mod:`repro.compile.kernels` — fused sign/step/project elementwise chains
-  shared by the FGSM/PGD/NIFGSM/MIFGSM update rules, plus the pooled
-  dropout-mask kernel of the ``rng_mask`` plan node.
+  shared by the FGSM/PGD/NIFGSM/MIFGSM update rules, the PGD loop shared by
+  the eager attack and the compiled adversarial-training adapters, and the
+  pooled dropout-mask kernel of the ``rng_mask`` plan node.
+
+Two shape-keyed caches (:class:`SignatureCache`) hold the plans: one per
+:class:`CompiledModel` and one per :class:`CompiledTrainer`.
 
 Every plan replays one serial set of NumPy ``out=`` kernels, bound as
 closures by the :class:`Plan` executor's per-op binders; BLAS threads the

@@ -7,12 +7,11 @@ captured and bound), the **second** sighting triggers the expensive build,
 and deterministic build failures are memoized as ``None`` so the eager
 fallback is taken without re-trying the capture.
 
-One instance backs :class:`repro.compile.CompiledModel` (entries are eval
-:class:`~repro.compile.executor.Plan` objects),
-one backs :class:`repro.compile.training.CompiledTrainer` (entries are
-per-signature plan contexts), and one backs
-:class:`repro.compile.training.LiveEvalModel` (eval-semantics plans).
-Entries are never dropped wholesale: plans read the module's state in
+Two caches use it: :class:`repro.compile.CompiledModel` (entries are eval
+:class:`~repro.compile.executor.Plan` objects) and
+:class:`repro.compile.training.CompiledTrainer` (entries are per-signature
+plan contexts); each fixes its own capacity.  Entries are never dropped
+wholesale: plans read the module's state in
 place, so only :meth:`evict` removes one, for a *recoverable* failure
 (reallocated parameter storage), and the next sighting rebuilds against
 the current storage.

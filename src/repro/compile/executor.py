@@ -13,27 +13,22 @@ calls (the ``conv2d_*``, ``batch_norm2d_*`` and pool kernels of
 here pooled and step-local ones, so both round identically and their
 binders hold no arithmetic of their own beyond a fused ReLU.
 
-Three gradient modes exist.  ``grad="input"`` (the attack/eval default)
-computes the gradient **with respect to the input only** — parameters are
-read but not differentiated, so the weight-gradient matmuls the eager
-engine performs on every attack step (and throws away) are never
-executed.  ``grad="params"`` (the training mode) instead seeds
-the differentiation set from the graph's live ``"param"`` nodes and
-accumulates **full parameter gradients** into pre-allocated pooled buffers;
-:meth:`Plan.run_backward` additionally accepts gradient seeds at named
-intermediate nodes (registered via ``seed_ids``).  ``grad="both"`` binds
-**two backward programs over shared gradient buffers**: a fused
-input+param program (each convolution reorders its output gradient once
-for the input, weight and bias gradients) driven by :meth:`run_backward`,
-and an input-only program driven by :meth:`backward` — the attack hot
-path, which skips every weight-gradient matmul.  A mode-invariant graph
-(no batch norm) can then serve PGD-AT's inner attack loop and its outer
-optimizer step from one plan.
+Each plan binds one backward program, in one of two gradient modes.
+``grad="input"`` (the attack/eval default) computes the gradient **with
+respect to the input only**: parameters are read but not differentiated,
+so no weight-gradient matmul runs.  ``grad="params"`` (the training mode)
+instead seeds the differentiation set from the graph's live ``"param"``
+nodes and accumulates **full parameter gradients** into pre-allocated
+pooled buffers.  :meth:`Plan.run_backward` drives either program and
+additionally accepts gradient seeds at named intermediate nodes
+(registered via ``seed_ids``); :meth:`Plan.backward` is the input-mode
+shortcut returning the input gradient.
 
 Graphs may carry named ``aux`` input leaves (per-batch arrays that are not
 the traced input: another plan's logits buffer, a one-hot label matrix).
-Each binds to a caller-supplied alias or to a pooled buffer filled through
-:meth:`Plan.set_aux`; names listed in ``grad_aux`` additionally receive
+Each binds to a caller-supplied alias or to a pooled buffer the caller
+fills in place through :attr:`Plan.aux_values`; names listed in
+``grad_aux`` additionally receive
 gradient accumulators, which is how an in-plan loss term hands its gradient
 to the plan that produced the aliased buffer (TRADES' KL gradient with
 respect to the clean logits).  Every loss term other than the fused CE —
@@ -55,6 +50,10 @@ buffers in place, as the shared kernel does for eager.
 Losses are fused: :meth:`Plan.value_and_grad_ce` evaluates softmax
 cross-entropy and seeds the backward pass with the closed-form
 ``softmax(z) - onehot(y)`` gradient in scratch buffers.
+
+Kernels exist only for the ops some captured model or traced loss
+contains; binding a graph with any other op raises :class:`CompileError`,
+which every caller turns into eager execution.
 """
 
 from __future__ import annotations
@@ -116,8 +115,7 @@ class Plan:
         ``"input"`` differentiates with respect to the input batch (the
         attack hot path); ``"params"`` with respect to every live ``param``
         node (the training step — parameter gradients land in pooled
-        buffers exposed via :meth:`param_grads`); ``"both"`` binds a fused
-        input+param backward program plus a fast input-only program.
+        buffers exposed via :meth:`param_grads`).
     seed_ids:
         Node ids that may receive external gradient seeds through
         :meth:`run_backward` (hidden-output nodes, in-plan loss scalars) —
@@ -126,7 +124,8 @@ class Plan:
         elimination from overwriting injected seeds.
     aux:
         ``name -> array`` aliases for the graph's aux input leaves; unbound
-        names get pooled buffers, filled per batch via :meth:`set_aux`.
+        names get pooled buffers, filled per batch in place through
+        :attr:`aux_values`.
     grad_aux:
         Aux names to include in the differentiation set; their accumulated
         gradients are read back through :meth:`aux_grad`.
@@ -144,14 +143,14 @@ class Plan:
         aux: Optional[Mapping[str, np.ndarray]] = None,
         grad_aux: Sequence[str] = (),
     ) -> None:
-        if grad not in ("input", "params", "both"):
-            raise ValueError(f"unknown grad mode '{grad}'; use 'input', 'params' or 'both'")
+        if grad not in ("input", "params"):
+            raise ValueError(f"unknown grad mode '{grad}'; use 'input' or 'params'")
         self.graph = graph
         self.grad_mode = grad
         self.pool = BufferPool()
         #: node id -> forward value (aliased leaves, bound buffers, or views).
         self.values: Dict[int, np.ndarray] = {}
-        #: node id -> gradient accumulator (shared across backward programs).
+        #: node id -> gradient accumulator.
         self.grads: Dict[int, np.ndarray] = {}
         #: aux name -> bound array (aliases and pooled buffers alike).
         self.aux_values: Dict[str, np.ndarray] = {}
@@ -171,19 +170,18 @@ class Plan:
                 raise CompileError(f"unknown aux input '{name}'")
         self._grad_aux = tuple(grad_aux)
         self._seed_requested = tuple(seed_ids)
-        #: backward programs by name ("full" and/or "input"); each holds the
-        #: bound step list, the buffers to zero per run, its diff set and
-        #: the seed ids it honours.
-        self._programs: Dict[str, dict] = {}
+        #: the bound backward step list (``None``: no gradient path from
+        #: the output to the differentiated leaves), its per-step meta and
+        #: the gradient buffers zeroed before each run.
+        self._backward_steps: Optional[List[Callable[[], None]]] = None
+        self._backward_meta: List[Tuple[str, int]] = []
+        self._fill: List[np.ndarray] = []
+        self._seed_ids: Set[int] = set()
         self._ce: Optional[dict] = None
         #: forward replays so far; a caller holding a forward's activations
         #: for a later backward checks it is unchanged.
         self.forward_count = 0
         self._bind()
-
-    @property
-    def input_shape(self) -> Tuple[int, ...]:
-        return self.graph.input_node.shape
 
     @property
     def input_dtype(self) -> np.dtype:
@@ -274,45 +272,17 @@ class Plan:
                 self._forward_steps.append(step)
                 self._forward_meta.append((node.op, out.nbytes))
 
-        aux_grad_ids = tuple(graph.aux[name] for name in self._grad_aux)
-        if self.grad_mode == "input":
-            specs = [("input", True, False, aux_grad_ids)]
-        elif self.grad_mode == "params":
-            specs = [("full", False, True, aux_grad_ids)]
-        else:  # both: the fused full program plus the attack-loop fast path
-            specs = [("full", True, True, aux_grad_ids), ("input", True, False, ())]
-        for name, include_input, include_params, extra in specs:
-            program = self._bind_program(include_input, include_params, extra)
-            if program is not None:
-                self._programs[name] = program
-        # The binders communicate through _diff/_seed_ids/_contributions/
-        # _fill_ids, which are rebound per program during binding; afterwards
-        # re-point the public-ish pair at the *primary* program (the fullest
-        # differentiation set) and drop the binding-only scratch, so nothing
-        # can read a stale secondary-program view after __init__.
-        primary = self._programs.get("full") or self._programs.get("input")
-        self._diff = set(primary["diff"]) if primary is not None else set()
-        self._seed_ids = set(primary["seeds"]) if primary is not None else set()
-        for scratch in ("_contributions", "_fill_ids"):
-            if hasattr(self, scratch):  # absent on forward-only plans
-                delattr(self, scratch)
-
-    def _bind_program(
-        self, include_input: bool, include_params: bool, extra: Tuple[int, ...]
-    ) -> Optional[dict]:
-        """Bind one backward program; ``None`` when no gradient path exists.
-
-        Programs share the per-node gradient buffers in :attr:`grads` but
-        own their step list, zero-fill set and dead-write (sink) decisions —
-        the same buffer may be overwritten by its sole contributor in one
-        program and accumulated into in another.
-        """
-        graph = self.graph
         self._diff = graph.grad_path(
-            include_input=include_input, include_params=include_params, extra=extra
+            include_input=self.grad_mode == "input",
+            include_params=self.grad_mode == "params",
+            extra=tuple(graph.aux[name] for name in self._grad_aux),
         )
-        if graph.output_id not in self._diff:
-            return None
+        if graph.output_id in self._diff:
+            self._bind_backward()
+
+    def _bind_backward(self) -> None:
+        """Bind the backward program over the differentiation set ``_diff``."""
+        graph = self.graph
         # Dead-write elimination: a gradient buffer that receives exactly one
         # contribution is written directly by its contributing kernel (via
         # `_sink`), skipping both the zero-fill and the accumulate add.  The
@@ -331,12 +301,10 @@ class Plan:
         self._fill_ids: Set[int] = set()
         for node in graph.nodes:
             if node.id in self._diff:
-                if node.id not in self.grads:
-                    self.grads[node.id] = self.pool.empty(node.shape, node.dtype)
+                self.grads[node.id] = self.pool.empty(node.shape, node.dtype)
                 self._fill_ids.add(node.id)
         self._fill_ids.discard(graph.output_id)  # seeded by copyto
         steps: List[Callable[[], None]] = []
-        meta: List[Tuple[str, int]] = []
         for node in reversed(graph.nodes):
             if node.id not in self._diff or node.op in _LEAF_OPS:
                 continue
@@ -346,14 +314,9 @@ class Plan:
             step = binder(self, node)
             if step is not None:
                 steps.append(step)
-                meta.append((node.op + ".bwd", self.values[node.id].nbytes))
-        return {
-            "steps": steps,
-            "meta": meta,
-            "fill": [self.grads[node_id] for node_id in self._fill_ids],
-            "diff": frozenset(self._diff),
-            "seeds": set(self._seed_ids),
-        }
+                self._backward_meta.append((node.op + ".bwd", self.values[node.id].nbytes))
+        self._backward_steps = steps
+        self._fill = [self.grads[node_id] for node_id in self._fill_ids]
 
     def _step_scratch(self, node: Node, backward: bool) -> Dict[str, np.ndarray]:
         """Named views of ``node``'s forward or backward step-local buffers
@@ -391,7 +354,7 @@ class Plan:
     @property
     def differentiable(self) -> bool:
         """Whether :meth:`backward` has an input-gradient program to replay."""
-        return "input" in self._programs
+        return self.grad_mode == "input" and self._backward_steps is not None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Replay the forward pass; returns the (plan-owned) output array."""
@@ -409,17 +372,10 @@ class Plan:
         return self.values[self.graph.output_id]
 
     def backward(self, output_grad: np.ndarray) -> np.ndarray:
-        """Input gradient for the most recent :meth:`forward` call.
-
-        Runs the input-only backward program: on a ``grad="both"`` plan this
-        is the attack fast path, skipping every parameter-gradient kernel.
-        """
-        program = self._programs.get("input")
-        if program is None:
-            if self.grad_mode == "params":
-                raise CompileError("backward() needs an input-gradient plan; use run_backward()")
-            raise CompileError("this plan has no gradient path from output to input")
-        self._run_program(program, {self.graph.output_id: output_grad})
+        """Input gradient for the most recent :meth:`forward` call."""
+        if self.grad_mode == "params":
+            raise CompileError("backward() needs an input-gradient plan; use run_backward()")
+        self._replay_backward({self.graph.output_id: output_grad})
         return self.grads[self.graph.input_id]
 
     def run_backward(self, seeds: Mapping[int, np.ndarray]) -> None:
@@ -431,16 +387,14 @@ class Plan:
         composite losses need, where the fused-CE output seed and the
         in-plan loss scalars' seeds join one pass.  Non-output seed ids must
         have been registered via ``seed_ids`` at bind time (otherwise a
-        single-contribution writer overwrites them).  On a ``grad="both"``
-        plan this drives the fused input+param program.
+        single-contribution writer overwrites them).
         """
-        program = self._programs.get("full") or self._programs.get("input")
-        if program is None:
-            raise CompileError("this plan has no gradient path to its leaves")
-        self._run_program(program, seeds)
+        self._replay_backward(seeds)
 
-    def _run_program(self, program: dict, seeds: Mapping[int, np.ndarray]) -> None:
-        for buffer in program["fill"]:
+    def _replay_backward(self, seeds: Mapping[int, np.ndarray]) -> None:
+        if self._backward_steps is None:
+            raise CompileError("this plan has no gradient path to its leaves")
+        for buffer in self._fill:
             buffer.fill(0)
         output_id = self.graph.output_id
         output_seed = seeds.get(output_id)
@@ -451,14 +405,14 @@ class Plan:
         for node_id, seed in seeds.items():
             if node_id == output_id:
                 continue
-            if node_id not in program["seeds"]:
+            if node_id not in self._seed_ids:
                 raise CompileError(f"node {node_id} was not registered as a seed point")
             target = self.grads[node_id]
             np.add(target, seed, out=target)
         if _PROFILER.enabled:
-            self._replay_profiled(program["steps"], program["meta"])
+            self._replay_profiled(self._backward_steps, self._backward_meta)
         else:
-            for step in program["steps"]:
+            for step in self._backward_steps:
                 step()
 
     def input_grad(self) -> np.ndarray:
@@ -467,10 +421,6 @@ class Plan:
         if grad is None:
             raise CompileError("this plan does not differentiate its input")
         return grad
-
-    def set_aux(self, name: str, value: np.ndarray) -> None:
-        """Copy ``value`` into the named aux buffer (fill-per-batch form)."""
-        np.copyto(self.aux_values[name], value)
 
     def aux_grad(self, name: str) -> np.ndarray:
         """Accumulated gradient of a ``grad_aux`` input after a backward replay."""
@@ -646,20 +596,6 @@ def _bind_unary(compute: Callable[[np.ndarray, np.ndarray], None]):
     return bind
 
 
-def _bind_clip(plan: Plan, node: Node):
-    x = plan.values[node.inputs[0]]
-    low, high = node.meta["low"], node.meta["high"]
-    out = plan.pool.empty(node.shape, node.dtype)
-    return (lambda: np.clip(x, low, high, out=out)), out
-
-
-def _bind_pow(plan: Plan, node: Node):
-    x = plan.values[node.inputs[0]]
-    exponent = node.meta["exponent"]
-    out = plan.pool.empty(node.shape, node.dtype)
-    return (lambda: np.power(x, exponent, out=out)), out
-
-
 def _bind_batch_norm(plan: Plan, node: Node):
     """Training or eval batch norm: the shared kernel over a pooled output and
     pooled saved buffers (read by the backward), then the fused ReLU."""
@@ -721,14 +657,6 @@ def _bind_reshape(plan: Plan, node: Node):
 def _bind_transpose(plan: Plan, node: Node):
     x = plan.values[node.inputs[0]]
     return None, np.transpose(x, node.meta["axes"])
-
-
-def _bind_pad2d(plan: Plan, node: Node):
-    x = plan.values[node.inputs[0]]
-    padding = node.meta["padding"]
-    out = plan.pool.zeros(node.shape, node.dtype)
-    interior = out[..., padding:-padding, padding:-padding]
-    return (lambda: np.copyto(interior, x)), out
 
 
 def _bind_detach(plan: Plan, node: Node):
@@ -818,18 +746,6 @@ _FORWARD = {
     "exp": _bind_unary(lambda x, out: np.exp(x, out=out)),
     "log": _bind_unary(lambda x, out: np.log(x, out=out)),
     "sqrt": _bind_unary(lambda x, out: np.sqrt(x, out=out)),
-    "abs": _bind_unary(lambda x, out: np.abs(x, out=out)),
-    "tanh": _bind_unary(lambda x, out: np.tanh(x, out=out)),
-    "sigmoid": _bind_unary(
-        lambda x, out: (
-            np.negative(x, out=out),
-            np.exp(out, out=out),
-            np.add(out, 1.0, out=out),
-            np.divide(1.0, out, out=out),
-        )
-    ),
-    "clip": _bind_clip,
-    "pow": _bind_pow,
     "batch_norm2d": _bind_batch_norm,
     "max_pool2d": _bind_max_pool,
     "avg_pool2d": _bind_avg_pool,
@@ -837,7 +753,6 @@ _FORWARD = {
     "max": _bind_max,
     "reshape": _bind_reshape,
     "transpose": _bind_transpose,
-    "pad2d": _bind_pad2d,
     "detach": _bind_detach,
     "rbf_scale": _bind_rbf_scale,
     "rng_mask": _bind_rng_mask,
@@ -1111,8 +1026,8 @@ def _back_relu(plan: Plan, node: Node):
 
 
 def _back_unary(grad: Callable[..., None]):
-    """Backward for unary ops: ``grad(g, x, out, target, tmp, meta)`` writes
-    the input gradient into ``target`` in eager autograd's operation order."""
+    """Backward for unary ops: ``grad(g, x, out, target, tmp)`` writes the
+    input gradient into ``target`` in eager autograd's operation order."""
 
     def bind(plan: Plan, node: Node):
         x = plan.values[node.inputs[0]]
@@ -1121,10 +1036,9 @@ def _back_unary(grad: Callable[..., None]):
         write, gx = plan._sink(node.inputs[0])
         target = gx if write else plan.pool.empty(node.shape, node.dtype)
         tmp = plan.pool.empty(node.shape, node.dtype)
-        meta = node.meta
 
         def run() -> None:
-            grad(g, x, out, target, tmp, meta)
+            grad(g, x, out, target, tmp)
             if not write:
                 np.add(gx, target, out=gx)
 
@@ -1244,16 +1158,6 @@ def _back_transpose(plan: Plan, node: Node):
     return lambda: np.add(gx, g_view, out=gx)
 
 
-def _back_pad2d(plan: Plan, node: Node):
-    padding = node.meta["padding"]
-    g = plan.grads[node.id]
-    write, gx = plan._sink(node.inputs[0])
-    interior = g[..., padding:-padding, padding:-padding]
-    if write:
-        return lambda: np.copyto(gx, interior)
-    return lambda: np.add(gx, interior, out=gx)
-
-
 #: op -> ``(plan, node) -> (forward shapes, backward shapes)`` of the
 #: step-local buffers its binders take from :meth:`Plan._step_scratch`.
 _STEP_SCRATCH = {
@@ -1270,41 +1174,13 @@ _BACKWARD = {
     "maximum": _back_maximum,
     "neg": _back_neg,
     "relu": _back_relu,
-    # inside [low, high] exactly where clipping left x unchanged
-    "clip": _back_unary(
-        lambda g, x, out, t, tmp, meta: (np.equal(out, x, out=tmp), np.multiply(g, tmp, out=t))
-    ),
-    "pow": _back_unary(
-        lambda g, x, out, t, tmp, meta: (
-            np.multiply(g, meta["exponent"], out=t),
-            np.power(x, meta["exponent"] - 1, out=tmp),
-            np.multiply(t, tmp, out=t),
-        )
-    ),
-    "exp": _back_unary(lambda g, x, out, t, tmp, meta: np.multiply(g, out, out=t)),
-    "log": _back_unary(lambda g, x, out, t, tmp, meta: np.divide(g, x, out=t)),
+    "exp": _back_unary(lambda g, x, out, t, tmp: np.multiply(g, out, out=t)),
+    "log": _back_unary(lambda g, x, out, t, tmp: np.divide(g, x, out=t)),
     "sqrt": _back_unary(
-        lambda g, x, out, t, tmp, meta: (
+        lambda g, x, out, t, tmp: (
             np.multiply(g, 0.5, out=t),
             np.maximum(out, 1e-12, out=tmp),
             np.divide(t, tmp, out=t),
-        )
-    ),
-    "abs": _back_unary(
-        lambda g, x, out, t, tmp, meta: (np.sign(x, out=tmp), np.multiply(g, tmp, out=t))
-    ),
-    "tanh": _back_unary(
-        lambda g, x, out, t, tmp, meta: (
-            np.multiply(out, out, out=tmp),
-            np.subtract(1.0, tmp, out=tmp),
-            np.multiply(g, tmp, out=t),
-        )
-    ),
-    "sigmoid": _back_unary(
-        lambda g, x, out, t, tmp, meta: (
-            np.multiply(g, out, out=t),
-            np.subtract(1.0, out, out=tmp),
-            np.multiply(t, tmp, out=t),
         )
     ),
     "batch_norm2d": _back_batch_norm,
@@ -1314,6 +1190,5 @@ _BACKWARD = {
     "max": _back_max,
     "reshape": _back_reshape,
     "transpose": _back_transpose,
-    "pad2d": _back_pad2d,
     "rng_mask": _back_rng_mask,
 }

@@ -207,23 +207,6 @@ class Graph:
         self.aux[name] = node_id
         return node_id
 
-    def add_op(
-        self,
-        op: str,
-        inputs: Tuple[int, ...],
-        shape: Tuple[int, ...],
-        dtype,
-        meta: Optional[dict] = None,
-        name: Optional[str] = None,
-    ) -> int:
-        """Append an op node; optionally register it as the named output ``name``."""
-        node_id = self._append(
-            Node(self._next_id(), op, tuple(inputs), dict(meta or {}), tuple(shape), np.dtype(dtype))
-        )
-        if name is not None:
-            self.outputs[name] = node_id
-        return node_id
-
     def append_traced(
         self,
         fn: Callable[..., object],

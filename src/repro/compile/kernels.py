@@ -6,6 +6,9 @@ NumPy-expression form materializes one temporary at a time.  These kernels
 run the whole chain through a single output array (callers ping-pong two
 buffers across iterations), with operation order chosen to be **bitwise
 identical** to the unfused expressions the attacks previously used.
+:func:`pgd_loop` is the one PGD iteration, shared by the eager
+:class:`repro.attacks.PGD` and the compiled adversarial-training adapters,
+which differ only in where each step's gradient comes from.
 
 :class:`DropoutMask` is the pooled replay of the ``rng_mask`` plan node,
 sharing its mask fill with eager dropout.
@@ -13,13 +16,13 @@ sharing its mask fill with eager dropout.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .pool import BufferPool
 
-__all__ = ["linf_step", "lookahead_point", "DropoutMask"]
+__all__ = ["linf_step", "lookahead_point", "pgd_loop", "DropoutMask"]
 
 
 class DropoutMask:
@@ -88,6 +91,37 @@ def linf_step(
     out += original
     np.clip(out, clip_min, clip_max, out=out)
     return out
+
+
+def pgd_loop(
+    gradient: Callable[[np.ndarray], np.ndarray],
+    images: np.ndarray,
+    eps: float,
+    alpha: float,
+    steps: int,
+    rng: Optional[np.random.Generator],
+    clip_min: float,
+    clip_max: float,
+) -> np.ndarray:
+    """``steps`` projected L_inf ascent steps from ``images`` (Madry et al.).
+
+    ``gradient(adversarial)`` returns the loss gradient at the current
+    iterate; ``rng`` draws the uniform random start inside the eps-ball
+    (``None``: start at ``images``).  The fused :func:`linf_step` writes
+    into two ping-pong buffers, so a gradient that is a plan-owned array
+    the next query overwrites never aliases the iterate.
+    """
+    adversarial = images.copy()
+    if rng is not None and eps > 0:
+        adversarial = adversarial + rng.uniform(-eps, eps, size=images.shape)
+        adversarial = np.clip(adversarial, clip_min, clip_max)
+    buffers = (np.empty_like(images), np.empty_like(images))
+    for step in range(steps):
+        adversarial = linf_step(
+            adversarial, gradient(adversarial), alpha, images, eps, clip_min, clip_max,
+            out=buffers[step % 2],
+        )
+    return adversarial
 
 
 def lookahead_point(

@@ -7,7 +7,7 @@ captured ``(shape, dtype)`` signature.  Plans read the module's parameters,
 batch-norm buffers and channel mask in place, so in-place updates need no
 recompile.  Unseen shapes (the ragged last batch of an evaluation,
 shrinking early-exit attack batches) are compiled on the fly up to
-``max_plans`` signatures; beyond that — or when capture/planning fails, the
+:data:`_MAX_PLANS` signatures; beyond that — or when capture/planning fails, the
 module is in training mode, a parameter's storage was reallocated (that
 plan is evicted and rebuilt on the next sighting), or a non-CE loss is
 requested — the call **falls back to eager execution**, so opting in is
@@ -39,6 +39,11 @@ from .graph import CompileError, capture_forward
 from .passes import optimize
 
 __all__ = ["CompiledModel", "CompiledStats", "compile_model", "eager_jacobian"]
+
+#: signatures one :class:`CompiledModel` compiles; later ones run eagerly
+#: (an attack engine run sees its batch size, a ragged tail and the
+#: shrinking early-exit batches).
+_MAX_PLANS = 8
 
 
 def eager_jacobian(module, images: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -108,8 +113,6 @@ class CompiledModel:
         errors on this first plan propagate (so callers learn immediately
         that the module cannot be captured); later auto-compiled signatures
         fail soft into eager fallback.
-    max_plans:
-        Bound on cached plans; further signatures run eagerly.
 
     Plans alias the module's state, so every replay sees the current
     weights and channel mask.  Every differentiated entry point
@@ -120,21 +123,15 @@ class CompiledModel:
     backward replays and fallbacks.
     """
 
-    def __init__(
-        self,
-        module,
-        sample_input,
-        max_plans: int = 8,
-    ) -> None:
+    def __init__(self, module, sample_input) -> None:
         self.module = module
-        self.max_plans = max_plans
         self.stats = CompiledStats()
         #: the shared compile-on-second-sighting policy (one implementation
-        #: serves CompiledModel, CompiledTrainer and LiveEvalModel alike).
-        #: The builder does not reference this object, so dropping it frees
-        #: its plans at once instead of at the next cyclic collection.
+        #: serves CompiledModel and CompiledTrainer alike).  The builder
+        #: does not reference this object, so dropping it frees its plans
+        #: at once instead of at the next cyclic collection.
         self._cache = SignatureCache(
-            functools.partial(_build_plan, module, self.stats), capacity=max_plans, name="model"
+            functools.partial(_build_plan, module, self.stats), capacity=_MAX_PLANS, name="model"
         )
         #: signatures whose plan forwards but cannot backward (kept for
         #: forward use; value_and_grad skips them without re-trying).
@@ -348,7 +345,7 @@ class CompiledModel:
         )
 
 
-def compile_model(module, sample_input, **options) -> CompiledModel:
+def compile_model(module, sample_input) -> CompiledModel:
     """Capture, optimize and bind ``module`` for ``sample_input``'s signature.
 
     The canonical entry point (``module.compile(sample)`` forwards here).
@@ -356,4 +353,4 @@ def compile_model(module, sample_input, **options) -> CompiledModel:
     captured — callers that want best-effort behaviour catch it and stay on
     the eager path.
     """
-    return CompiledModel(module, sample_input, **options)
+    return CompiledModel(module, sample_input)

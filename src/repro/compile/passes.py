@@ -18,21 +18,20 @@ value.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from .graph import Graph
 
 __all__ = ["optimize", "fuse_relu", "eliminate_dead", "lower_to_eval"]
 
 
-def lower_to_eval(graph: Graph) -> Tuple[Graph, bool]:
+def lower_to_eval(graph: Graph) -> Graph:
     """Derive the eval-semantics graph from a training-mode capture.
 
-    Returns ``(eval_graph, changed)``.  The expensive part of building an
-    attack plan is the traced forward; this pass re-derives the eval-mode
-    graph from the *training* capture instead of tracing a second time, so
-    one capture per signature serves both the training plan and the
-    eval-semantics attack plan.
+    The expensive part of building an attack plan is the traced forward;
+    this pass re-derives the eval-mode graph from the *training* capture
+    instead of tracing a second time, so one capture per signature serves
+    both the training plan and the eval-semantics attack plan.
 
     A capturable graph can diverge from eval semantics in two ways.  Each
     batch-stat ``batch_norm2d`` node has its ``training`` flag cleared, so
@@ -41,22 +40,17 @@ def lower_to_eval(graph: Graph) -> Tuple[Graph, bool]:
     attack sees after ``model.eval()``, re-read on every replay because the
     training plan updates them in place.  Each ``rng_mask`` (counter-based
     dropout) node is stripped: eval-mode dropout is the identity, so its
-    consumers are rewired straight to the masked input.  ``changed=False``
-    means the graph is mode-invariant: the training plan replays the eval
-    forward bit for bit, and a single fused input+param plan can serve both
-    roles.
+    consumers are rewired straight to the masked input.  A graph with
+    neither (an MLP, a VGG without batch norm) lowers to a copy of itself.
     """
     lowered = graph.copy()
-    changed = False
     rewired: Dict[int, int] = {}
     for node in lowered.nodes:
         if node.op == "rng_mask":
             rewired[node.id] = node.inputs[0]
-            changed = True
             continue
         if node.op == "batch_norm2d" and node.meta["training"]:
             node.meta["training"] = False  # a copy's own meta dict
-            changed = True
     if rewired:
         for node in lowered.nodes:
             node.inputs = tuple(_resolve(rewired, i) for i in node.inputs)
@@ -65,7 +59,7 @@ def lower_to_eval(graph: Graph) -> Tuple[Graph, bool]:
     # loss subgraphs; dropping the named outputs unprotects those nodes for
     # ReLU fusion.
     lowered.outputs = {}
-    return lowered.rebuild(), changed
+    return lowered.rebuild()
 
 
 def optimize(graph: Graph) -> Graph:

@@ -22,34 +22,16 @@ class BufferPool:
 
     def __init__(self) -> None:
         self._buffers: List[np.ndarray] = []
-        # Registered buffer identities: a buffer rebound across named
-        # backward programs (or re-registered by an adapter) must not
-        # inflate the high-water counters.  The arena keeps a strong
-        # reference to every buffer, so ids stay valid for its lifetime.
-        self._seen: set = set()
         self.allocations = 0
         self.bytes_allocated = 0
 
     def empty(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
         """Allocate (and own) an uninitialized buffer."""
         buffer = np.empty(shape, dtype=dtype)
-        self._register(buffer)
-        return buffer
-
-    def zeros(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        """Allocate (and own) a zero-initialized buffer."""
-        buffer = np.zeros(shape, dtype=dtype)
-        self._register(buffer)
-        return buffer
-
-    def _register(self, buffer: np.ndarray) -> None:
-        key = id(buffer)
-        if key in self._seen:
-            return
-        self._seen.add(key)
         self._buffers.append(buffer)
         self.allocations += 1
         self.bytes_allocated += buffer.nbytes
+        return buffer
 
     def snapshot(self) -> Tuple[int, int]:
         """``(allocations, bytes_allocated)`` — compare before/after replays."""

@@ -11,11 +11,8 @@ a plan *context* built from **exactly one traced capture** of the model:
   buffers;
 * one **attack plan** — derived from the *same* capture by the
   :func:`~repro.compile.passes.lower_to_eval` pass (eval-semantics batch
-  norms over the live running buffers), with an input-gradient backward
-  driving the inner maximization.  For mode-invariant models (no batch
-  norm) the training plan itself is bound with the fused input+param
-  backward (``grad="both"``) and serves both roles: PGD-AT's inner attack
-  loop and its outer optimizer step then share one plan.
+  norms over the live running buffers, dropout stripped), with an
+  input-gradient backward driving the inner maximization.
 
 Loss strategies are mapped to *adapters* that build the **entire loss in
 plan**: the classification term runs as the fused softmax-CE seed, and the
@@ -43,8 +40,8 @@ from the module's live ``(seed, layer_id, step)`` state every replay), and
 re-generated adversarial batch, reproducing the eager loss's second
 ``generate()`` call exactly.  Anything the trainer cannot compile (unknown
 strategies, ragged batch signatures on their first sighting, signatures past
-``max_signatures``) falls back to the eager path batch by batch; opting in
-is always safe.
+the cache's :data:`_MAX_SIGNATURES`) falls back to the eager path batch by
+batch; opting in is always safe.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..nn.tensor import Tensor, get_default_dtype
+from ..nn.tensor import get_default_dtype
 from ..nn import functional as F
 from ..obs import trace as _trace
 from ..obs.profiler import merge_snapshot as _merge_snapshot
@@ -63,10 +60,15 @@ from ..obs.registry import get_registry
 from .cache import SignatureCache
 from .executor import Plan
 from .graph import CompileError, Graph, capture_forward
-from .kernels import linf_step
+from .kernels import pgd_loop
+from .model import CompiledModel
 from .passes import lower_to_eval, optimize
 
-__all__ = ["CompiledTrainer", "LiveEvalModel", "TrainingCompileStats", "build_adapter"]
+__all__ = ["CompiledTrainer", "TrainingCompileStats", "build_adapter"]
+
+#: batch signatures one :class:`CompiledTrainer` compiles; later ones run
+#: eagerly (a training run sees one full and at most one ragged signature).
+_MAX_SIGNATURES = 4
 
 
 @dataclass
@@ -136,20 +138,9 @@ def _train_graph(captured: Graph) -> Graph:
     return optimize(captured.copy())
 
 
-def _eval_graph(captured: Graph) -> Tuple[Graph, bool]:
+def _eval_graph(captured: Graph) -> Graph:
     """The eval-semantics (attack) graph derived from the same capture."""
-    lowered, changed = lower_to_eval(captured)
-    return optimize(lowered), changed
-
-
-def _attack_plan(model, sample: np.ndarray) -> Plan:
-    was_training = model.training
-    model.eval()
-    try:
-        graph = capture_forward(model, sample)
-    finally:
-        model.train(was_training)
-    return Plan(optimize(graph), grad="input")
+    return optimize(lower_to_eval(captured))
 
 
 def _trace_kl(graph: Graph) -> int:
@@ -199,8 +190,7 @@ class _SignatureContext:
 
     def __init__(self, model, sample: np.ndarray, adapter, stats: TrainingCompileStats) -> None:
         self.model = model
-        #: distinct plans (for pool accounting; an aliased attack plan on a
-        #: mode-invariant model appears once).
+        #: every plan of the context (for pool accounting and profiles).
         self.plans: List[Plan] = []
         self.train_a: Optional[Plan] = None
         self.train_b: Optional[Plan] = None
@@ -218,8 +208,7 @@ class _SignatureContext:
         stats.plans_built += len(self.plans)
 
     def register(self, plan: Plan) -> Plan:
-        if all(plan is not existing for existing in self.plans):
-            self.plans.append(plan)
+        self.plans.append(plan)
         return plan
 
     def scalar(self, value: float, dtype) -> np.ndarray:
@@ -231,117 +220,35 @@ class _SignatureContext:
         return sum(plan.pool.allocations for plan in self.plans)
 
 
-def _pgd_loop(
-    grad_step: Callable[[np.ndarray], np.ndarray],
-    images: np.ndarray,
-    eps: float,
-    alpha: float,
-    steps: int,
-    random_start: bool,
-    seed: int,
-    clip_min: float = 0.0,
-    clip_max: float = 1.0,
-) -> np.ndarray:
-    """Replay :class:`repro.attacks.PGD`'s generation loop through a plan.
+def _replay_pgd(trainer, strategy, gradient, images: np.ndarray, random_start: bool) -> np.ndarray:
+    """One fresh generation of ``strategy``'s PGD attack through a plan.
 
-    Reproduces the eager attack exactly — the same fresh per-batch RNG and
-    random-start draw, the same fused ``linf_step`` ping-pong buffers — with
-    the per-step gradient query served by ``grad_step`` (a fused-CE or
-    in-plan-KL replay over the attack plan).
+    The eager ``generate()`` builds a new :class:`repro.attacks.PGD` per
+    call, so each generation draws its random start from a fresh RNG seeded
+    with ``strategy.seed``; ``gradient`` serves the per-step query from an
+    attack plan (a fused-CE or in-plan-KL replay).
     """
-    images = np.asarray(images, dtype=get_default_dtype())
-    rng = np.random.default_rng(seed)
-    adversarial = images.copy()
-    if random_start and eps > 0:
-        adversarial = adversarial + rng.uniform(-eps, eps, size=images.shape)
-        adversarial = np.clip(adversarial, clip_min, clip_max)
-    buffers = (np.empty_like(images), np.empty_like(images))
-    for step in range(steps):
-        gradient = grad_step(adversarial)
-        adversarial = linf_step(
-            adversarial, gradient, alpha, images, eps, clip_min, clip_max,
-            out=buffers[step % 2],
-        )
+    rng = np.random.default_rng(strategy.seed) if random_start else None
+    adversarial = pgd_loop(
+        gradient, images, strategy.eps, strategy.alpha, strategy.steps, rng, 0.0, 1.0
+    )
+    trainer.stats.attack_grad_calls += strategy.steps
+    trainer.count_forwards(strategy.steps, strategy.steps * len(images))
     return adversarial
 
 
-class LiveEvalModel:
-    """Eval-mode predictions for a model in training, reusable forever.
+def _ce_gradient(attack: Plan, labels: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The CE input gradient of ``labels`` through the attack plan."""
+    return lambda adversarial: attack.value_and_grad_ce(adversarial, labels)[1]
 
-    Binds eval-semantics plans (like the adapters' attack plans) to a
-    module that may be left in training mode between calls: one capture per
-    batch signature serves every epoch of in-training evaluation, tracking
-    in-place weight updates, mask refreshes and the running batch-norm
-    statistics automatically.  The interface mirrors ``CompiledModel``
-    (``__call__``/``predict``/``value_and_grad``) with per-batch eager
-    fallback; reallocated parameter storage evicts that signature's plan.
+
+class LiveEvalModel(CompiledModel):
+    """No caller constructs this class.
+
+    ``cellbench/instrument.py`` imports it and wraps its ``predict``, and
+    cellbench changes only in a benchmark change; the name goes with the
+    benchmark-change backlog (ROADMAP item 7).
     """
-
-    def __init__(self, module, max_plans: int = 8) -> None:
-        self.module = module
-        # The builder does not reference this object (see CompiledTrainer).
-        self._cache = SignatureCache(
-            functools.partial(_attack_plan, module), capacity=max_plans, name="live-eval"
-        )
-
-    def profile(self) -> Dict[str, dict]:
-        """Per-op-kind executor profile by plan signature (see :mod:`repro.obs`)."""
-        profiles: Dict[str, dict] = {}
-        for plan in self._cache.entries.values():
-            if plan is not None:
-                _merge_snapshot(profiles, plan.profile_snapshot())
-        return profiles
-
-    @property
-    def _plans(self) -> Dict[Tuple[Tuple[int, ...], str], Optional[Plan]]:
-        return self._cache.entries
-
-    def _plan_for(self, arr: np.ndarray) -> Optional[Plan]:
-        # Eval shapes recur every epoch, so from the second epoch on every
-        # hook batch replays a plan.
-        return self._cache.lookup(arr)
-
-    def __call__(self, x) -> np.ndarray:
-        arr = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=get_default_dtype())
-        plan = self._plan_for(arr)
-        if plan is not None:
-            try:
-                return plan.forward(arr)
-            except CompileError:  # e.g. parameter storage reallocated
-                self._cache.evict(arr)
-        from ..nn.tensor import no_grad
-
-        was_training = self.module.training
-        self.module.eval()
-        try:
-            with no_grad():
-                return self.module.forward(Tensor(arr)).data
-        finally:
-            self.module.train(was_training)
-
-    def predict(self, x) -> np.ndarray:
-        return np.argmax(self(x), axis=1)
-
-    def value_and_grad(self, x, labels, loss: str = "ce") -> Tuple[float, np.ndarray]:
-        if loss != "ce":
-            raise ValueError(f"unknown compiled loss '{loss}'; supported: 'ce'")
-        arr = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=get_default_dtype())
-        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-        plan = self._plan_for(arr)
-        if plan is not None:
-            try:
-                return plan.value_and_grad_ce(arr, labels)
-            except CompileError:
-                self._cache.evict(arr)
-        was_training = self.module.training
-        self.module.eval()
-        try:
-            x_t = Tensor(arr, requires_grad=True)
-            loss_t = F.cross_entropy(self.module.forward(x_t), labels)
-            loss_t.backward()
-            return float(loss_t.item()), x_t.grad
-        finally:
-            self.module.train(was_training)
 
 
 # --------------------------------------------------------------------------- #
@@ -373,13 +280,9 @@ class _CEAdapter:
 class _PGDAdversarialAdapter:
     """Madry PGD-AT: compiled inner maximization + fused CE on the result.
 
-    One capture serves the whole step.  On a model whose training forward
-    is mode-invariant (no batch norm) the training plan binds the fused
-    input+param backward (``grad="both"``) and doubles as the attack plan:
-    the inner loop drives its input-only backward program, the outer step
-    its fused full program — one plan, one capture.  Batch-norm models get
-    the plan pair, with the attack plan derived by the ``lower_to_eval``
-    rewrite of the same capture instead of a second trace.
+    One capture serves the whole step: the training plan, and the attack
+    plan derived by the ``lower_to_eval`` rewrite of the same capture
+    instead of a second trace.
     """
 
     needs_hidden_seeds = False
@@ -388,45 +291,20 @@ class _PGDAdversarialAdapter:
         self.strategy = strategy
 
     def build(self, ctx: _SignatureContext, captured: Graph) -> None:
-        attack_graph, mode_divergent = _eval_graph(captured)
-        if mode_divergent:
-            ctx.train_a = ctx.register(Plan(_train_graph(captured), grad="params"))
-            ctx.attack = ctx.register(Plan(attack_graph, grad="input"))
-        else:
-            ctx.train_a = ctx.register(Plan(_train_graph(captured), grad="both"))
-            ctx.attack = ctx.train_a
-
-    def _generate(self, trainer, ctx, images, labels, random_start: bool) -> np.ndarray:
-        """One fresh CE-guided PGD generation — the eager ``generate()``."""
-        s = self.strategy
-        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-        attack = ctx.attack
-
-        def grad_step(adversarial: np.ndarray) -> np.ndarray:
-            _, gradient = attack.value_and_grad_ce(adversarial, labels)
-            return gradient
-
-        adversarial = _pgd_loop(
-            grad_step, images,
-            eps=s.eps, alpha=s.alpha, steps=s.steps,
-            random_start=random_start, seed=s.seed,
-        )
-        trainer.stats.attack_grad_calls += s.steps
-        trainer.count_forwards(s.steps, s.steps * len(labels))
-        return adversarial
+        ctx.train_a = ctx.register(Plan(_train_graph(captured), grad="params"))
+        ctx.attack = ctx.register(Plan(_eval_graph(captured), grad="input"))
 
     def replay_generate(self, trainer, ctx, images, labels) -> np.ndarray:
-        # The eager MI wrapper's second ``generate()`` builds a fresh attack
-        # with the same seed — identical draws, re-run against the current
+        # Serves the base step and the eager MI wrapper's second
+        # ``generate()`` alike: the same draws, re-run against the current
         # (post-base-step) running statistics, which the live-buffer attack
         # plan reads automatically.
-        return self._generate(trainer, ctx, images, labels, self.strategy.random_start)
+        s = self.strategy
+        return _replay_pgd(trainer, s, _ce_gradient(ctx.attack, labels), images, s.random_start)
 
     def step(self, trainer: "CompiledTrainer", ctx, images, labels):
         labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-        adversarial = self._generate(
-            trainer, ctx, images, labels, self.strategy.random_start
-        )
+        adversarial = self.replay_generate(trainer, ctx, images, labels)
         plan = ctx.train_a
         plan.forward(adversarial)
         trainer.count_forwards(1, len(labels))
@@ -474,7 +352,7 @@ class _TRADESAdapter:
         )
         ctx.ids["kl"] = kl_id
 
-        attack_graph, _ = _eval_graph(captured)
+        attack_graph = _eval_graph(captured)
         attack_kl_id = _trace_kl(attack_graph)
         ctx.attack = ctx.register(
             Plan(
@@ -496,26 +374,17 @@ class _TRADESAdapter:
         the same-step dropout mask reapplies bitwise); the attack plan's
         aux aliases that logits buffer, so no copy is taken.
         """
-        s = self.strategy
-        n = np.asarray(labels).reshape(-1).shape[0]
         plan_a, attack = ctx.train_a, ctx.attack
         plan_a.forward(images)
-        trainer.count_forwards(1, n)
+        trainer.count_forwards(1, len(images))
         attack_kl = ctx.ids["attack_kl"]
 
-        def grad_step(adversarial: np.ndarray) -> np.ndarray:
+        def gradient(adversarial: np.ndarray) -> np.ndarray:
             attack.forward(adversarial)
             attack.run_backward({attack_kl: ctx.one})
             return attack.input_grad()
 
-        adversarial = _pgd_loop(
-            grad_step, images,
-            eps=s.eps, alpha=s.alpha, steps=s.steps,
-            random_start=True, seed=s.seed,
-        )
-        trainer.stats.attack_grad_calls += s.steps
-        trainer.count_forwards(s.steps, s.steps * n)
-        return adversarial
+        return _replay_pgd(trainer, self.strategy, gradient, images, True)
 
     def replay_generate(self, trainer, ctx, images, labels) -> np.ndarray:
         return self._generate(trainer, ctx, images, labels)
@@ -582,36 +451,20 @@ class _MARTAdapter:
             )
         )
         ctx.ids["total"] = total_id
-        ctx.attack = ctx.register(Plan(_eval_graph(captured)[0], grad="input"))
+        ctx.attack = ctx.register(Plan(_eval_graph(captured), grad="input"))
         ctx.one = ctx.scalar(1.0, logits.dtype)
         ctx.arange = np.arange(logits.shape[0])
 
-    def _generate(self, trainer, ctx, images, labels) -> np.ndarray:
-        """One fresh MART generation (CE-guided PGD, forced random start)."""
-        s = self.strategy
-        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-        attack = ctx.attack
-
-        def grad_step(adversarial: np.ndarray) -> np.ndarray:
-            _, gradient = attack.value_and_grad_ce(adversarial, labels)
-            return gradient
-
-        adversarial = _pgd_loop(
-            grad_step, images,
-            eps=s.eps, alpha=s.alpha, steps=s.steps,
-            random_start=True, seed=s.seed,
-        )
-        trainer.stats.attack_grad_calls += s.steps
-        trainer.count_forwards(s.steps, s.steps * len(labels))
-        return adversarial
-
     def replay_generate(self, trainer, ctx, images, labels) -> np.ndarray:
-        return self._generate(trainer, ctx, images, labels)
+        # CE-guided PGD with a forced random start, as eager MART's generate().
+        return _replay_pgd(
+            trainer, self.strategy, _ce_gradient(ctx.attack, labels), images, True
+        )
 
     def step(self, trainer: "CompiledTrainer", ctx, images, labels):
         labels = np.asarray(labels, dtype=np.int64).reshape(-1)
         n = len(labels)
-        adversarial = self._generate(trainer, ctx, images, labels)
+        adversarial = self.replay_generate(trainer, ctx, images, labels)
         plan_a, plan_b = ctx.train_a, ctx.train_b
         plan_b.forward(adversarial)
         _fill_onehot(plan_a.aux_values["true_mask"], ctx.arange, labels)
@@ -777,12 +630,13 @@ class CompiledTrainer:
     parameter gradients, fused in-place optimizer update — through compiled
     plans, or returns ``None`` when the batch must take the eager path
     (unsupported strategy, first sighting of a signature, capture failure,
-    a new signature past ``max_signatures``, reallocated parameter storage).
+    a new signature past :data:`_MAX_SIGNATURES`, reallocated parameter
+    storage).
     Plans read the channel mask in place, so an IB-RAR Eq. (3) refresh
     changes no plan.
     """
 
-    def __init__(self, model, optimizer, loss_strategy, max_signatures: int = 4) -> None:
+    def __init__(self, model, optimizer, loss_strategy) -> None:
         self.model = model
         self.optimizer = optimizer
         self.loss_strategy = loss_strategy
@@ -798,7 +652,7 @@ class CompiledTrainer:
         # after the trainer is dropped until the next cyclic collection.
         self._cache = SignatureCache(
             functools.partial(_SignatureContext, model, adapter=self.adapter, stats=self.stats),
-            capacity=max_signatures,
+            capacity=_MAX_SIGNATURES,
             name="trainer",
         )
         self._accums: Dict[int, np.ndarray] = {}

@@ -80,7 +80,7 @@ class Module:
     def __call__(self, *args, **kwargs) -> Tensor:
         return self.forward(*args, **kwargs)
 
-    def compile(self, sample_input, **options):
+    def compile(self, sample_input):
         """Capture this module's forward into a static, replayable plan.
 
         Runs one eval-mode forward on ``sample_input`` under graph tracing,
@@ -90,14 +90,13 @@ class Module:
         need no recompile.  Returns a :class:`repro.compile.CompiledModel`
         whose ``__call__``, ``value_and_grad``, ``jacobian`` and ``forward``
         replay the plan without rebuilding the autograd graph of the model;
-        an input shape the plan has not seen
-        runs eagerly on its first sighting and is compiled on its second (up
-        to ``max_plans`` signatures).  ``options`` are forwarded to
-        :func:`repro.compile.compile_model`.
+        an input shape the plan has not seen runs eagerly on its first
+        sighting and is compiled on its second (up to eight signatures).
+        Equivalent to :func:`repro.compile.compile_model`.
         """
         from ..compile import compile_model
 
-        return compile_model(self, sample_input, **options)
+        return compile_model(self, sample_input)
 
     # -- mode ------------------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":

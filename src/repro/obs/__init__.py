@@ -3,9 +3,9 @@
 Three cooperating pieces, all near-free when off:
 
 * :mod:`repro.obs.registry` — the process-wide :class:`MetricsRegistry`
-  every telemetry surface (signature-cache counters, attack telemetry,
-  training compile stats) reports through, with JSON and
-  Prometheus exposition.
+  of labeled counters and gauges every telemetry surface (signature-cache
+  counters, attack telemetry, training compile stats) reports through, with
+  a JSON snapshot.
 * :mod:`repro.obs.trace` — span-based tracing with thread-local stacks,
   explicit carriers across threads and ``run_grid`` child processes, and a
   pluggable JSONL sink.
@@ -36,7 +36,6 @@ from . import profiler, trace
 from .registry import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     get_registry,
     percentile,
@@ -49,7 +48,6 @@ from .records import RunWindow, annotate
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "get_registry",
     "percentile",

@@ -125,7 +125,7 @@ def _op_table(events: Iterable[dict]) -> Optional[str]:
 def _metrics_table(events: Iterable[dict]) -> Optional[str]:
     # Snapshots are cumulative per process: keep the last per pid, then
     # merge across processes (counters sum — each process counted its own
-    # work; gauges and histograms last-write-wins in event order).
+    # work; gauges last-write-wins in event order).
     per_pid: Dict[object, dict] = {}
     for event in events:
         if event.get("event") == "metrics" and event.get("snapshot"):
@@ -134,21 +134,15 @@ def _metrics_table(events: Iterable[dict]) -> Optional[str]:
         return None
     counters: Dict[str, float] = {}
     gauges: Dict[str, float] = {}
-    histograms: Dict[str, dict] = {}
     for snapshot in per_pid.values():
         for series, value in (snapshot.get("counters") or {}).items():
             counters[series] = counters.get(series, 0) + value
         gauges.update(snapshot.get("gauges") or {})
-        histograms.update(snapshot.get("histograms") or {})
     rows = []
     for series, value in sorted(counters.items()):
         rows.append([series, "counter", f"{value}"])
     for series, value in sorted(gauges.items()):
         rows.append([series, "gauge", f"{value}"])
-    for series, summary in sorted(histograms.items()):
-        rows.append(
-            [series, "histogram", f"count={summary['count']} p50={summary['p50']:.4g}"]
-        )
     if not rows:
         return None
     return _format_table(["series", "kind", "value"], rows)

@@ -29,7 +29,6 @@ __all__ = [
     "disable",
     "enabled",
     "merge_snapshot",
-    "merge_profiles",
     "flush",
 ]
 
@@ -149,15 +148,6 @@ def merge_snapshot(profiles: Dict[str, dict], snap: Optional[dict]) -> None:
     if pool:
         entry["pool"]["allocations"] += pool["allocations"]
         entry["pool"]["bytes"] += pool["bytes"]
-
-
-def merge_profiles(target: Dict[str, dict], other: Dict[str, dict]) -> None:
-    """Fold one per-signature aggregation into another (the Trainer's views)."""
-    for signature, entry in other.items():
-        merge_snapshot(
-            target,
-            {"signature": signature, "ops": entry["ops"], "pool": entry.get("pool")},
-        )
 
 
 def flush() -> int:

@@ -10,14 +10,11 @@ adversarial accuracy curves used by Figures 2d and 4.
 :mod:`repro.compile.training`: the training-mode forward, the full
 parameter-gradient backward and the optimizer update replay static,
 buffer-pooled plans, with automatic per-batch eager fallback.  The per-epoch
-evaluation hooks are offered a live-parameter compiled eval model (captured
-once, tracking every in-place weight update) when they declare a
-``compiled`` parameter.
+evaluation hooks run eagerly either way.
 """
 
 from __future__ import annotations
 
-import inspect
 import time
 from typing import Callable, Optional
 
@@ -39,16 +36,8 @@ def evaluate_accuracy(
     images: np.ndarray,
     labels: np.ndarray,
     batch_size: int = 128,
-    compiled=None,
 ) -> float:
-    """Top-1 accuracy of ``model`` on an array of images (no gradients).
-
-    ``compiled`` optionally supplies a :class:`repro.compile.CompiledModel`
-    for the same module: predictions then replay its static eval plans
-    (falling back to eager for unseen shapes) instead of building the
-    dynamic graph batch by batch.  The :class:`Trainer`'s per-epoch hooks
-    pass one automatically when compilation is enabled.
-    """
+    """Top-1 accuracy of ``model`` on an array of images (eval mode, no gradients)."""
     labels = np.asarray(labels).reshape(-1)
     correct = 0
     was_training = model.training
@@ -58,34 +47,11 @@ def evaluate_accuracy(
             for start in range(0, len(images), batch_size):
                 batch = images[start : start + batch_size]
                 batch_labels = labels[start : start + batch_size]
-                if compiled is not None:
-                    predictions = compiled.predict(batch)
-                else:
-                    predictions = model.predict(Tensor(batch))
+                predictions = model.predict(Tensor(batch))
                 correct += int((predictions == batch_labels).sum())
     finally:
         model.train(was_training)
     return correct / max(len(labels), 1)
-
-
-def _hook_accepts_compiled(hook: Callable) -> bool:
-    """Whether an eval hook opts into the compiled model argument.
-
-    Opt-in is explicit: the hook must declare a parameter *named*
-    ``compiled`` (e.g. ``def hook(model, compiled=None)``).  A mere second
-    positional parameter is not enough — existing hooks with unrelated
-    extras (``def hook(model, batch_size=128)``) must keep receiving only
-    the model.
-    """
-    try:
-        signature = inspect.signature(hook)
-    except (TypeError, ValueError):
-        return False
-    parameter = signature.parameters.get("compiled")
-    return parameter is not None and parameter.kind in (
-        parameter.POSITIONAL_OR_KEYWORD,
-        parameter.KEYWORD_ONLY,
-    )
 
 
 class Trainer:
@@ -103,14 +69,8 @@ class Trainer:
     scheduler:
         Defaults to the paper's StepLR (step 20, gamma 0.2).
     eval_natural / eval_adversarial:
-        Optional callables run at the end of every epoch; their results
-        populate the corresponding history columns.  A hook is called as
-        ``hook(model)`` — or, when compilation is enabled and the hook
-        explicitly declares a ``compiled`` parameter (e.g.
-        ``def hook(model, compiled=None)``), as
-        ``hook(model, compiled=compiled_eval)`` with a persistent
-        :class:`repro.compile.training.LiveEvalModel` (a
-        ``CompiledModel``-compatible eval view over the live weights).
+        Optional callables run at the end of every epoch as ``hook(model)``;
+        their results populate the corresponding history columns.
     epoch_callback:
         Optional hook ``(trainer, record) -> None`` invoked after each epoch
         (used by the IB-RAR trainer to refresh the Eq. (3) mask and by the
@@ -150,7 +110,6 @@ class Trainer:
         self.history = TrainingHistory()
         self._compiled_trainer = None
         self._retired_compile_stats = None  # counters from replaced instances
-        self._live_eval = None
 
     def _batch_loss(self, images: np.ndarray, labels: np.ndarray):
         """Compute the training loss, reusing the strategy's logits when it shares them.
@@ -213,27 +172,6 @@ class Trainer:
                 self.model, self.optimizer, self.loss_strategy
             )
         return self._compiled_trainer.train_batch(images, labels)
-
-    def _compiled_eval_model(self):
-        """The persistent live-parameter eval view over the current weights.
-
-        Built once and reused every epoch: its plans alias parameter storage
-        (updated in place by the fused optimizer), so no per-epoch recapture
-        is needed and eval batch shapes compile on their second sighting —
-        from the second epoch on, every hook batch replays a plan.
-        """
-        if self._live_eval is None:
-            from ..compile.training import LiveEvalModel
-
-            self._live_eval = LiveEvalModel(self.model)
-        return self._live_eval
-
-    def _run_eval_hook(self, hook, compiled) -> Optional[float]:
-        if hook is None:
-            return None
-        if compiled is not None and _hook_accepts_compiled(hook):
-            return hook(self.model, compiled=compiled)
-        return hook(self.model)
 
     # ------------------------------------------------------------------ #
     # training
@@ -312,10 +250,6 @@ class Trainer:
         return history
 
     def _fit(self, loader: DataLoader, epochs: int) -> TrainingHistory:
-        offer_compiled_eval = self.compile and any(
-            hook is not None and _hook_accepts_compiled(hook)
-            for hook in (self.eval_natural, self.eval_adversarial)
-        )
         for epoch in range(1, epochs + 1):
             stats = self.compile_stats
             before = stats.snapshot() if stats is not None else None
@@ -325,9 +259,10 @@ class Trainer:
             ):
                 train_loss, train_accuracy = self.train_epoch(loader)
             epoch_seconds = time.perf_counter() - epoch_start
-            compiled_eval = self._compiled_eval_model() if offer_compiled_eval else None
-            natural = self._run_eval_hook(self.eval_natural, compiled_eval)
-            adversarial = self._run_eval_hook(self.eval_adversarial, compiled_eval)
+            natural = None if self.eval_natural is None else self.eval_natural(self.model)
+            adversarial = (
+                None if self.eval_adversarial is None else self.eval_adversarial(self.model)
+            )
             record = EpochRecord(
                 epoch=epoch,
                 train_loss=train_loss,
@@ -366,17 +301,12 @@ class Trainer:
         return self.history
 
     def profile(self):
-        """Per-signature executor profiles from the compiled training path.
+        """Per-signature executor profiles of the compiled training plans.
 
-        Merges the :class:`~repro.compile.training.CompiledTrainer`'s plans
-        with the live eval view's; empty unless the obs profiler was on for
-        at least one replayed batch (see :mod:`repro.obs.profiler`).
+        Empty unless a :class:`~repro.compile.training.CompiledTrainer` ran
+        with the obs profiler on for at least one replayed batch (see
+        :mod:`repro.obs.profiler`).
         """
-        from ..obs.profiler import merge_profiles
-
-        merged: dict = {}
-        if self._compiled_trainer is not None:
-            merge_profiles(merged, self._compiled_trainer.profile())
-        if self._live_eval is not None:
-            merge_profiles(merged, self._live_eval.profile())
-        return merged
+        if self._compiled_trainer is None:
+            return {}
+        return self._compiled_trainer.profile()

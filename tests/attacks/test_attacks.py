@@ -229,3 +229,69 @@ class TestAttackSuccessRate:
         images, labels = eval_batch
         rate = attack_success_rate(trained_small_cnn, PGD(trained_small_cnn, steps=5), images, labels)
         assert 0.0 <= rate <= 1.0
+
+
+class TestParametersUntouched:
+    """Attacks differentiate their input only and restore the model's state."""
+
+    SUITE = {
+        "pgd": dict(steps=2),
+        "cw": dict(steps=2),
+        "fgsm": {},
+        "fab": dict(steps=2),
+        "nifgsm": dict(steps=2),
+        "mifgsm": dict(steps=2),
+        "deepfool": dict(steps=2),
+        "ensemble": dict(specs=[{"name": "pgd", "params": {"steps": 1}}, "fgsm"], cascade=False),
+    }
+
+    @staticmethod
+    def _prime(model):
+        """Give half the parameters a sentinel gradient and freeze one."""
+        params = model.parameters()
+        for index, param in enumerate(params):
+            param.grad = np.full(param.shape, float(index)) if index % 2 else None
+        params[-1].requires_grad = False
+        return [(p.grad, p.requires_grad) for p in params]
+
+    @pytest.mark.parametrize("compiled", [False, True], ids=["eager", "compiled"])
+    @pytest.mark.parametrize("name", sorted(SUITE))
+    def test_attack_leaves_param_grads_and_flags(self, name, compiled, eval_batch):
+        from repro.compile import compile_model
+        from repro.models import SmallCNN
+
+        images, labels = eval_batch[0][:6], eval_batch[1][:6]
+        model = SmallCNN(num_classes=10, image_size=16, base_channels=4, hidden_dim=16, seed=0)
+        attack = build_attack(name, model, **self.SUITE[name])
+        if compiled:
+            model.eval()
+            attack.use_compiled(compile_model(model, images))
+            model.train()
+        before = self._prime(model)
+        adversarial = attack.attack(images, labels)
+        assert adversarial.shape == images.shape
+        for param, (grad, flag) in zip(model.parameters(), before):
+            assert param.grad is grad
+            assert param.requires_grad is flag
+        assert model.training
+
+    def test_flags_restored_when_generate_raises(self, eval_batch):
+        from repro.models import SmallCNN
+
+        images, labels = eval_batch[0][:4], eval_batch[1][:4]
+        model = SmallCNN(num_classes=10, image_size=16, base_channels=4, hidden_dim=16, seed=0)
+        attack = PGD(model, steps=1)
+        seen = []
+
+        def failing(images, labels):
+            seen.append([p.requires_grad for p in model.parameters()])
+            raise RuntimeError("boom")
+
+        attack._generate = failing
+        before = self._prime(model)
+        with pytest.raises(RuntimeError, match="boom"):
+            attack.attack(images, labels)
+        assert seen == [[False] * len(before)]
+        for param, (grad, flag) in zip(model.parameters(), before):
+            assert param.grad is grad
+            assert param.requires_grad is flag

@@ -550,6 +550,22 @@ class _GetItemClassifier(ImageClassifier):
         return logits, OrderedDict(h=h)
 
 
+class _TanhClassifier(ImageClassifier):
+    """Forward uses an op without a compiled kernel (``tanh``)."""
+
+    def __init__(self):
+        super().__init__(num_classes=2)
+        self.fc = Linear(3, 2, rng=np.random.default_rng(0))
+
+    @property
+    def hidden_layer_names(self):
+        return ["h"]
+
+    def forward_with_hidden(self, x):
+        h = x.flatten(start_dim=1).tanh()
+        return self.fc(h), OrderedDict(h=h)
+
+
 class TestEngineIntegration:
     def test_compiled_engine_matches_eager_accuracies(
         self, trained_small_cnn, tiny_dataset
@@ -586,13 +602,36 @@ class TestEngineIntegration:
         assert revived.telemetry[-1].compiled_grad_calls == pgd.compiled_grad_calls
 
     def test_uncapturable_model_reports_error_and_still_evaluates(self, rng):
-        model = _GetItemClassifier()
         images = rng.random((8, 3, 1, 1))
         labels = np.zeros(8, dtype=np.int64)
-        result = AttackEngine([AttackSpec("fgsm")], compile=True).run(model, images, labels)
-        assert not result.compiled
-        assert result.compile_error
-        assert "fgsm" in result.adversarial
+        for model, op in ((_GetItemClassifier(), "getitem"), (_TanhClassifier(), "tanh")):
+            result = AttackEngine([AttackSpec("fgsm")], compile=True).run(model, images, labels)
+            assert not result.compiled
+            assert f"op '{op}' has no compiled kernel" in result.compile_error
+            assert "fgsm" in result.adversarial
+
+    def test_unsupported_op_trains_eagerly(self, rng):
+        from repro.compile import CompiledTrainer
+        from repro.data import ArrayDataset, DataLoader
+        from repro.training import Trainer
+        from repro.training.adversarial import CrossEntropyLoss
+
+        images = rng.random((8, 3, 1, 1))
+        labels = rng.integers(0, 2, 8)
+        model = _TanhClassifier()
+        model.train()
+        trainer = CompiledTrainer(model, SGD(model.parameters(), lr=0.1), CrossEntropyLoss())
+        assert [trainer.train_batch(images, labels) for _ in range(3)] == [None] * 3
+        # The first sighting is the benign deferral; the failed bind is
+        # remembered and every later batch counts as a fallback.
+        assert trainer.stats.compiled_batches == 0 and trainer.stats.fallbacks == 2
+        ends = []
+        for compiled in (False, True):
+            model = _TanhClassifier()
+            loader = DataLoader(ArrayDataset(images, labels), batch_size=4, shuffle=False)
+            Trainer(model, CrossEntropyLoss(), compile=compiled).fit(loader, epochs=2)
+            ends.append([p.data.copy() for p in model.parameters()])
+        assert all(np.array_equal(a, b) for a, b in zip(*ends))
 
     def test_eager_run_clears_stale_plan_from_prebuilt_attack(
         self, trained_small_cnn, tiny_dataset

@@ -6,8 +6,8 @@
   median bandwidth as well as a fixed one.
 * PGD-AT performs exactly **one plan-pair capture per signature**
   (``TrainingCompileStats.captures``), with the attack plan derived from
-  the training capture by the ``lower_to_eval`` pass; on a mode-invariant
-  model the pair collapses into one fused ``grad="both"`` plan.
+  the training capture by the ``lower_to_eval`` pass — on a mode-invariant
+  model (no batch norm, no dropout) too.
 """
 
 from __future__ import annotations
@@ -130,18 +130,29 @@ class TestCaptureCounts:
         assert trainer.stats.captures == 1
         assert trainer.stats.plans_built == 3  # two training plans + attack plan
 
-    def test_mode_invariant_model_fuses_the_pair(self):
-        # No batch norm: the training plan binds the fused input+param
-        # backward and doubles as the attack plan — one capture, one plan.
+    def test_mode_invariant_model_builds_the_pair(self):
+        # No batch norm: the eval lowering changes nothing, and one capture
+        # still yields a parameter-gradient training plan and an input-
+        # gradient attack plan.  The compiled step equals eager bitwise.
+        import copy
+
         model = MLP(input_dim=48, num_classes=10, hidden_dims=(12, 8), seed=0)
-        trainer = _compiled(PGDAdversarialLoss(steps=2, seed=0), model=model)
+        strategy = PGDAdversarialLoss(steps=2, seed=0)
+        trainer = _compiled(strategy, model=model)
         rng = np.random.default_rng(0)
         images = rng.random((10, 48))
         labels = rng.integers(0, 10, 10)
-        assert trainer.train_batch(images, labels) is None
-        assert trainer.train_batch(images, labels) is not None
+        assert trainer.train_batch(images, labels) is None  # first sighting
+        replica, optimizer = copy.deepcopy((model, trainer.optimizer))
+        eager_loss = strategy(replica, images, labels)
+        optimizer.zero_grad()
+        eager_loss.backward()
+        optimizer.step_with_grads([p.grad for p in optimizer.parameters])
+        loss, _ = trainer.train_batch(images, labels)
         assert trainer.stats.captures == 1
-        assert trainer.stats.plans_built == 1
+        assert trainer.stats.plans_built == 2
         ctx = next(v for v in trainer._cache.entries.values() if v is not None)
-        assert ctx.attack is ctx.train_a
-        assert ctx.train_a.grad_mode == "both"
+        assert (ctx.train_a.grad_mode, ctx.attack.grad_mode) == ("params", "input")
+        assert loss == float(eager_loss.item())
+        for compiled, eager in zip(model.parameters(), replica.parameters()):
+            assert np.array_equal(compiled.data, eager.data)

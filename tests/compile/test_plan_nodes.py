@@ -1,4 +1,4 @@
-"""Finite-difference gradcheck for the in-plan loss terms and fused backward.
+"""Finite-difference gradcheck for the in-plan loss terms and both gradient modes.
 
 The TRADES KL and the MART objective are traced from their eager code by
 :meth:`~repro.compile.graph.Graph.append_traced` and run on the generic
@@ -8,9 +8,9 @@ and against the eager value.  A tie test pins the ``max`` kernel's eager
 gradient split through MART's margin term.  The IB-RAR HSIC terms are
 traced the same way, from the kernel/trace primitives up to the whole
 ``MILoss.regularizer`` block, with the median bandwidth and a fixed one,
-normalized and raw.  The fused input+param backward (``grad="both"``) is
-checked end to end on a captured model: the input gradient and every
-parameter gradient come out of the *same* plan.
+normalized and raw.  Both gradient modes are checked end to end on a
+captured MLP: the input gradient through a ``grad="input"`` plan, every
+parameter gradient through a ``grad="params"`` plan.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from nn.gradcheck import plan_gradcheck  # noqa: E402
 
 from repro.compile.executor import Plan
-from repro.compile.graph import Graph, Node, capture_forward
+from repro.compile.graph import CompileError, Graph, Node, capture_forward
 from repro.compile.passes import optimize
 from repro.models import MLP
 from repro.nn import Tensor
@@ -293,48 +293,53 @@ class TestHSICNodes:
         assert ok, message
 
 
-class TestFusedInputParamBackward:
-    def test_input_and_param_grads_from_one_plan(self):
-        # grad="both": one run_backward emits the input gradient and every
-        # parameter gradient; all are finite-difference checked against the
-        # same plan's forward.
+class TestInputAndParamPlans:
+    """One training-mode MLP capture, differentiated in each gradient mode."""
+
+    def _setup(self):
         rng = np.random.default_rng(6)
         model = MLP(input_dim=6, num_classes=3, hidden_dims=(5, 4), seed=0)
         model.train()
         x = rng.random((4, 6))
         y = rng.integers(0, 3, 4)
-        graph = capture_forward(model, x, training=True)
-        plan = Plan(optimize(graph), grad="both")
+        return model, x, y, capture_forward(model, x, training=True)
 
+    @staticmethod
+    def _ce_value(plan, x, y):
         def value():
             plan.forward(x)
-            loss, _ = plan.ce_loss_and_seed(y)
-            return loss
+            return plan.ce_loss_and_seed(y)[0]
 
-        plan.forward(x)
-        loss, seed = plan.ce_loss_and_seed(y)
-        plan.run_backward({plan.graph.output_id: seed})
-        pairs = [("input", x, np.array(plan.input_grad()))]
-        grads = plan.param_grads()
-        for name, param in model.named_parameters():
-            pairs.append((name, param.data, np.array(grads[id(param)])))
-        ok, message = plan_gradcheck(value, pairs)
+        return value
+
+    def test_input_plan_gradchecks_the_input(self):
+        model, x, y, graph = self._setup()
+        plan = Plan(optimize(graph), grad="input")
+        _, grad = plan.value_and_grad_ce(x, y)
+        eager_x = Tensor(x, requires_grad=True)
+        F.cross_entropy(model.forward(eager_x), y).backward()
+        assert np.array_equal(grad, eager_x.grad)
+        assert plan.param_grads() == {}
+        ok, message = plan_gradcheck(self._ce_value(plan, x, y), [("input", x, np.array(grad))])
         assert ok, message
-        assert len(pairs) == len(model.parameters()) + 1
+        with pytest.raises(ValueError, match="use 'input' or 'params'"):
+            Plan(plan.graph, grad="both")
 
-    def test_input_program_matches_full_program_input_grad(self):
-        # The attack fast path (backward) and the fused full program
-        # (run_backward) must agree on the input gradient bit for bit.
-        rng = np.random.default_rng(7)
-        model = MLP(input_dim=6, num_classes=3, hidden_dims=(5,), seed=1)
-        model.train()
-        x = rng.random((4, 6))
-        y = rng.integers(0, 3, 4)
-        graph = capture_forward(model, x, training=True)
-        plan = Plan(optimize(graph), grad="both")
+    def test_params_plan_gradchecks_every_parameter(self):
+        model, x, y, graph = self._setup()
+        plan = Plan(optimize(graph), grad="params")
         plan.forward(x)
         _, seed = plan.ce_loss_and_seed(y)
-        seed = np.array(seed, copy=True)
-        fast = np.array(plan.backward(seed), copy=True)
         plan.run_backward({plan.graph.output_id: seed})
-        assert np.array_equal(fast, plan.input_grad())
+        grads = plan.param_grads()
+        model.zero_grad()
+        F.cross_entropy(model.forward(Tensor(x)), y).backward()
+        pairs = []
+        for name, param in model.named_parameters():
+            assert np.array_equal(grads[id(param)], param.grad)
+            pairs.append((name, param.data, np.array(grads[id(param)])))
+        assert len(pairs) == len(model.parameters())
+        with pytest.raises(CompileError):
+            plan.input_grad()
+        ok, message = plan_gradcheck(self._ce_value(plan, x, y), pairs)
+        assert ok, message

@@ -16,7 +16,7 @@ from repro.nn import Tensor
 from repro.nn import functional as F
 from repro.nn.modules import BatchNorm2d
 from repro.nn.optim import SGD, StepLR
-from repro.training import Trainer, evaluate_accuracy
+from repro.training import Trainer
 from repro.training.adversarial import (
     CrossEntropyLoss,
     MARTLoss,
@@ -301,26 +301,30 @@ class TestFallbacks:
         assert compiled.stats.eager_batches == 2
 
     def test_full_signature_cache_counts_refused_batches_as_fallbacks(self):
-        # With room for one signature, the second one never compiles: its
-        # first sighting (the cache still had room) is the benign warmup, and
-        # every later batch of it is a genuine fallback.
+        # Once the cache holds its capacity of signatures, one more never
+        # compiles: its first sighting (the cache still had room) is the
+        # benign warmup, and every later batch of it is a genuine fallback.
+        from repro.compile.training import _MAX_SIGNATURES
         from repro.obs.registry import get_registry
 
         rng = np.random.default_rng(0)
         model = SmallCNN(num_classes=10, image_size=16, base_channels=4, hidden_dim=16, seed=0)
         model.train()
         optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
-        compiled = CompiledTrainer(model, optimizer, CrossEntropyLoss(), max_signatures=1)
+        compiled = CompiledTrainer(model, optimizer, CrossEntropyLoss())
         counter = get_registry().counter("trainer.fallback")
         before = counter.value
-        x = rng.random((8, 3, 16, 16))
-        y = rng.integers(0, 10, 8)
+        sizes = range(_MAX_SIGNATURES + 1, 0, -1)  # the last one finds the cache full
+        x = rng.random((len(sizes), 3, 16, 16))
+        y = rng.integers(0, 10, len(sizes))
         path = ""
         for _ in range(6):
-            for n in (8, 4):
+            for n in sizes:
                 path += "E" if compiled.train_batch(x[:n], y[:n]) is None else "C"
-        assert path == "EECECECECECE"
-        assert compiled.stats.eager_batches == 7
+            path += "|"
+        full = "C" * _MAX_SIGNATURES + "E|"
+        assert path == "E" * len(sizes) + "|" + full * 5
+        assert compiled.stats.eager_batches == len(sizes) + 5
         assert compiled.stats.fallbacks == 5
         assert counter.value - before == 5
 
@@ -390,7 +394,6 @@ class TestLiveModuleState:
         import copy
 
         from repro.compile import compile_model
-        from repro.compile.training import LiveEvalModel
         from repro.nn import no_grad, set_default_dtype
         from test_loss_parity import F32_LOSS_RTOL, F32_PARAM_TOL
 
@@ -405,15 +408,12 @@ class TestLiveModuleState:
             trainer = CompiledTrainer(
                 model, SGD(model.parameters(), lr=0.05, momentum=0.9), CrossEntropyLoss()
             )
-            live = LiveEvalModel(model)
             for _ in range(2):  # the second sighting builds
                 trainer.train_batch(x, y)
-                live(x)
             model.eval()
             compiled = compile_model(model, x)
             model.train()
             captures, built = trainer.stats.captures, trainer.stats.plans_built
-            live_builds = live._cache.stats()["builds"]
 
             first = np.ones(model.last_conv_channels)
             first[::3] = 0.0
@@ -430,19 +430,17 @@ class TestLiveModuleState:
                 with no_grad():
                     eager = model.forward(Tensor(x)).data
                 np.testing.assert_allclose(compiled(x), eager, rtol=rtol, atol=atol)
-                np.testing.assert_allclose(live(x), eager, rtol=rtol, atol=atol)
                 model.train()
         finally:
             set_default_dtype(previous)
         assert trainer.stats.captures == captures and trainer.stats.plans_built == built
         assert trainer.stats.compiled_batches == 4 and trainer.stats.fallbacks == 0
-        assert live._cache.stats()["builds"] == live_builds
         assert compiled.stats.plans_built == 1 and compiled.stats.fallback_calls == 0
         mask = model._mask.data
         assert mask.dtype == np.dtype(dtype)
         plans = [plan for ctx in trainer._cache.entries.values() for plan in ctx.plans]
-        plans += [*compiled._plans.values(), *live._plans.values()]
-        assert len(plans) == 3
+        plans += list(compiled._plans.values())
+        assert len(plans) == 2
         for plan in plans:
             (leaf,) = [
                 n for n in plan.graph.nodes if n.op == "const" and n.shape == mask.shape
@@ -458,8 +456,6 @@ class TestPlanLifetime:
         import gc
         import weakref
 
-        from repro.compile.training import LiveEvalModel
-
         rng = np.random.default_rng(0)
         x = rng.random((6, 3, 16, 16))
         y = rng.integers(0, 10, 6)
@@ -471,13 +467,9 @@ class TestPlanLifetime:
             ibrar.fit(x, y, epochs=2, batch_size=3)
             contexts = ibrar.trainer._compiled_trainer._cache.entries.values()
             plans = [weakref.ref(plan) for ctx in contexts for plan in ctx.plans]
-            live = LiveEvalModel(model)
-            live(x)
-            live(x)
-            plans += [weakref.ref(plan) for plan in live._plans.values()]
-            assert len(plans) == 2
-            del ibrar, contexts, live
-            assert [ref() for ref in plans] == [None, None]
+            assert len(plans) == 1
+            del ibrar, contexts
+            assert [ref() for ref in plans] == [None]
         finally:
             gc.enable()
 
@@ -510,63 +502,29 @@ class TestPlanLifetime:
 
 
 class TestCompiledEvalHooks:
-    def test_live_eval_model_persists_across_epochs(self):
-        dataset = synthetic_cifar10(n_train=80, n_test=40, image_size=16, seed=0)
-        model = SmallCNN(num_classes=10, image_size=16, base_channels=4, hidden_dim=16, seed=0)
-        seen = []
-
-        def hook(m, compiled=None):
-            seen.append(compiled)
-            return evaluate_accuracy(m, dataset.x_test, dataset.y_test, compiled=compiled)
-
-        trainer = Trainer(model, CrossEntropyLoss(), eval_natural=hook, compile=True)
-        trainer.fit(make_loader(dataset), epochs=3)
-        # One persistent instance, not a fresh capture per epoch...
-        assert len(seen) == 3 and seen[0] is seen[1] is seen[2]
-        # ...whose plans compile on the second sighting of the eval shape
-        # and then track the live weights.
-        assert any(plan is not None for plan in seen[0]._plans.values())
-        eager = evaluate_accuracy(model, dataset.x_test, dataset.y_test)
-        fast = evaluate_accuracy(model, dataset.x_test, dataset.y_test, compiled=seen[0])
-        assert eager == fast
-
     def test_hook_with_unrelated_second_parameter_stays_plain(self):
+        # Eval hooks are always called as hook(model): neither an unrelated
+        # second parameter nor one named ``compiled`` receives anything.
         dataset = synthetic_cifar10(n_train=80, n_test=16, image_size=16, seed=0)
         model = SmallCNN(num_classes=10, image_size=16, base_channels=4, hidden_dim=16, seed=0)
         seen = []
 
-        def hook(m, batch_size=128):  # pre-existing hook shape: not an opt-in
-            seen.append(batch_size)
+        def natural(m, batch_size=128):
+            seen.append(("natural", m, batch_size))
             return 0.5
 
-        trainer = Trainer(model, CrossEntropyLoss(), eval_natural=hook, compile=True)
-        trainer.fit(make_loader(dataset), epochs=1)
-        assert seen == [128]  # called as hook(model); batch_size untouched
+        def adversarial(m, compiled=None):
+            seen.append(("adversarial", m, compiled))
+            return 0.25
 
-    def test_hooks_receive_compiled_eval_model(self):
-        dataset = synthetic_cifar10(n_train=80, n_test=40, image_size=16, seed=0)
-        model = SmallCNN(num_classes=10, image_size=16, base_channels=4, hidden_dim=16, seed=0)
-        received = []
-
-        def natural_hook(m, compiled=None):
-            received.append(compiled)
-            return evaluate_accuracy(m, dataset.x_test, dataset.y_test, compiled=compiled)
-
-        trainer = Trainer(model, CrossEntropyLoss(), eval_natural=natural_hook, compile=True)
-        history = trainer.fit(make_loader(dataset), epochs=2)
-        assert len(received) == 2 and all(c is not None for c in received)
-        # The compiled accuracy must equal the eager evaluation exactly.
-        assert history.final().natural_accuracy == evaluate_accuracy(
-            model, dataset.x_test, dataset.y_test
+        trainer = Trainer(
+            model, CrossEntropyLoss(), eval_natural=natural, eval_adversarial=adversarial,
+            compile=True,
         )
-
-    def test_evaluate_accuracy_compiled_matches_eager(self, trained_small_cnn, tiny_dataset):
-        compiled = trained_small_cnn.compile(tiny_dataset.x_test[:32])
-        eager = evaluate_accuracy(trained_small_cnn, tiny_dataset.x_test, tiny_dataset.y_test, batch_size=32)
-        fast = evaluate_accuracy(
-            trained_small_cnn, tiny_dataset.x_test, tiny_dataset.y_test, batch_size=32, compiled=compiled
-        )
-        assert eager == fast
+        history = trainer.fit(make_loader(dataset), epochs=1)
+        assert seen == [("natural", model, 128), ("adversarial", model, None)]
+        assert history.final().natural_accuracy == 0.5
+        assert history.final().adversarial_accuracy == 0.25
 
 
 class TestSpecPlumbing:

@@ -33,10 +33,6 @@ def sample_events():
             "snapshot": {
                 "counters": {"serve.examples": 96},
                 "gauges": {"attack.accuracy": 0.5},
-                "histograms": {
-                    "serve.batch_size": {"count": 12, "sum": 60.0, "reservoir": 12,
-                                         "p50": 5.0, "p95": 8.0, "p99": 8.0, "max": 8.0}
-                },
             },
         },
     ]

@@ -1,4 +1,5 @@
-"""The shared metrics registry: series semantics, exposition, reset."""
+"""The shared metrics registry: series semantics, exposition, reset, and
+the nearest-rank percentile the ``repro.obs`` CLI's p95 column uses."""
 
 from __future__ import annotations
 
@@ -9,7 +10,6 @@ import pytest
 from repro.obs.registry import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     get_registry,
     percentile,
@@ -49,37 +49,14 @@ class TestSeries:
         g.reset()
         assert g.value == 0.0
 
-    def test_histogram_reservoir_and_lifetime_totals(self):
-        h = MetricsRegistry().histogram("h", maxlen=4)
-        h.extend([1, 2, 3, 4, 5, 6])
-        # Reservoir keeps only the most recent maxlen; count/sum are lifetime.
-        assert h.values() == [3, 4, 5, 6]
-        assert h.count == 6 and h.sum == 21
-        summary = h.summary()
-        assert summary["reservoir"] == 4 and summary["max"] == 6.0
-
 
 class TestExposition:
     def test_snapshot_groups_by_kind(self):
         reg = MetricsRegistry()
         reg.counter("c").inc(7)
         reg.gauge("g").set(1.5)
-        reg.histogram("h").observe(2.0)
         snap = reg.snapshot()
-        assert snap["counters"]["c"] == 7
-        assert snap["gauges"]["g"] == 1.5
-        assert snap["histograms"]["h"]["count"] == 1
-
-    def test_prometheus_text(self):
-        reg = MetricsRegistry()
-        reg.counter("serve.requests", {"kind": "classify"}).inc(2)
-        reg.histogram("serve.latency").observe(1.0)
-        text = reg.to_prometheus()
-        assert "# TYPE serve_requests counter" in text
-        assert 'serve_requests{kind="classify"} 2' in text
-        assert "# TYPE serve_latency summary" in text
-        assert 'serve_latency{quantile="0.5"} 1.0' in text
-        assert "serve_latency_count 1" in text
+        assert snap == {"counters": {"c": 7}, "gauges": {"g": 1.5}}
 
     def test_reset_zeroes_but_keeps_series(self):
         reg = MetricsRegistry()
@@ -123,3 +100,23 @@ class TestHelpers:
 
     def test_default_registry_is_shared(self):
         assert get_registry() is get_registry()
+
+
+class TestPercentile:
+    def test_empty_reservoir_is_zero(self):
+        assert percentile([], 50) == 0.0
+        assert percentile([], 99) == 0.0
+
+    def test_singleton_reservoir_returns_its_value(self):
+        for q in (0, 50, 95, 99, 100):
+            assert percentile([0.25], q) == 0.25
+
+    def test_nearest_rank_on_known_sequence(self):
+        values = list(range(1, 101))
+        assert percentile(values, 0) == 1.0
+        # round(0.5 * 99) = 50 -> the 51st value (nearest-rank, half-to-even).
+        assert percentile(values, 50) == 51.0
+        assert percentile(values, 100) == 100.0
+
+    def test_unsorted_input_is_sorted_first(self):
+        assert percentile([3.0, 1.0, 2.0], 100) == 3.0
