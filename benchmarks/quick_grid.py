@@ -13,7 +13,7 @@ demonstrate (and assert) the full cache hit, and writes two JSON artifacts:
 
 The VGG spec is the compiled-dropout regression gate: its training, and a
 forced re-train of it on the same store, must finish with **zero** genuine
-eager fallbacks (the ``trainer.fallback`` obs counter, persisted as
+eager fallbacks (``TrainingCompileStats.fallbacks``, persisted as
 ``fallbacks`` in the train record's compile stats).
 
 Each invocation also leaves a ``grid`` RunRecord in the store (browse with
@@ -94,8 +94,8 @@ def main() -> None:
     assert warm.report_json() == cold.report_json(), "cached reports diverged"
 
     # The dropout-bearing IB-RAR spec must train fully compiled: every batch
-    # past the per-signature warmup replays a plan, and the trainer.fallback
-    # obs counter (persisted as "fallbacks") never increments.
+    # past the per-signature warmup replays a plan, and the trainer's
+    # fallback count (persisted as "fallbacks") stays 0.
     stats = compile_stats(store, vgg)
     assert stats, "VGG train record is missing compile stats"
     assert stats.get("fallbacks") == 0, f"compiled dropout training fell back: {stats}"

@@ -76,6 +76,7 @@ class CW(Attack):
 
         one_hot = np.zeros((n, self.model.num_classes))
         one_hot[np.arange(n), labels] = 1.0
+        pixel_axes = tuple(range(1, images.ndim))  # every non-batch axis
 
         for step in range(1, self.steps + 1):
             w_tensor = Tensor(w, requires_grad=True)
@@ -86,7 +87,7 @@ class CW(Attack):
             other = (logits + Tensor(one_hot * (-1e4))).max(axis=1)
             # Untargeted: push the true-class logit below the best other logit.
             f_term = (real - other + self.kappa).maximum(0.0)
-            l2 = ((adv - Tensor(images)) ** 2).sum(axis=(1, 2, 3))
+            l2 = ((adv - Tensor(images)) ** 2).sum(axis=pixel_axes)
             loss = (l2 + f_term * self.c).sum()
             loss.backward()
             gradient = w_tensor.grad
@@ -94,7 +95,7 @@ class CW(Attack):
             # Track the best adversarial examples so far.
             adv_np = adv.data
             predictions = np.argmax(logits.data, axis=1)
-            l2_np = ((adv_np - images) ** 2).sum(axis=(1, 2, 3))
+            l2_np = ((adv_np - images) ** 2).sum(axis=pixel_axes)
             improved = (predictions != labels) & (l2_np < best_l2)
             best_l2[improved] = l2_np[improved]
             best_adv[improved] = adv_np[improved]

@@ -44,7 +44,6 @@ import numpy as np
 from ..nn import Tensor, no_grad
 from ..models.base import ImageClassifier, predict_batched as _predict_batched
 from ..obs import trace as _trace
-from ..obs.registry import get_registry
 from .base import Attack, AttackConfigError
 
 __all__ = [
@@ -267,7 +266,8 @@ class AttackTelemetry:
     (including eager fallbacks inside a compiled run); the ``compiled_*``
     fields count static-plan replays, and ``compiled_fallbacks`` how often a
     compiled run had to fall back to eager (unseen shapes past the plan
-    budget, unsupported losses).
+    budget, unsupported losses).  :attr:`EngineResult.telemetry` is the one
+    copy of these counts; reports persist it via :meth:`as_dict`.
     """
 
     name: str
@@ -304,34 +304,6 @@ class AttackTelemetry:
         for key in ("compiled_forward_calls", "compiled_grad_calls", "compiled_fallbacks"):
             kwargs[key] = data.get(key, 0)
         return cls(**kwargs)
-
-    def publish(self) -> "AttackTelemetry":
-        """Mirror this record onto the shared obs registry (``attack.*``).
-
-        Counters accumulate across runs, labeled per attack; ``accuracy``
-        lands as a gauge (latest run wins).  The engine calls this for
-        every record it appends, so a registry snapshot always carries the
-        same numbers the per-run telemetry list does.
-        """
-        registry = get_registry()
-        labels = {"attack": self.name}
-        registry.counter("attack.runs", labels).inc()
-        registry.counter("attack.examples_attacked", labels).inc(self.examples_attacked)
-        registry.counter("attack.examples_skipped", labels).inc(self.examples_skipped)
-        registry.counter("attack.forward_calls", labels).inc(self.forward_calls)
-        registry.counter("attack.forward_examples", labels).inc(self.forward_examples)
-        registry.counter("attack.seconds", labels).inc(self.seconds)
-        registry.counter("attack.compiled_forward_calls", labels).inc(
-            self.compiled_forward_calls
-        )
-        registry.counter("attack.compiled_grad_calls", labels).inc(
-            self.compiled_grad_calls
-        )
-        registry.counter("attack.compiled_fallbacks", labels).inc(
-            self.compiled_fallbacks
-        )
-        registry.gauge("attack.accuracy", labels).set(self.accuracy)
-        return self
 
 
 @dataclass
@@ -639,7 +611,7 @@ class AttackEngine:
                     compiled_forward_calls=compiled_after[0] - compiled_before[0],
                     compiled_grad_calls=compiled_after[1] - compiled_before[1],
                     compiled_fallbacks=compiled_after[2] - compiled_before[2],
-                ).publish()
+                )
             )
 
             alive = clean_correct.copy()
@@ -687,7 +659,7 @@ class AttackEngine:
                         compiled_forward_calls=compiled_after[0] - compiled_before[0],
                         compiled_grad_calls=compiled_after[1] - compiled_before[1],
                         compiled_fallbacks=compiled_after[2] - compiled_before[2],
-                    ).publish()
+                    )
                 )
         return EngineResult(
             method=method_name,

@@ -19,48 +19,35 @@ the current storage.
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 import numpy as np
 
-from ..obs.registry import get_registry
 from .graph import CompileError
 
 __all__ = ["SignatureCache"]
 
 Key = Tuple[Tuple[int, ...], str]
 
-#: unique per-instance label suffix so concurrent caches never share series.
-_instance_ids = itertools.count(1)
-
 
 class SignatureCache:
     """Second-sighting build cache keyed by ``(shape, dtype)`` signatures.
 
-    The hit/miss/build/eviction counters live as labeled series on the
-    shared :mod:`repro.obs` registry (``compile.cache.*{cache=...}``), so one
-    registry snapshot sees every cache in the process; :meth:`stats` reads
-    this cache's series.
+    ``hits``, ``misses``, ``builds``, ``build_failures`` and ``evictions``
+    count this cache's traffic; :meth:`stats` reports them with its
+    occupancy.
     """
 
-    def __init__(
-        self,
-        build: Callable[[np.ndarray], object],
-        capacity: int,
-        name: str = "cache",
-    ) -> None:
+    def __init__(self, build: Callable[[np.ndarray], object], capacity: int) -> None:
         self._build = build
         self.capacity = capacity
         self.entries: Dict[Key, Optional[object]] = {}
-        self._misses: Dict[Key, int] = {}
-        labels = {"cache": f"{name}-{next(_instance_ids)}"}
-        registry = get_registry()
-        self._hits = registry.counter("compile.cache.hits", labels)
-        self._miss = registry.counter("compile.cache.misses", labels)
-        self._builds = registry.counter("compile.cache.builds", labels)
-        self._build_failures = registry.counter("compile.cache.build_failures", labels)
-        self._evictions = registry.counter("compile.cache.evictions", labels)
+        self._sighted: Set[Key] = set()  # signatures seen at least once
+        self.hits = 0
+        self.misses = 0
+        self.builds = 0
+        self.build_failures = 0
+        self.evictions = 0
 
     @staticmethod
     def key(sample: np.ndarray) -> Key:
@@ -74,11 +61,11 @@ class SignatureCache:
     def stats(self) -> Dict[str, int]:
         """This cache's hit/miss/build/eviction counters and occupancy."""
         return {
-            "hits": self._hits.value,
-            "misses": self._miss.value,
-            "builds": self._builds.value,
-            "build_failures": self._build_failures.value,
-            "evictions": self._evictions.value,
+            "hits": self.hits,
+            "misses": self.misses,
+            "builds": self.builds,
+            "build_failures": self.build_failures,
+            "evictions": self.evictions,
             "live_entries": self.live_entries,
             "capacity": self.capacity,
         }
@@ -116,13 +103,13 @@ class SignatureCache:
         if key in self.entries:
             entry = self.entries[key]
             if entry is not None:
-                self._hits.inc()
+                self.hits += 1
             else:
-                self._miss.inc()
+                self.misses += 1
             return entry
-        self._miss.inc()
-        if self._misses.get(key, 0) == 0:
-            self._misses[key] = 1
+        self.misses += 1
+        if key not in self._sighted:
+            self._sighted.add(key)
             return None
         if self.live_entries >= self.capacity:
             return None
@@ -130,15 +117,15 @@ class SignatureCache:
             entry = self._build(sample)
         except CompileError:
             entry = None  # remember the failure; fall back for this signature
-            self._build_failures.inc()
+            self.build_failures += 1
         else:
-            self._builds.inc()
+            self.builds += 1
         self.entries[key] = entry
         return entry
 
     def evict(self, sample: np.ndarray) -> None:
         """Drop this signature's entry; its next sighting rebuilds it."""
         key = self.key(sample)
-        self._misses[key] = 1  # seen already, even when pre-seeded by insert()
+        self._sighted.add(key)  # seen already, even when pre-seeded by insert()
         if self.entries.pop(key, None) is not None:
-            self._evictions.inc()
+            self.evictions += 1

@@ -211,18 +211,6 @@ class Plan:
             step()
             record(kind, _perf_counter() - started, nbytes)
 
-    def profile_snapshot(self) -> Optional[dict]:
-        """Per-op-kind profile plus pool high-water marks; ``None`` if never
-        profiled (the profiler was off for every replay of this plan)."""
-        if self._profile is None:
-            return None
-        allocations, nbytes = self.pool.snapshot()
-        return {
-            "signature": self.signature,
-            "ops": self._profile.as_dict(),
-            "pool": {"allocations": allocations, "bytes": nbytes},
-        }
-
     # ------------------------------------------------------------------ #
     # binding
     # ------------------------------------------------------------------ #

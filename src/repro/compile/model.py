@@ -131,7 +131,7 @@ class CompiledModel:
         #: does not reference this object, so dropping it frees its plans
         #: at once instead of at the next cyclic collection.
         self._cache = SignatureCache(
-            functools.partial(_build_plan, module, self.stats), capacity=_MAX_PLANS, name="model"
+            functools.partial(_build_plan, module, self.stats), capacity=_MAX_PLANS
         )
         #: signatures whose plan forwards but cannot backward (kept for
         #: forward use; value_and_grad skips them without re-trying).
@@ -192,12 +192,12 @@ class CompiledModel:
         entry maps ``signature -> {"ops": {kind: {calls, total_ms, bytes}},
         "pool": {allocations, bytes}}``.
         """
-        from ..obs.profiler import merge_snapshot
+        from ..obs.profiler import merge_profile
 
         profiles: Dict[str, dict] = {}
         for plan in self._cache.entries.values():
             if plan is not None:
-                merge_snapshot(profiles, plan.profile_snapshot())
+                merge_profile(profiles, plan._profile)
         return profiles
 
     @property

@@ -55,8 +55,7 @@ import numpy as np
 from ..nn.tensor import get_default_dtype
 from ..nn import functional as F
 from ..obs import trace as _trace
-from ..obs.profiler import merge_snapshot as _merge_snapshot
-from ..obs.registry import get_registry
+from ..obs.profiler import merge_profile as _merge_profile
 from .cache import SignatureCache
 from .executor import Plan
 from .graph import CompileError, Graph, capture_forward
@@ -653,20 +652,12 @@ class CompiledTrainer:
         self._cache = SignatureCache(
             functools.partial(_SignatureContext, model, adapter=self.adapter, stats=self.stats),
             capacity=_MAX_SIGNATURES,
-            name="trainer",
         )
         self._accums: Dict[int, np.ndarray] = {}
-        self._fallback_counter = get_registry().counter("trainer.fallback")
 
     def _fallback(self) -> None:
         """Record a *genuine* eager fallback (a batch that stays eager forever)."""
         self.stats.fallbacks += 1
-        self._fallback_counter.inc()
-
-    @property
-    def supported(self) -> bool:
-        """Whether the strategy (and optimizer) have a compiled path at all."""
-        return self.adapter is not None
 
     def count_forwards(self, calls: int, examples: int) -> None:
         """Record plan forward replays (the compiled ForwardPassCounter)."""
@@ -694,7 +685,7 @@ class CompiledTrainer:
             if ctx is None:
                 continue
             for plan in ctx.plans:
-                _merge_snapshot(profiles, plan.profile_snapshot())
+                _merge_profile(profiles, plan._profile)
         return profiles
 
     @property

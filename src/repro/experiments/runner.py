@@ -412,8 +412,9 @@ def _worker_run(payload: Tuple[str, str, Optional[Dict[str, str]]]) -> Dict[str,
             ):
                 return _result_stats(runner.run(spec))
         finally:
-            # Pool workers die via os._exit (no atexit): flush profiled
-            # plans and this process's metrics before the work is dropped.
+            # Pool workers die via os._exit (no atexit): flush this
+            # process's plan profiles, which outlive the plans runner.run
+            # has already dropped.
             _obs.flush()
 
 

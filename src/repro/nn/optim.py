@@ -4,17 +4,14 @@ The paper trains every network with SGD (weight decay 1e-2) and a StepLR
 schedule (lr 0.01, step 20, gamma 0.2); both are implemented here along with
 Adam and a couple of extra schedulers useful for the extension benches.
 
-Each optimizer exposes two update paths over the *same* state (velocity /
-moment buffers), so a training run may interleave them freely:
-
-* :meth:`step` — the eager path, consuming ``param.grad``; it rebinds
-  ``param.data`` to a fresh array.
-* :meth:`step_with_grads` — the fused path used by compiled training
-  (:mod:`repro.compile.training`): the whole update chain runs through
-  preallocated per-parameter scratch buffers with ``out=`` kernels and
-  updates ``param.data`` **in place**.  In-place mutation is what lets a
-  live-parameter execution plan alias parameter storage across steps, and
-  the operation order matches :meth:`step` bit for bit.
+Each optimizer has one update path, :meth:`step_with_grads`: the whole
+update chain runs through preallocated per-parameter scratch buffers with
+``out=`` kernels and updates ``param.data`` **in place**.  In-place
+mutation is what lets a live-parameter execution plan
+(:mod:`repro.compile.training`) alias parameter storage across steps.
+:meth:`Optimizer.step` is the same update fed from ``param.grad``, so eager
+and compiled batches of one run share the state (velocity / moment
+buffers) and the arithmetic.
 """
 
 from __future__ import annotations
@@ -61,7 +58,8 @@ class Optimizer:
         return self._scratch
 
     def step(self) -> None:
-        raise NotImplementedError
+        """Update every parameter in place from its ``param.grad``."""
+        self.step_with_grads([p.grad for p in self.parameters])
 
     def step_with_grads(self, grads: Sequence[Optional[np.ndarray]]) -> None:
         """In-place fused update from externally supplied gradient arrays."""
@@ -86,30 +84,13 @@ class SGD(Optimizer):
         self._velocity = [np.zeros_like(p.data) for p in self.parameters]
         self._nesterov_scratch: Optional[List[np.ndarray]] = None
 
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                if self.nesterov:
-                    grad = grad + self.momentum * velocity
-                else:
-                    grad = velocity
-            param.data = param.data - self.lr * grad
-
     def step_with_grads(self, grads: Sequence[Optional[np.ndarray]]) -> None:
         """Fused momentum + decoupled-weight-decay update, in place.
 
         One scratch buffer per parameter carries the whole chain
         (``wd*p + g -> velocity update -> lr * update -> p -= ...``) as
-        ``out=`` kernels; values match :meth:`step` bitwise, but
-        ``param.data`` keeps its identity, which live-parameter compiled
-        plans rely on.
+        ``out=`` kernels, so ``param.data`` keeps its identity, which
+        live-parameter compiled plans rely on.
         """
         if len(grads) != len(self.parameters):
             raise ValueError("step_with_grads needs one gradient (or None) per parameter")
@@ -160,26 +141,8 @@ class Adam(Optimizer):
         self._v = [np.zeros_like(p.data) for p in self.parameters]
         self._scratch2: Optional[List[np.ndarray]] = None
 
-    def step(self) -> None:
-        self._step += 1
-        bias1 = 1.0 - self.beta1 ** self._step
-        bias2 = 1.0 - self.beta2 ** self._step
-        for param, m, v in zip(self.parameters, self._m, self._v):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
     def step_with_grads(self, grads: Sequence[Optional[np.ndarray]]) -> None:
-        """Fused Adam update, in place (bitwise equal to :meth:`step`)."""
+        """Fused Adam update, in place."""
         if len(grads) != len(self.parameters):
             raise ValueError("step_with_grads needs one gradient (or None) per parameter")
         scratch_list = self._scratch_buffers()

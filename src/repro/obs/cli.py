@@ -1,10 +1,10 @@
 """``python -m repro.obs`` — trace summaries, timeline export, run records.
 
 * ``summarize PATH`` rolls the JSONL emitted by :mod:`repro.obs.trace`
-  (span events, ``profile`` events from :func:`repro.obs.profiler.flush`,
-  and the optional final ``metrics`` snapshot) into three tables:
-  per-span-name timing, per-op-kind plan-executor cost, and the
-  counter/gauge snapshot.
+  (span events and ``profile`` events from :func:`repro.obs.profiler.flush`)
+  into two tables: per-span-name timing and per-op-kind plan-executor cost.
+  Event kinds it does not render (the ``metrics`` snapshots older versions
+  wrote) are skipped.
 * ``export PATH [--format chrome]`` converts the same JSONL into Chrome
   Trace Event format for ``chrome://tracing`` / Perfetto.
 * ``runs list|show|diff`` browses the persistent RunRecords
@@ -20,9 +20,16 @@ import sys
 import time
 from typing import Dict, Iterable, List, Optional
 
-from .registry import percentile
-
 __all__ = ["main", "summarize", "runs_list", "runs_show", "runs_diff"]
+
+
+def percentile(values, q: float) -> float:
+    """Nearest-rank percentile (q in [0, 100]) of a sequence; 0.0 when empty."""
+    data = sorted(values)
+    if not data:
+        return 0.0
+    rank = max(0, min(len(data) - 1, int(round(q / 100.0 * (len(data) - 1)))))
+    return float(data[rank])
 
 
 def _read_events(path: str) -> List[dict]:
@@ -122,32 +129,6 @@ def _op_table(events: Iterable[dict]) -> Optional[str]:
     return f"{table}\n\nplans profiled: {plans or '(none)'}"
 
 
-def _metrics_table(events: Iterable[dict]) -> Optional[str]:
-    # Snapshots are cumulative per process: keep the last per pid, then
-    # merge across processes (counters sum — each process counted its own
-    # work; gauges last-write-wins in event order).
-    per_pid: Dict[object, dict] = {}
-    for event in events:
-        if event.get("event") == "metrics" and event.get("snapshot"):
-            per_pid[event.get("pid")] = event["snapshot"]
-    if not per_pid:
-        return None
-    counters: Dict[str, float] = {}
-    gauges: Dict[str, float] = {}
-    for snapshot in per_pid.values():
-        for series, value in (snapshot.get("counters") or {}).items():
-            counters[series] = counters.get(series, 0) + value
-        gauges.update(snapshot.get("gauges") or {})
-    rows = []
-    for series, value in sorted(counters.items()):
-        rows.append([series, "counter", f"{value}"])
-    for series, value in sorted(gauges.items()):
-        rows.append([series, "gauge", f"{value}"])
-    if not rows:
-        return None
-    return _format_table(["series", "kind", "value"], rows)
-
-
 def summarize(path: str, stream=None) -> int:
     stream = stream or sys.stdout
     try:
@@ -158,7 +139,6 @@ def summarize(path: str, stream=None) -> int:
     sections = [
         ("Spans", _span_table(events)),
         ("Plan executor (per op kind)", _op_table(events)),
-        ("Metrics", _metrics_table(events)),
     ]
     printed = False
     for title, table in sections:
@@ -169,7 +149,7 @@ def summarize(path: str, stream=None) -> int:
         print(file=stream)
         printed = True
     if not printed:
-        print(f"no span/profile/metrics events in {path}", file=stream)
+        print(f"no span or profile events in {path}", file=stream)
     return 0
 
 

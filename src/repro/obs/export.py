@@ -22,8 +22,8 @@ def chrome_trace(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
 
     Span timestamps are wall-clock seconds at span *exit*; the start is
     recovered as ``ts - dur`` and rebased to the earliest span so the
-    timeline starts at zero.  Non-span events (profile/metrics flushes)
-    are ignored.
+    timeline starts at zero.  Non-span events (profile flushes, and the
+    metrics snapshots older traces carry) are ignored.
     """
     spans = []
     for event in events:

@@ -8,16 +8,16 @@ by the plan's input signature.  The executor checks ``PROFILER.enabled``
 attribute read and allocates nothing.
 
 Aggregations (``CompiledModel.profile()``, ``CompiledTrainer.profile()``,
-``Trainer.profile()``) merge snapshots across plans sharing a signature via
-:func:`merge_snapshot`; :func:`flush` emits one ``{"event": "profile"}``
-JSONL line per live profiled plan to the trace sink, which
-``python -m repro.obs summarize`` rolls into the per-op-kind table.
+``Trainer.profile()``) merge the profiles of plans sharing a signature via
+:func:`merge_profile`.  The profiler keeps every profile it hands out, so
+:func:`flush` emits one ``{"event": "profile"}`` JSONL line per profiled
+plan to the trace sink, freed plans included, and ``python -m repro.obs
+summarize`` rolls them into the per-op-kind table.
 """
 
 from __future__ import annotations
 
 import os
-import weakref
 from typing import Dict, List, Optional
 
 from . import trace
@@ -28,7 +28,7 @@ __all__ = [
     "enable",
     "disable",
     "enabled",
-    "merge_snapshot",
+    "merge_profile",
     "flush",
 ]
 
@@ -43,12 +43,18 @@ class _OpStat:
 
 
 class PlanProfile:
-    """Per-op-kind accounting for one plan (single-writer, no lock)."""
+    """Per-op-kind accounting for one plan (single-writer, no lock).
 
-    __slots__ = ("signature", "ops")
+    Holds the plan's signature and pool size (as of its first profiled
+    replay) by value, so a profile outlives the plan it describes and is
+    still flushed after the plan's owner has been dropped.
+    """
 
-    def __init__(self, signature: str) -> None:
+    __slots__ = ("signature", "pool", "ops")
+
+    def __init__(self, signature: str, allocations: int, nbytes: int) -> None:
         self.signature = signature
+        self.pool = {"allocations": allocations, "bytes": nbytes}
         self.ops: Dict[str, _OpStat] = {}
 
     def record(self, kind: str, seconds: float, nbytes: int) -> None:
@@ -71,13 +77,11 @@ class PlanProfile:
 
 
 class _Profiler:
-    """Global on/off switch plus a weak set of live profiled plans."""
+    """Global on/off switch plus every profile handed out in this process."""
 
     def __init__(self) -> None:
         self.enabled = False
-        self._plans: "weakref.WeakSet" = weakref.WeakSet()
-        self._keys: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        self._next_key = 0
+        self.profiles: List[PlanProfile] = []
 
     def enable(self) -> None:
         self.enabled = True
@@ -86,30 +90,16 @@ class _Profiler:
         self.enabled = False
 
     def profile_for(self, plan) -> PlanProfile:
-        """A fresh :class:`PlanProfile` for ``plan``, tracked for flushing."""
-        self._plans.add(plan)
-        if plan not in self._keys:
-            self._next_key += 1
-            self._keys[plan] = self._next_key
-        return PlanProfile(plan.signature)
-
-    def snapshots(self) -> List[dict]:
-        """Profile snapshots of every live plan that has recorded anything.
-
-        Each snapshot carries a per-process ``plan`` key so repeated
-        :func:`flush` calls (cumulative by design) can be deduplicated
-        last-wins by the summarize CLI.
-        """
-        out = []
-        for plan in list(self._plans):
-            snap = plan.profile_snapshot()
-            if snap is not None:
-                snap["plan"] = self._keys.get(plan, 0)
-                out.append(snap)
-        return out
+        """A fresh :class:`PlanProfile` for ``plan``, kept for flushing."""
+        profile = PlanProfile(plan.signature, *plan.pool.snapshot())
+        self.profiles.append(profile)
+        return profile
 
 
 PROFILER = _Profiler()
+if hasattr(os, "register_at_fork"):
+    # A forked grid worker starts with no profiles: its parent flushes those.
+    os.register_at_fork(after_in_child=PROFILER.profiles.clear)
 
 
 def enabled() -> bool:
@@ -124,53 +114,56 @@ def disable() -> None:
     PROFILER.disable()
 
 
-def merge_snapshot(profiles: Dict[str, dict], snap: Optional[dict]) -> None:
-    """Fold one plan's profile snapshot into a per-signature aggregation.
+def merge_profile(profiles: Dict[str, dict], profile: Optional[PlanProfile]) -> None:
+    """Fold one plan's :class:`PlanProfile` into a per-signature aggregation.
 
     ``profiles`` maps ``signature -> {"ops": {kind: {calls, total_ms,
     bytes}}, "pool": {"allocations", "bytes"}}``; plans sharing a signature
     (a training plan and its derived attack plan) sum op-wise, and pool
-    high-water marks sum across their arenas.
+    sizes sum across their arenas.
     """
-    if snap is None:
+    if profile is None:
         return
     entry = profiles.setdefault(
-        snap["signature"], {"ops": {}, "pool": {"allocations": 0, "bytes": 0}}
+        profile.signature, {"ops": {}, "pool": {"allocations": 0, "bytes": 0}}
     )
-    for kind, stat in snap["ops"].items():
+    for kind, stat in profile.as_dict().items():
         target = entry["ops"].setdefault(
             kind, {"calls": 0, "total_ms": 0.0, "bytes": 0}
         )
         target["calls"] += stat["calls"]
         target["total_ms"] += stat["total_ms"]
         target["bytes"] += stat["bytes"]
-    pool = snap.get("pool")
-    if pool:
-        entry["pool"]["allocations"] += pool["allocations"]
-        entry["pool"]["bytes"] += pool["bytes"]
+    entry["pool"]["allocations"] += profile.pool["allocations"]
+    entry["pool"]["bytes"] += profile.pool["bytes"]
 
 
 def flush() -> int:
-    """Emit one ``profile`` trace event per live profiled plan.
+    """Emit one ``profile`` trace event per kept profile that recorded an op.
 
-    Events are cumulative per plan; ``pid`` + ``plan`` let the summarize
-    CLI keep only the last emission for each plan when flush runs more
-    than once in a process.  Returns the number of events emitted (0 when
-    tracing is disabled — events have nowhere to go without a sink).
+    Called at process exit under ``REPRO_TRACE`` and by ``run_grid``
+    workers after each spec (pool workers leave via ``os._exit`` and run
+    no :mod:`atexit` handler).  Events are cumulative per profile; ``pid``
+    + ``plan`` let the summarize CLI keep only the last emission for each
+    when flush runs more than once in a process.  Returns the number of
+    events emitted (0 when tracing is disabled — events have nowhere to go
+    without a sink).
     """
     if not trace.enabled():
         return 0
     count = 0
     pid = os.getpid()
-    for snap in PROFILER.snapshots():
+    for key, profile in enumerate(PROFILER.profiles, start=1):
+        if not profile.ops:
+            continue
         trace.emit(
             {
                 "event": "profile",
-                "signature": snap["signature"],
-                "ops": snap["ops"],
-                "pool": snap.get("pool"),
+                "signature": profile.signature,
+                "ops": profile.as_dict(),
+                "pool": profile.pool,
                 "pid": pid,
-                "plan": snap.get("plan"),
+                "plan": key,
             }
         )
         count += 1

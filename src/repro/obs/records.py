@@ -1,15 +1,17 @@
 """Persistent run records: the durable layer over the in-process telemetry.
 
 A :class:`RunWindow` brackets one unit of work — a ``Trainer.fit`` or a
-``run_grid`` invocation — and captures everything the telemetry primitives
-know at close time into one JSON-safe dict: wall/CPU time, a span roll-up
-(collected live through :func:`repro.obs.trace.add_collector`, so no sink
-file is required), the registry metrics snapshot, the git SHA and any
-:func:`annotate` context (spec training/content hashes).  Producers append
-their own sections (``history``, ``profile``, ``summary``) via
-:meth:`RunWindow.build` and persist through :func:`save_record` into the
-content-addressed :class:`~repro.experiments.store.ArtifactStore`
-(``runs/`` section, id = sha256 of the canonical JSON).
+``run_grid`` invocation — and captures what it measured into one JSON-safe
+dict: wall/CPU time, a span roll-up (collected live through
+:func:`repro.obs.trace.add_collector`, so no sink file is required), the
+git SHA and any :func:`annotate` context (spec training/content hashes).
+Producers append their own sections via :meth:`RunWindow.build` — the
+run's own stats (``history``, whose ``compile`` entry holds the trainer's
+compile stats; a grid's ``summary`` and ``specs``) and its ``profile`` —
+so every measurement in a record describes that run, not the process.
+Records persist through :func:`save_record` into the content-addressed
+:class:`~repro.experiments.store.ArtifactStore` (``runs/`` section, id =
+sha256 of the canonical JSON).
 
 Activation for ``Trainer.fit`` is environment-driven — ``REPRO_RUNS=1``
 writes into the default store, ``REPRO_RUNS=<dir>`` into that root — so
@@ -30,7 +32,6 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import trace as _trace
-from .registry import get_registry
 
 __all__ = [
     "RunWindow",
@@ -251,7 +252,6 @@ class RunWindow:
             "cpu_seconds": self.cpu_seconds,
             "context": annotations(),
             "spans": self.rollup.snapshot(),
-            "metrics": get_registry().snapshot(),
         }
         for key, value in sections.items():
             if value is not None:

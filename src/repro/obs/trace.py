@@ -26,12 +26,10 @@ import threading
 import time
 import uuid
 from contextlib import contextmanager
-from functools import wraps
 from typing import Any, Callable, Dict, Optional
 
 __all__ = [
     "span",
-    "traced",
     "enable",
     "disable",
     "enabled",
@@ -216,24 +214,6 @@ def span(name: str, attrs: Optional[Dict[str, Any]] = None):
     if not _state.enabled:
         return NOOP
     return _Span(name, attrs)
-
-
-def traced(name: Optional[str] = None):
-    """Decorator form: ``@traced()`` wraps the call in a span."""
-
-    def decorate(fn):
-        span_name = name or f"{fn.__module__}.{fn.__qualname__}"
-
-        @wraps(fn)
-        def wrapper(*args, **kwargs):
-            if not _state.enabled:
-                return fn(*args, **kwargs)
-            with _Span(span_name, None):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
 
 
 def carrier() -> Optional[Dict[str, str]]:

@@ -24,7 +24,7 @@ from ..nn import Tensor, advance_dropout_steps, no_grad
 from ..nn.optim import Optimizer, SGD, StepLR, _Scheduler
 from ..data.loaders import DataLoader
 from ..models.base import ImageClassifier
-from ..obs import publish_dict as _publish_dict, records as _records, trace as _trace
+from ..obs import records as _records, trace as _trace
 from .adversarial import CrossEntropyLoss, LossStrategy
 from .history import EpochRecord, TrainingHistory
 
@@ -197,20 +197,8 @@ class Trainer:
                 else:
                     with no_grad():
                         predictions = self.model.predict(Tensor(images))
-                if (
-                    self.compile
-                    and self._compiled_trainer is not None
-                    and self._compiled_trainer.supported
-                ):
-                    # Keep parameter storage stable so live-parameter plans
-                    # survive eager-fallback batches (same values bitwise).
-                    self.optimizer.step_with_grads(
-                        [p.grad for p in self.optimizer.parameters]
-                    )
-                else:
-                    # Fully-eager strategies/optimizers (no fused path) use
-                    # the plain update — no live plans exist to protect.
-                    self.optimizer.step()
+                # In place: live-parameter plans survive eager batches.
+                self.optimizer.step()
                 loss_value = float(loss.item())
             # Every batch is one optimizer step: advance the counter-based
             # dropout state so the next batch draws fresh masks.  Both the
@@ -229,9 +217,9 @@ class Trainer:
 
         Under ``REPRO_RUNS`` (see :mod:`repro.obs.records`) the whole fit is
         bracketed by a :class:`~repro.obs.records.RunWindow` and persisted as
-        a ``train`` run record — per-epoch series, span roll-up, executor
-        profile and wall/CPU time — retrievable via
-        ``python -m repro.obs runs list``.
+        a ``train`` run record — per-epoch series and the trainer's compile
+        stats (``history``), span roll-up, executor profile and wall/CPU
+        time — retrievable via ``python -m repro.obs runs list``.
         """
         if not _records.enabled():
             return self._fit(loader, epochs)
@@ -295,9 +283,6 @@ class Trainer:
         stats = self.compile_stats
         if stats is not None:
             self.history.compile_stats = stats.as_dict()
-            # Mirror the legacy surface onto the shared registry so a final
-            # metrics snapshot carries the same compile counters.
-            _publish_dict("train.compile", self.history.compile_stats)
         return self.history
 
     def profile(self):

@@ -151,6 +151,18 @@ class TestCW:
         with pytest.raises(ValueError):
             CW(trained_small_cnn, steps=0)
 
+    def test_flat_inputs(self):
+        # The distance sums over every non-batch axis, so (N, features)
+        # inputs of the registry's MLP attack like NCHW images.
+        from repro.models import MLP
+
+        model = MLP(input_dim=12, num_classes=3, hidden_dims=(4,))
+        rng = np.random.default_rng(0)
+        images, labels = rng.random((4, 12)), rng.integers(0, 3, 4)
+        adv = CW(model, steps=3).attack(images, labels)
+        assert adv.shape == (4, 12)
+        assert adv.min() >= 0.0 and adv.max() <= 1.0
+
     def test_keeps_low_distortion_for_successful_examples(self, trained_small_cnn, eval_batch):
         images, labels = eval_batch
         adv = CW(trained_small_cnn, steps=30, c=5.0, lr=0.05).attack(images[:8], labels[:8])

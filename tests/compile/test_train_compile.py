@@ -305,15 +305,12 @@ class TestFallbacks:
         # compiles: its first sighting (the cache still had room) is the
         # benign warmup, and every later batch of it is a genuine fallback.
         from repro.compile.training import _MAX_SIGNATURES
-        from repro.obs.registry import get_registry
 
         rng = np.random.default_rng(0)
         model = SmallCNN(num_classes=10, image_size=16, base_channels=4, hidden_dim=16, seed=0)
         model.train()
         optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
         compiled = CompiledTrainer(model, optimizer, CrossEntropyLoss())
-        counter = get_registry().counter("trainer.fallback")
-        before = counter.value
         sizes = range(_MAX_SIGNATURES + 1, 0, -1)  # the last one finds the cache full
         x = rng.random((len(sizes), 3, 16, 16))
         y = rng.integers(0, 10, len(sizes))
@@ -326,7 +323,6 @@ class TestFallbacks:
         assert path == "E" * len(sizes) + "|" + full * 5
         assert compiled.stats.eager_batches == len(sizes) + 5
         assert compiled.stats.fallbacks == 5
-        assert counter.value - before == 5
 
     def test_reallocated_parameter_storage_falls_back_then_recompiles(self):
         rng = np.random.default_rng(0)
@@ -338,8 +334,8 @@ class TestFallbacks:
         y = rng.integers(0, 10, 6)
         compiled.train_batch(x, y)
         assert compiled.train_batch(x, y) is not None
-        # An eager optimizer.step() rebinds param.data; the plan must notice
-        # and fall back for that batch...
+        # Rebinding param.data (as load_state_dict does) moves the storage
+        # the plan aliases; the plan must notice and fall back for that batch...
         parameter = model.parameters()[0]
         parameter.data = parameter.data.copy()
         assert compiled.train_batch(x, y) is None

@@ -99,21 +99,37 @@ class TestAdam:
 
 
 class TestFusedSteps:
-    """``step_with_grads`` must match ``step`` bitwise, updating in place."""
+    """``step()`` is ``step_with_grads`` fed from ``param.grad``: the textbook
+    update bit for bit, applied in place."""
 
     @staticmethod
-    def _pair(optimizer_factory, seed=0, shapes=((4, 3), (5,), (2, 2, 3, 3))):
-        rng = np.random.default_rng(seed)
-        values = [rng.normal(size=shape) for shape in shapes]
-        eager_params = [Parameter(v.copy()) for v in values]
-        fused_params = [Parameter(v.copy()) for v in values]
-        return (
-            eager_params,
-            optimizer_factory(eager_params),
-            fused_params,
-            optimizer_factory(fused_params),
-            rng,
-        )
+    def _reference_step(optimizer, values, grads, state, t):
+        """The textbook update, out of place, in the fused path's operation order."""
+        out = []
+        for index, (value, grad) in enumerate(zip(values, grads)):
+            if grad is None:
+                out.append(value)
+                continue
+            if optimizer.weight_decay:
+                grad = grad + optimizer.weight_decay * value
+            if isinstance(optimizer, Adam):
+                m, v = state[index]
+                m = m * optimizer.beta1 + (1.0 - optimizer.beta1) * grad
+                v = v * optimizer.beta2 + (1.0 - optimizer.beta2) * grad * grad
+                state[index] = (m, v)
+                m_hat = m / (1.0 - optimizer.beta1 ** t)
+                v_hat = v / (1.0 - optimizer.beta2 ** t)
+                out.append(value - optimizer.lr * m_hat / (np.sqrt(v_hat) + optimizer.eps))
+                continue
+            if optimizer.momentum:
+                state[index] = state[index] * optimizer.momentum + grad
+                grad = (
+                    grad + optimizer.momentum * state[index]
+                    if optimizer.nesterov
+                    else state[index]
+                )
+            out.append(value - optimizer.lr * grad)
+        return out
 
     @pytest.mark.parametrize(
         "factory",
@@ -128,18 +144,29 @@ class TestFusedSteps:
         ids=["sgd", "sgd-momentum", "sgd-wd", "sgd-nesterov", "adam", "adam-wd"],
     )
     def test_bitwise_equal_to_eager_step(self, factory):
-        eager_params, eager_opt, fused_params, fused_opt, rng = self._pair(factory)
-        storage = [p.data for p in fused_params]
-        for _ in range(5):
-            grads = [rng.normal(size=p.data.shape) for p in eager_params]
+        rng = np.random.default_rng(0)
+        values = [rng.normal(size=shape) for shape in ((4, 3), (5,), (2, 2, 3, 3))]
+        eager_params = [Parameter(v.copy()) for v in values]
+        fused_params = [Parameter(v.copy()) for v in values]
+        eager_opt, fused_opt = factory(eager_params), factory(fused_params)
+        storage = [p.data for p in eager_params + fused_params]
+        state = [
+            (np.zeros_like(v), np.zeros_like(v)) if isinstance(eager_opt, Adam) else np.zeros_like(v)
+            for v in values
+        ]
+        for t in range(1, 8):
+            grads = [rng.normal(size=v.shape) for v in values]
+            grads[t % len(grads)] = None  # a parameter without a gradient is skipped
             for param, grad in zip(eager_params, grads):
-                param.grad = grad.copy()
+                param.grad = None if grad is None else grad.copy()
             eager_opt.step()
-            fused_opt.step_with_grads([g.copy() for g in grads])
-            for eager, fused in zip(eager_params, fused_params):
-                np.testing.assert_array_equal(eager.data, fused.data)
-        # The fused path never rebinds parameter storage.
-        for param, original in zip(fused_params, storage):
+            fused_opt.step_with_grads([None if g is None else g.copy() for g in grads])
+            values = self._reference_step(eager_opt, values, grads, state, t)
+            for eager, fused, expected in zip(eager_params, fused_params, values):
+                np.testing.assert_array_equal(eager.data, expected)
+                np.testing.assert_array_equal(fused.data, expected)
+        # Neither path rebinds parameter storage.
+        for param, original in zip(eager_params + fused_params, storage):
             assert param.data is original
 
     def test_none_grads_skipped(self):

@@ -11,6 +11,8 @@ from repro.obs import profiler, trace
 def _clean_obs_state():
     trace.disable()
     profiler.disable()
+    profiler.PROFILER.profiles.clear()
     yield
     trace.disable()
     profiler.disable()
+    profiler.PROFILER.profiles.clear()

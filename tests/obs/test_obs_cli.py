@@ -1,11 +1,12 @@
-"""``python -m repro.obs summarize`` renders span/op/metrics tables."""
+"""``python -m repro.obs summarize`` renders span and op tables, and the
+nearest-rank percentile behind its p95 column."""
 
 from __future__ import annotations
 
 import io
 import json
 
-from repro.obs.cli import main, summarize
+from repro.obs.cli import main, percentile, summarize
 
 
 def write_jsonl(path, events):
@@ -28,6 +29,7 @@ def sample_events():
             },
             "pool": {"allocations": 30, "bytes": 100000},
         },
+        # Traces written by older versions end with a metrics snapshot.
         {
             "event": "metrics",
             "snapshot": {
@@ -49,8 +51,9 @@ def test_summarize_renders_all_sections(tmp_path):
     assert "== Plan executor (per op kind) ==" in text
     assert "conv2d" in text
     assert "plans profiled: 8x3x16x16:float32" in text
-    assert "== Metrics ==" in text
-    assert "serve.examples" in text
+    # An old trace's metrics snapshot still loads, and is not rendered.
+    assert "== Metrics ==" not in text
+    assert "serve.examples" not in text
 
 
 def test_summarize_skips_torn_lines(tmp_path):
@@ -68,7 +71,7 @@ def test_summarize_empty_file_reports_no_events(tmp_path):
     path.write_text("")
     out = io.StringIO()
     assert summarize(str(path), stream=out) == 0
-    assert "no span/profile/metrics events" in out.getvalue()
+    assert "no span or profile events" in out.getvalue()
 
 
 def test_main_summarize_subcommand(tmp_path, capsys):
@@ -76,3 +79,29 @@ def test_main_summarize_subcommand(tmp_path, capsys):
     write_jsonl(path, sample_events())
     assert main(["summarize", str(path)]) == 0
     assert "== Spans ==" in capsys.readouterr().out
+
+
+class TestPercentile:
+    def test_percentile_nearest_rank(self):
+        assert percentile([], 50) == 0.0
+        assert percentile([7.0], 99) == 7.0
+        # Nearest rank over 1..100: round(0.5 * 99) = 50 -> the 51st value.
+        assert percentile(list(range(1, 101)), 50) == 51.0
+
+    def test_empty_reservoir_is_zero(self):
+        assert percentile([], 50) == 0.0
+        assert percentile([], 99) == 0.0
+
+    def test_singleton_reservoir_returns_its_value(self):
+        for q in (0, 50, 95, 99, 100):
+            assert percentile([0.25], q) == 0.25
+
+    def test_nearest_rank_on_known_sequence(self):
+        values = list(range(1, 101))
+        assert percentile(values, 0) == 1.0
+        # round(0.5 * 99) = 50 -> the 51st value (nearest-rank, half-to-even).
+        assert percentile(values, 50) == 51.0
+        assert percentile(values, 100) == 100.0
+
+    def test_unsorted_input_is_sorted_first(self):
+        assert percentile([3.0, 1.0, 2.0], 100) == 3.0

@@ -1,6 +1,11 @@
-"""Plan-executor profiling: per-op tables, parity, span trees, attack telemetry."""
+"""Plan-executor profiling: per-op tables, parity, span trees, freed plans."""
 
 from __future__ import annotations
+
+import gc
+import multiprocessing
+import os
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from repro.data import ArrayDataset, DataLoader, synthetic_cifar10
 from repro.models import SmallCNN
 from repro.nn import get_default_dtype
 from repro.nn.optim import SGD, StepLR
+from repro import obs
 from repro.obs import profiler, trace
 from repro.training import Trainer
 from repro.training.adversarial import PGDAdversarialLoss
@@ -130,22 +136,33 @@ class TestCompiledTrainingProfile:
         assert trainer_b.profile(), "the profiled run must also record ops"
 
 
-class TestAttackTelemetryRegistry:
-    def test_attack_telemetry_mirrors_onto_registry(self, dataset):
-        from repro.attacks import AttackEngine, AttackSpec
-        from repro.obs import get_registry
+def _kept_profiles() -> int:
+    return len(profiler.PROFILER.profiles)
 
-        model = SmallCNN(num_classes=10, image_size=16, seed=0)
-        model.eval()
-        engine = AttackEngine({"fgsm": AttackSpec("fgsm", dict(eps=8 / 255))})
-        before = get_registry().counter(
-            "attack.examples_attacked", {"attack": "fgsm"}
-        ).value
-        result = engine.run(model, dataset.x_test[:16], dataset.y_test[:16])
-        after = get_registry().counter(
-            "attack.examples_attacked", {"attack": "fgsm"}
-        ).value
-        entry = next(t for t in result.telemetry if t.name == "fgsm")
-        assert after - before == entry.examples_attacked
-        accuracy = get_registry().gauge("attack.accuracy", {"attack": "fgsm"}).value
-        assert accuracy == entry.accuracy
+
+class TestProfilesOutliveTheirPlans:
+    def test_flush_emits_the_profile_of_a_freed_plan(self, dataset):
+        events = []
+        trace.enable(sink=events.append)
+        profiler.enable()
+        compiled = compile_model(eval_cnn(), dataset.x_test[:8])
+        compiled.predict(dataset.x_test[:8])
+        plan = weakref.ref(next(iter(compiled._cache.entries.values())))
+        del compiled
+        gc.collect()
+        assert plan() is None  # the owner's plans are gone before the flush
+        obs.flush()
+        (event,) = [e for e in events if e["event"] == "profile"]
+        assert event["signature"] == signature(8)
+        assert event["ops"]["conv2d"]["calls"] > 0
+        assert event["pool"]["allocations"] > 0 and event["pool"]["bytes"] > 0
+
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="needs fork")
+    def test_forked_worker_starts_without_the_parents_profiles(self, dataset):
+        profiler.enable()
+        compiled = compile_model(eval_cnn(), dataset.x_test[:8])
+        compiled.predict(dataset.x_test[:8])
+        assert _kept_profiles() == 1
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply(_kept_profiles) == 0
+        assert _kept_profiles() == 1

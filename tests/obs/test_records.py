@@ -138,7 +138,7 @@ class TestStoreRoundTrip:
 # --------------------------------------------------------------------------- #
 # producers
 # --------------------------------------------------------------------------- #
-def train_one_epoch(tiny_dataset):
+def train_one_epoch(tiny_dataset, compile=False, n=64):
     from repro.data import ArrayDataset, DataLoader
     from repro.models import SmallCNN
     from repro.nn.optim import SGD
@@ -146,10 +146,11 @@ def train_one_epoch(tiny_dataset):
 
     model = SmallCNN(num_classes=10, image_size=16, base_channels=4, hidden_dim=16, seed=0)
     trainer = Trainer(
-        model, CrossEntropyLoss(), optimizer=SGD(model.parameters(), lr=0.05)
+        model, CrossEntropyLoss(), optimizer=SGD(model.parameters(), lr=0.05),
+        compile=compile,
     )
     loader = DataLoader(
-        ArrayDataset(tiny_dataset.x_train[:64], tiny_dataset.y_train[:64]),
+        ArrayDataset(tiny_dataset.x_train[:n], tiny_dataset.y_train[:n]),
         batch_size=32, shuffle=False, seed=0,
     )
     return trainer.fit(loader, epochs=1)
@@ -171,6 +172,30 @@ class TestProducers:
         assert record["history"]["epoch_seconds"][0] > 0.0
         assert record["history"]["train_loss"]
         assert "train.epoch" in record["spans"]
+
+    def test_compiled_fits_record_their_own_compile_stats(
+        self, tiny_dataset, monkeypatch, tmp_path
+    ):
+        # Two compiled fits in one process with an attack run between them:
+        # each record holds its own fit's compile stats and nothing that
+        # describes the process (no "metrics" section).
+        from repro.attacks import AttackEngine, AttackSpec
+        from repro.models import SmallCNN
+
+        monkeypatch.setenv(records.RECORDS_ENV, str(tmp_path))
+        first = train_one_epoch(tiny_dataset, compile=True, n=96)
+        model = SmallCNN(num_classes=10, image_size=16, base_channels=4, hidden_dim=16, seed=0)
+        model.eval()
+        AttackEngine({"fgsm": AttackSpec("fgsm", dict(eps=8 / 255))}).run(
+            model, tiny_dataset.x_test[:8], tiny_dataset.y_test[:8]
+        )
+        second = train_one_epoch(tiny_dataset, compile=True, n=64)
+        stored = records.list_records(store=ArtifactStore(tmp_path))
+        assert len(stored) == 2
+        for record, history in zip(stored, (first, second)):
+            assert "metrics" not in record
+            assert record["history"]["compile"] == history.compile_stats
+        assert [r["history"]["compile"]["compiled_batches"] for r in stored] == [2, 1]
 
     def test_run_grid_always_records(self, tmp_path):
         sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "experiments"))
@@ -198,6 +223,7 @@ def fake_record(**overrides):
         "version": 1, "kind": "train", "label": "t", "created": 0.0,
         "git_sha": "x", "pid": 1, "wall_seconds": 2.0, "cpu_seconds": 1.0,
         "context": {}, "spans": {},
+        # The process-wide snapshot records written by older versions carry.
         "metrics": {"counters": {"train.compiled{}": 10}},
         "history": {"train_loss": [2.0, 1.0], "train_accuracy": [0.4, 0.6]},
         "profile": {"sig-a": {"ops": {"conv2d": {"calls": 4, "total_ms": 8.0}}}},

@@ -60,16 +60,6 @@ class TestSpans:
             s.set("batch", 8)
         assert events[0]["attrs"] == {"batch": 8}
 
-    def test_traced_decorator(self):
-        events = collect()
-
-        @trace.traced("fn.work")
-        def work(x):
-            return x + 1
-
-        assert work(1) == 2
-        assert events[0]["name"] == "fn.work"
-
 
 class TestCarriers:
     def test_attach_parents_span_on_another_thread(self):
