@@ -2,11 +2,13 @@
 """Per-layer timing of the conv kernels that eager and compiled share.
 
 For every convolution of the Table-1 model (VGG16, width 0.25, 32 px) it
-times ``conv2d_columns``, ``conv2d_weight_grad`` and ``conv2d_input_grad``
-(:mod:`repro.nn.functional`) on preallocated buffers, as plans run them, at
-batch 32 (a training batch) and 9, and prints the best-of-``repeats`` ms,
-both gradient GEMMs' GFLOP/s and the input-gradient path ``conv2d_gathers``
-picks.  Usage:  PYTHONPATH=src python benchmarks/conv_layers.py [repeats]
+times the kernels of :mod:`repro.nn.functional` on preallocated buffers, as
+plans run them: ``conv2d_columns`` (the forward's im2col), the
+weight-gradient step (the columns rebuilt by ``conv2d_columns``, then the
+``conv2d_weight_grad`` GEMM) and ``conv2d_input_grad``.  At batch 32 (a
+training batch) and 9 it prints the best-of-``repeats`` ms, both gradient
+steps' GFLOP/s and the input-gradient path ``conv2d_gathers`` picks.
+Usage:  PYTHONPATH=src python benchmarks/conv_layers.py [repeats]
 """
 
 import sys
@@ -45,7 +47,13 @@ def main(repeats=5):
             b = {name: np.empty(shape) for name, shape in shapes.items()}
             cols, grad_mat, gw = b["cols"], rng.random(shapes["grad_mat"]), np.empty(weight.shape)
             cols_ms = best_ms(lambda: F.conv2d_columns(x, k, s, p, out=cols, xpad=b["xpad"]), repeats)
-            wgrad_ms = best_ms(lambda: F.conv2d_weight_grad(grad_mat, cols, k, out=gw, gw_mat=b["gw_mat"]), repeats)
+            wgrad_ms = best_ms(
+                lambda: (
+                    F.conv2d_columns(x, k, s, p, out=cols, xpad=b["xpad"]),
+                    F.conv2d_weight_grad(grad_mat, cols, k, out=gw, gw_mat=b["gw_mat"]),
+                ),
+                repeats,
+            )
             igrad_ms = best_ms(lambda: F.conv2d_input_grad(grad_mat, weight, x.shape, s, p, b), repeats)
             path = "gather" if F.conv2d_gathers(k, s, p) else "scatter"
             gflop = 2.0 * cols.size * oc / 1e9

@@ -2,16 +2,22 @@
 
 A :class:`Plan` binds an optimized :class:`~repro.compile.graph.Graph` to
 pre-allocated buffers: every op output, gradient accumulator and mask is
-allocated once at bind time, scratch that dies with its step comes from
-one step-local region sized to the largest step (a plan's steps never
-overlap), and replays write into those arrays with ``out=``-style NumPy
-kernels — zero steady-state pool allocations, the property the attack hot
-path (tens of gradient steps per batch) is bought with.  Convolution, batch
-norm and pooling, forward and backward, call the kernels eager autograd
-calls (the ``conv2d_*``, ``batch_norm2d_*`` and pool kernels of
-:mod:`repro.nn.functional`): eager passes fresh C-order arrays, the binders
-here pooled and step-local ones, so both round identically and their
-binders hold no arithmetic of their own beyond a fused ReLU.
+allocated once at bind time, and replays write into those arrays with
+``out=``-style NumPy kernels — zero steady-state pool allocations, the
+property the attack hot path (tens of gradient steps per batch) is bought
+with.  Scratch that dies with its step — a convolution's padded input,
+columns and output-gradient matrix, batch norm's backward temporaries —
+comes from one step-local region sized to the largest step: steps never
+overlap, so plans that never replay at the same time (the plans of one
+compiled training context) can bind into one shared region.  A
+convolution's weight-gradient step rebuilds the forward's columns there
+from its input instead of keeping them pooled between forward and
+backward, and its input-gradient step then reuses those bytes.
+Convolution, batch norm and pooling, forward and backward, call the
+kernels eager autograd calls (the ``conv2d_*``, ``batch_norm2d_*`` and pool
+kernels of :mod:`repro.nn.functional`): eager passes fresh C-order arrays,
+the binders here pooled and step-local ones, so both round identically and
+their binders hold no arithmetic of their own beyond a fused ReLU.
 
 Each plan binds one backward program, in one of two gradient modes.
 ``grad="input"`` (the attack/eval default) computes the gradient **with
@@ -81,7 +87,7 @@ from ..obs.profiler import PROFILER as _PROFILER
 from .graph import CompileError, Graph, LEAF_OPS as _LEAF_OPS, Node
 from .pool import BufferPool
 
-__all__ = ["Plan"]
+__all__ = ["Plan", "step_scratch_nbytes"]
 
 
 def _reduction_spec(from_shape: Tuple[int, ...], to_shape: Tuple[int, ...]):
@@ -100,6 +106,22 @@ def _reduction_spec(from_shape: Tuple[int, ...], to_shape: Tuple[int, ...]):
 def _slot_nbytes(shape: Tuple[int, ...], dtype) -> int:
     """Bytes of a ``shape`` buffer, rounded up to a 64-byte cache line."""
     return -(-int(np.prod(shape)) * np.dtype(dtype).itemsize // 64) * 64
+
+
+def _group_nbytes(group: Mapping[str, Tuple[int, ...]], dtype) -> int:
+    return sum(_slot_nbytes(shape, dtype) for shape in group.values())
+
+
+def step_scratch_nbytes(graph: Graph) -> int:
+    """Bytes of step-local scratch the largest step of a plan over ``graph``
+    takes: the size of the region :class:`Plan` binds its step views into."""
+    sizes = [
+        _group_nbytes(shared, node.dtype)
+        + max((_group_nbytes(group, node.dtype) for group in overlays), default=0)
+        for node in graph.nodes if node.op in _STEP_SCRATCH
+        for shared, *overlays in _STEP_SCRATCH[node.op](graph, node)
+    ]
+    return max(sizes, default=0)
 
 
 class Plan:
@@ -129,6 +151,10 @@ class Plan:
     grad_aux:
         Aux names to include in the differentiation set; their accumulated
         gradients are read back through :meth:`aux_grad`.
+    scratch:
+        A ``uint8`` region of at least :func:`step_scratch_nbytes` bytes to
+        bind the step-local views into, shared with plans that never replay
+        at the same time; by default the plan allocates its own.
     """
 
     #: the kernel set every plan replays: the one serial set of NumPy
@@ -142,6 +168,7 @@ class Plan:
         seed_ids: Sequence[int] = (),
         aux: Optional[Mapping[str, np.ndarray]] = None,
         grad_aux: Sequence[str] = (),
+        scratch: Optional[np.ndarray] = None,
     ) -> None:
         if grad not in ("input", "params"):
             raise ValueError(f"unknown grad mode '{grad}'; use 'input' or 'params'")
@@ -170,6 +197,7 @@ class Plan:
                 raise CompileError(f"unknown aux input '{name}'")
         self._grad_aux = tuple(grad_aux)
         self._seed_requested = tuple(seed_ids)
+        self._scratch = scratch
         #: the bound backward step list (``None``: no gradient path from
         #: the output to the differentiated leaves), its per-step meta and
         #: the gradient buffers zeroed before each run.
@@ -218,12 +246,13 @@ class Plan:
         graph = self.graph
         # One step-local region serves every step's scratch: a plan's steps
         # never overlap, and none reads what another left there.
-        sizes = [
-            sum(_slot_nbytes(shape, node.dtype) for shape in shapes.values())
-            for node in graph.nodes if node.op in _STEP_SCRATCH
-            for shapes in _STEP_SCRATCH[node.op](self, node)
-        ]
-        self._scratch = self.pool.empty((max(sizes, default=0),), np.uint8)
+        need = step_scratch_nbytes(graph)
+        if self._scratch is None:
+            self._scratch = self.pool.empty((need,), np.uint8)
+        elif self._scratch.nbytes < need:
+            raise CompileError(
+                f"shared scratch region holds {self._scratch.nbytes} bytes; a step needs {need}"
+            )
         self._input = self.pool.empty(graph.input_node.shape, graph.input_node.dtype)
         self.values[graph.input_id] = self._input
         for node in graph.nodes:
@@ -307,14 +336,22 @@ class Plan:
         self._fill = [self.grads[node_id] for node_id in self._fill_ids]
 
     def _step_scratch(self, node: Node, backward: bool) -> Dict[str, np.ndarray]:
-        """Named views of ``node``'s forward or backward step-local buffers
-        (its :data:`_STEP_SCRATCH` shapes), packed from the region's start."""
+        """Named views of ``node``'s forward or backward step-local buffers,
+        laid out as its :data:`_STEP_SCRATCH` groups say."""
         views: Dict[str, np.ndarray] = {}
-        offset = 0
-        for name, shape in _STEP_SCRATCH[node.op](self, node)[int(backward)].items():
-            views[name] = self._scratch[offset:].view(node.dtype)[: int(np.prod(shape))].reshape(shape)
-            offset += _slot_nbytes(shape, node.dtype)
+        shared, *overlays = _STEP_SCRATCH[node.op](self.graph, node)[int(backward)]
+        start = self._pack(shared, node.dtype, 0, views)
+        for group in overlays:
+            self._pack(group, node.dtype, start, views)
         return views
+
+    def _pack(self, group, dtype, offset: int, views: Dict[str, np.ndarray]) -> int:
+        """Add views of ``group``'s shapes, packed from byte ``offset``, to
+        ``views``; returns the offset past them."""
+        for name, shape in group.items():
+            views[name] = self._scratch[offset:].view(dtype)[: int(np.prod(shape))].reshape(shape)
+            offset += _slot_nbytes(shape, dtype)
+        return offset
 
     def _sink(self, target_id: int, supports_write: bool = True) -> Tuple[bool, np.ndarray]:
         """``(write, buffer)`` for a kernel contributing a gradient to ``target_id``.
@@ -482,17 +519,20 @@ class Plan:
 # --------------------------------------------------------------------------- #
 # forward binders: node -> (step callable | None, output array)
 # --------------------------------------------------------------------------- #
-def _conv_scratch(plan: Plan, node: Node):
-    """``(forward, backward)`` step-local buffer shapes of one convolution."""
-    weight_shape = plan.graph.node(node.inputs[1]).shape
+def _conv_scratch(graph: Graph, node: Node):
+    """``(forward, backward)`` step-local layouts of one convolution.
+
+    The backward's weight-gradient step rebuilds the forward's columns, and
+    its input-gradient step then reuses those bytes; both read ``grad_mat``.
+    """
+    weight_shape = graph.node(node.inputs[1]).shape
     shapes = conv2d_buffers(
-        plan.graph.node(node.inputs[0]).shape, weight_shape, node.meta["stride"], node.meta["padding"]
+        graph.node(node.inputs[0]).shape, weight_shape, node.meta["stride"], node.meta["padding"]
     )
-    forward = {"xpad": shapes.pop("xpad"), "w_mat": shapes["w_mat"]}
-    cols = shapes.pop("cols")
-    if plan.grad_mode == "input":  # no weight gradient reads the columns later
-        forward["cols"] = cols
-    return forward, dict(shapes, gw=weight_shape)
+    forward = {name: shapes[name] for name in ("xpad", "cols", "w_mat")}
+    weight_step = {name: shapes[name] for name in ("xpad", "cols", "gw_mat")}
+    input_step = {name: shapes[name] for name in ("w_mat", "gpad", "gcols", "out") if name in shapes}
+    return (forward,), ({"grad_mat": shapes["grad_mat"]}, dict(weight_step, gw=weight_shape), input_step)
 
 
 def _bind_conv2d(plan: Plan, node: Node):
@@ -506,10 +546,7 @@ def _bind_conv2d(plan: Plan, node: Node):
     _, _, out_h, out_w = node.shape
     dtype = node.dtype
     scratch = plan._step_scratch(node, backward=False)
-    xpad = scratch["xpad"]
-    cols = scratch.get("cols")
-    if cols is None:  # the weight gradient reads these after the step
-        cols = node.meta["_cols"] = plan.pool.empty((n * out_h * out_w, kernel * kernel * c), dtype)
+    xpad, cols = scratch["xpad"], scratch["cols"]
     # Weights change under the optimizer every step: each replay refreshes
     # their (k, k, C)-ordered copy, as the eager kernel builds it per call.
     w_mat = scratch["w_mat"].reshape(oc, -1)
@@ -805,7 +842,7 @@ def _back_conv2d(plan: Plan, node: Node):
         return _relu_mask_step(plan, node)
     stride, padding = node.meta["stride"], node.meta["padding"]
     n, oc, out_h, out_w = node.shape
-    weight = plan.values[w_id]
+    x, weight = plan.values[x_id], plan.values[w_id]
     kernel = weight.shape[2]
     dtype = node.dtype
     g = plan.grads[node.id]
@@ -817,19 +854,21 @@ def _back_conv2d(plan: Plan, node: Node):
 
     steps: List[Callable[[], None]] = []
     if need_w:
-        cols = node.meta["_cols"]
+        xpad, cols, gw_mat = scratch["xpad"], scratch["cols"], scratch["gw_mat"]
         write_w, gw = plan._sink(w_id)
-        gw_mat = scratch["gw_mat"]
-        if write_w:
-            steps.append(lambda: conv2d_weight_grad(grad_mat, cols, kernel, out=gw, gw_mat=gw_mat))
-        else:
-            part = scratch["gw"]
-            steps.append(
-                lambda: (
-                    conv2d_weight_grad(grad_mat, cols, kernel, out=part, gw_mat=gw_mat),
-                    np.add(gw, part, out=gw),
-                )
-            )
+        part = gw if write_w else scratch["gw"]
+
+        def weight_step() -> None:
+            # The columns are rebuilt from the forward's input rather than
+            # pooled between the forward and this step.  No later step
+            # overwrites that input, which the max-pool and eval batch-norm
+            # backward rely on too.
+            conv2d_columns(x, kernel, stride, padding, out=cols, xpad=xpad)
+            conv2d_weight_grad(grad_mat, cols, kernel, out=part, gw_mat=gw_mat)
+            if not write_w:
+                np.add(gw, part, out=gw)
+
+        steps.append(weight_step)
     if need_b:
         write_b, gb = plan._sink(b_id)
         if write_b:
@@ -1146,11 +1185,16 @@ def _back_transpose(plan: Plan, node: Node):
     return lambda: np.add(gx, g_view, out=gx)
 
 
-#: op -> ``(plan, node) -> (forward shapes, backward shapes)`` of the
-#: step-local buffers its binders take from :meth:`Plan._step_scratch`.
+#: op -> ``(graph, node) -> (forward, backward)`` layouts of the step-local
+#: buffers its binders take from :meth:`Plan._step_scratch`.  A layout is a
+#: tuple of ``name -> shape`` groups: the first is packed from the region's
+#: start, each later one from the end of the first, all over the same bytes
+#: (buffers of parts of the step that run one after another).
 _STEP_SCRATCH = {
     "conv2d": _conv_scratch,
-    "batch_norm2d": lambda plan, node: ({}, batch_norm2d_buffers(node.shape, node.meta["training"])),
+    "batch_norm2d": lambda graph, node: (
+        ({},), (batch_norm2d_buffers(node.shape, node.meta["training"]),)
+    ),
 }
 
 _BACKWARD = {

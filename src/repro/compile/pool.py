@@ -1,8 +1,9 @@
 """Buffer arena for compiled plans.
 
 Every ndarray a :class:`~repro.compile.executor.Plan` writes into — op
-outputs, gradient accumulators, masks, the step-local scratch region — is
-allocated exactly once, at bind time, through a :class:`BufferPool`.  Replays
+outputs, gradient accumulators, masks, its own step-local scratch region —
+is allocated exactly once, at bind time, through a :class:`BufferPool`
+(a step-local region shared by several plans is allocated by their owner).  Replays
 then reuse the same arrays via ``out=``-style NumPy kernels, so steady-state
 attack iterations perform **zero** pool allocations; the pool's counters make
 that property observable (and testable) instead of folklore.

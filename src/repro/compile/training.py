@@ -57,7 +57,7 @@ from ..nn import functional as F
 from ..obs import trace as _trace
 from ..obs.profiler import merge_profile as _merge_profile
 from .cache import SignatureCache
-from .executor import Plan
+from .executor import Plan, step_scratch_nbytes
 from .graph import CompileError, Graph, capture_forward
 from .kernels import pgd_loop
 from .model import CompiledModel
@@ -185,6 +185,11 @@ class _SignatureContext:
     :func:`~repro.compile.passes.lower_to_eval` rewrite.  Per-context state
     the adapters need (loss node ids, seed scalars, the label row index)
     hangs off the context, since node ids differ between signatures.
+
+    The context's plans never replay at the same time, so they bind their
+    step-local views into one :attr:`scratch` region.  It is sized to the
+    capture's largest step: the plans copy the capture's convolutions and
+    batch norms, and lowering to eval only shrinks a batch norm's step.
     """
 
     def __init__(self, model, sample: np.ndarray, adapter, stats: TrainingCompileStats) -> None:
@@ -203,10 +208,14 @@ class _SignatureContext:
             model, sample, training=True, with_hidden=adapter.needs_hidden_seeds
         )
         stats.captures += 1
+        #: the step-local region every plan of the context binds into.
+        self.scratch = np.empty((step_scratch_nbytes(captured),), np.uint8)
         adapter.build(self, captured)
         stats.plans_built += len(self.plans)
 
-    def register(self, plan: Plan) -> Plan:
+    def plan(self, graph: Graph, **kwargs) -> Plan:
+        """Bind a plan of this context over its shared scratch region."""
+        plan = Plan(graph, scratch=self.scratch, **kwargs)
         self.plans.append(plan)
         return plan
 
@@ -259,7 +268,7 @@ class _CEAdapter:
     needs_hidden_seeds = False
 
     def build(self, ctx: _SignatureContext, captured: Graph) -> None:
-        ctx.train_a = ctx.register(Plan(_train_graph(captured), grad="params"))
+        ctx.train_a = ctx.plan(_train_graph(captured), grad="params")
 
     def replay_generate(self, trainer, ctx, images, labels) -> np.ndarray:
         # CE has no ``generate``; the eager MI wrapper falls back to the
@@ -290,8 +299,8 @@ class _PGDAdversarialAdapter:
         self.strategy = strategy
 
     def build(self, ctx: _SignatureContext, captured: Graph) -> None:
-        ctx.train_a = ctx.register(Plan(_train_graph(captured), grad="params"))
-        ctx.attack = ctx.register(Plan(_eval_graph(captured), grad="input"))
+        ctx.train_a = ctx.plan(_train_graph(captured), grad="params")
+        ctx.attack = ctx.plan(_eval_graph(captured), grad="input")
 
     def replay_generate(self, trainer, ctx, images, labels) -> np.ndarray:
         # Serves the base step and the eager MI wrapper's second
@@ -334,32 +343,28 @@ class _TRADESAdapter:
 
     def build(self, ctx: _SignatureContext, captured: Graph) -> None:
         s = self.strategy
-        ctx.train_a = ctx.register(Plan(_train_graph(captured), grad="params"))
+        ctx.train_a = ctx.plan(_train_graph(captured), grad="params")
         clean_logits = ctx.train_a.values[ctx.train_a.graph.output_id]
         dtype = clean_logits.dtype
 
         graph_b = _train_graph(captured)
         kl_id = _trace_kl(graph_b)
-        ctx.train_b = ctx.register(
-            Plan(
-                graph_b.rebuild(),
-                grad="params",
-                seed_ids=(kl_id,),
-                aux={"clean_logits": clean_logits},
-                grad_aux=("clean_logits",),
-            )
+        ctx.train_b = ctx.plan(
+            graph_b.rebuild(),
+            grad="params",
+            seed_ids=(kl_id,),
+            aux={"clean_logits": clean_logits},
+            grad_aux=("clean_logits",),
         )
         ctx.ids["kl"] = kl_id
 
         attack_graph = _eval_graph(captured)
         attack_kl_id = _trace_kl(attack_graph)
-        ctx.attack = ctx.register(
-            Plan(
-                attack_graph.rebuild(),
-                grad="input",
-                seed_ids=(attack_kl_id,),
-                aux={"clean_logits": clean_logits},
-            )
+        ctx.attack = ctx.plan(
+            attack_graph.rebuild(),
+            grad="input",
+            seed_ids=(attack_kl_id,),
+            aux={"clean_logits": clean_logits},
         )
         ctx.ids["attack_kl"] = attack_kl_id
         ctx.one = ctx.scalar(1.0, dtype)
@@ -427,7 +432,7 @@ class _MARTAdapter:
     def build(self, ctx: _SignatureContext, captured: Graph) -> None:
         # Eager MART forwards the adversarial batch first, then the clean
         # one; the loss lives on the (later) clean plan.
-        ctx.train_b = ctx.register(Plan(_train_graph(captured), grad="params"))
+        ctx.train_b = ctx.plan(_train_graph(captured), grad="params")
         adv_logits = ctx.train_b.values[ctx.train_b.graph.output_id]
         graph_a = _train_graph(captured)
         logits = graph_a.output_node
@@ -440,17 +445,15 @@ class _MARTAdapter:
             },
             name="total",
         )
-        ctx.train_a = ctx.register(
-            Plan(
-                graph_a.rebuild(),
-                grad="params",
-                seed_ids=(total_id,),
-                aux={"adv_logits": adv_logits},
-                grad_aux=("adv_logits",),
-            )
+        ctx.train_a = ctx.plan(
+            graph_a.rebuild(),
+            grad="params",
+            seed_ids=(total_id,),
+            aux={"adv_logits": adv_logits},
+            grad_aux=("adv_logits",),
         )
         ctx.ids["total"] = total_id
-        ctx.attack = ctx.register(Plan(_eval_graph(captured), grad="input"))
+        ctx.attack = ctx.plan(_eval_graph(captured), grad="input")
         ctx.one = ctx.scalar(1.0, logits.dtype)
         ctx.arange = np.arange(logits.shape[0])
 
@@ -515,16 +518,14 @@ class _MILossAdapter:
             {"inputs": mi_graph.input_id, "onehot": onehot_id, **hidden},
             name=("mi_side", "mi_sum_x", "mi_sum_y"),
         )
-        mi_plan = Plan(mi_graph.rebuild(), grad="params", seed_ids=(side_id,))
+        ctx.train_mi = ctx.plan(mi_graph.rebuild(), grad="params", seed_ids=(side_id,))
         ctx.ids["mi_side"] = side_id
         ctx.one = ctx.scalar(1.0, dtype)
         ctx.arange = np.arange(n)
         if self.base is None:
-            ctx.train_a = ctx.register(mi_plan)
-            ctx.train_mi = mi_plan
+            ctx.train_a = ctx.train_mi
         else:
             self.base.build(ctx, captured)
-            ctx.train_mi = ctx.register(mi_plan)
 
     def _side_values(self, plan: Plan) -> Tuple[float, float, float]:
         side = float(plan.output_value("mi_side"))

@@ -26,6 +26,11 @@ from ..models.base import ImageClassifier
 
 __all__ = ["FeatureChannelMask", "compute_channel_mask"]
 
+#: examples per scoring forward.  Eval-mode features are per example, so
+#: chunks concatenate to the whole-batch features bit for bit, while the
+#: forward's activations stay a chunk's worth.
+_SCORE_CHUNK = 64
+
 
 def compute_channel_mask(
     scores: np.ndarray,
@@ -73,22 +78,35 @@ class FeatureChannelMask:
     method: Literal["histogram", "hsic"] = "histogram"
     max_batch: int = 512
 
-    def scores(self, model: ImageClassifier, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Per-channel MI scores of the last convolutional block's output."""
-        images = np.asarray(images)[: self.max_batch]
-        labels = np.asarray(labels).reshape(-1)[: self.max_batch]
+    def features(self, model: ImageClassifier, images: np.ndarray) -> np.ndarray:
+        """The last convolutional block's unmasked eval-mode output.
+
+        Runs one no-grad forward per :data:`_SCORE_CHUNK` examples; the
+        model's mask and train/eval mode are restored afterwards, also when
+        a forward raises.
+        """
+        images = np.asarray(images)
         was_training = model.training
         previous_mask = model.channel_mask
         model.eval()
         # Score the unmasked representation so the mask can recover channels.
         model.set_channel_mask(None)
+        chunks = []
         try:
             with no_grad():
-                _, hidden = model.forward_with_hidden(Tensor(images))
-                features = hidden[model.last_conv_name].data
+                for start in range(0, len(images), _SCORE_CHUNK):
+                    _, hidden = model.forward_with_hidden(Tensor(images[start : start + _SCORE_CHUNK]))
+                    chunks.append(hidden[model.last_conv_name].data)
         finally:
             model.set_channel_mask(previous_mask)
             model.train(was_training)
+        return np.concatenate(chunks)
+
+    def scores(self, model: ImageClassifier, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """Per-channel MI scores of the last convolutional block's output."""
+        images = np.asarray(images)[: self.max_batch]
+        labels = np.asarray(labels).reshape(-1)[: self.max_batch]
+        features = self.features(model, images)
         return channel_label_mi(features, labels, model.num_classes, method=self.method)
 
     def compute(self, model: ImageClassifier, images: np.ndarray, labels: np.ndarray) -> np.ndarray:

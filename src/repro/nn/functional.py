@@ -201,10 +201,14 @@ def conv2d_buffers(
 ) -> Dict[str, Tuple[int, ...]]:
     """Shapes of the scratch the conv kernels take, by name.
 
-    ``xpad`` and ``cols`` for :func:`conv2d_columns` of the input;
-    ``grad_mat`` (the NHWC output gradient) and ``gw_mat`` for
+    ``xpad`` and ``cols`` for :func:`conv2d_columns` of the input, in the
+    forward and again in the weight-gradient step, which rebuilds the
+    columns instead of keeping the forward's; ``grad_mat`` (the NHWC output
+    gradient, read by every gradient) and ``gw_mat`` for
     :func:`conv2d_weight_grad`; ``w_mat``, ``gpad``, ``gcols`` and, when
-    :func:`conv2d_gathers`, ``out`` for :func:`conv2d_input_grad`.
+    :func:`conv2d_gathers`, ``out`` for :func:`conv2d_input_grad`, which
+    runs after the weight gradient and may reuse its ``xpad`` and ``cols``
+    bytes.
     """
     n, c, h, w = x_shape
     oc, _, kernel, _ = weight_shape
@@ -353,11 +357,10 @@ def conv2d(
     if in_channels != c:
         raise ValueError(f"channel mismatch: input has {c}, weight expects {in_channels}")
 
-    cols = conv2d_columns(x.data, kernel, stride, padding)
     out_h = _conv_output_size(h, kernel, stride, padding)
     out_w = _conv_output_size(w, kernel, stride, padding)
     w_mat = np.ascontiguousarray(weight.data.transpose(0, 2, 3, 1)).reshape(out_channels, -1)
-    out = cols @ w_mat.T  # (N*out_h*out_w, out_channels)
+    out = conv2d_columns(x.data, kernel, stride, padding) @ w_mat.T  # (N*out_h*out_w, OC)
     if bias is not None:
         out += bias.data
     out_data = out.reshape(n, out_h, out_w, out_channels).transpose(0, 3, 1, 2)
@@ -365,7 +368,14 @@ def conv2d(
     def backward(grad: np.ndarray) -> None:
         grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, out_channels)
         if weight.requires_grad:
+            # The graph keeps the input, not its k*k-times-larger columns:
+            # the weight gradient rebuilds them, and they die with the
+            # product.  This assumes x.data is not mutated between forward
+            # and backward, an assumption the max-pool and eval batch-norm
+            # backward already make.
+            cols = conv2d_columns(x.data, kernel, stride, padding)
             weight._accumulate(conv2d_weight_grad(grad_mat, cols, kernel))
+            del cols
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_mat.sum(axis=0))
         if x.requires_grad:

@@ -176,6 +176,26 @@ class Trainer:
     # ------------------------------------------------------------------ #
     # training
     # ------------------------------------------------------------------ #
+    def _eager_batch(self, images: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+        """One eager training step; returns ``(loss, predictions)``.
+
+        The loss and logits, and with them the batch's autograd graph, die
+        when this returns, before the next batch runs.
+        """
+        loss, logits = self._batch_loss(images, labels)
+        self.optimizer.zero_grad()
+        loss.backward()
+        # Training accuracy is measured on the pre-update weights for
+        # every strategy (shared logits or the fallback pass alike).
+        if logits is not None:
+            predictions = np.argmax(logits.data, axis=1)
+        else:
+            with no_grad():
+                predictions = self.model.predict(Tensor(images))
+        # In place: live-parameter plans survive eager batches.
+        self.optimizer.step()
+        return float(loss.item()), predictions
+
     def train_epoch(self, loader: DataLoader) -> tuple[float, float]:
         """Run one epoch; returns (mean loss, training accuracy)."""
         self.model.train()
@@ -184,22 +204,9 @@ class Trainer:
         total_examples = 0
         for images, labels in loader:
             outcome = self._compiled_batch(images, labels) if self.compile else None
-            if outcome is not None:
-                loss_value, predictions = outcome
-            else:
-                loss, logits = self._batch_loss(images, labels)
-                self.optimizer.zero_grad()
-                loss.backward()
-                # Training accuracy is measured on the pre-update weights for
-                # every strategy (shared logits or the fallback pass alike).
-                if logits is not None:
-                    predictions = np.argmax(logits.data, axis=1)
-                else:
-                    with no_grad():
-                        predictions = self.model.predict(Tensor(images))
-                # In place: live-parameter plans survive eager batches.
-                self.optimizer.step()
-                loss_value = float(loss.item())
+            if outcome is None:
+                outcome = self._eager_batch(images, labels)
+            loss_value, predictions = outcome
             # Every batch is one optimizer step: advance the counter-based
             # dropout state so the next batch draws fresh masks.  Both the
             # compiled and the eager path read the same live buffers, so

@@ -272,6 +272,77 @@ class TestChannelMask:
         builder.scores(trained_small_cnn, tiny_dataset.x_train[:16], tiny_dataset.y_train[:16])
         assert trained_small_cnn.channel_mask is before
 
+    @pytest.mark.parametrize(
+        "name, kwargs, image_size, examples",
+        [
+            ("vgg16", dict(image_size=32, width_multiplier=0.25), 32, 256),
+            ("smallcnn", dict(image_size=16, base_channels=4, hidden_dim=16), 16, 150),
+            ("resnet18", dict(width_multiplier=0.0625), 16, 150),
+        ],
+        ids=["vgg16", "smallcnn", "resnet18"],
+    )
+    def test_chunked_scoring_is_bitwise_whole_batch(self, name, kwargs, image_size, examples):
+        from repro.ib.mi import channel_label_mi
+        from repro.models import build_model
+        from repro.nn import no_grad
+        from repro.nn.modules import BatchNorm2d
+
+        model = build_model(name, num_classes=10, seed=0, **kwargs)
+        rng = np.random.default_rng(0)
+        for module in model.modules():  # running statistics as mid-training
+            if isinstance(module, BatchNorm2d):
+                module.running_mean[...] = rng.normal(0.0, 0.1, module.running_mean.shape)
+                module.running_var[...] = rng.uniform(0.5, 1.5, module.running_var.shape)
+        images = rng.random((examples, 3, image_size, image_size))
+        labels = rng.integers(0, 10, examples)
+        builder = FeatureChannelMask(fraction=0.25)
+        chunked = builder.features(model, images)
+        model.eval()
+        with no_grad():
+            whole = model.forward_with_hidden(Tensor(images))[1][model.last_conv_name].data
+        assert np.array_equal(chunked, whole)
+        scores = channel_label_mi(whole, labels, 10, method=builder.method)
+        assert np.array_equal(builder.scores(model, images, labels), scores)
+        assert np.array_equal(
+            builder.compute(model, images, labels), compute_channel_mask(scores, fraction=0.25)
+        )
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_scoring_restores_mask_and_mode_also_on_error(self, training):
+        from repro.core.mask import _SCORE_CHUNK
+
+        model = fresh_model()
+        mask = np.ones(model.last_conv_channels)
+        mask[:2] = 0.0
+        model.set_channel_mask(mask)
+        model.train(training)
+        images = np.random.default_rng(0).random((150, 3, 16, 16))
+        labels = np.arange(150) % 10
+        forward, chunks = model.forward_with_hidden, []
+
+        def recording(x):
+            chunks.append(len(x))
+            assert not model.training and np.all(model._mask.data == 1.0)
+            return forward(x)
+
+        model.forward_with_hidden = recording
+        FeatureChannelMask().scores(model, images, labels)
+        assert chunks == [_SCORE_CHUNK, _SCORE_CHUNK, 150 - 2 * _SCORE_CHUNK]
+        assert _SCORE_CHUNK <= 64
+        assert model.training == training
+        assert np.array_equal(model.channel_mask, mask) and np.array_equal(model._mask.data, mask)
+
+        def failing(x):
+            if len(chunks) == 4:
+                raise RuntimeError("forward failed")
+            return recording(x)
+
+        model.forward_with_hidden = failing
+        with pytest.raises(RuntimeError, match="forward failed"):
+            FeatureChannelMask().scores(model, images, labels)
+        assert model.training == training
+        assert np.array_equal(model.channel_mask, mask) and np.array_equal(model._mask.data, mask)
+
 
 class TestIBRARTrainer:
     def test_fit_returns_result_with_history_and_mask(self, tiny_dataset):

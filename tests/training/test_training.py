@@ -134,6 +134,41 @@ class TestTrainer:
         assert counter.calls == batches
         assert 0.0 <= train_accuracy <= 1.0
 
+    def test_eager_batch_graph_is_freed_before_the_next_batch(self, tiny_dataset):
+        # With compile=True the first batch of a signature runs eagerly, and
+        # the next ones compiled.  The eager loss, and the autograd graph
+        # behind it, must be unreachable by the time the next batch starts,
+        # not held until the epoch ends; with the cyclic collector off, only
+        # reference counting can have freed it.
+        import gc
+        import weakref
+
+        trainer = Trainer(fresh_model(), PGDAdversarialLoss(steps=1, seed=0), compile=True)
+        losses = []
+        alive_at_batch_start = []
+        batch_loss, compiled_batch = trainer._batch_loss, trainer._compiled_batch
+
+        def recording_batch_loss(images, labels):
+            loss, logits = batch_loss(images, labels)
+            losses.append(weakref.ref(loss))
+            return loss, logits
+
+        def checking_compiled_batch(images, labels):
+            alive_at_batch_start.append([ref() is not None for ref in losses])
+            return compiled_batch(images, labels)
+
+        trainer._batch_loss = recording_batch_loss
+        trainer._compiled_batch = checking_compiled_batch
+        gc.collect()
+        gc.disable()
+        try:
+            trainer.train_epoch(make_loader(tiny_dataset))
+        finally:
+            gc.enable()
+        assert len(losses) == 1 and trainer.compile_stats.compiled_batches >= 1
+        assert alive_at_batch_start[0] == []
+        assert all(alive == [False] for alive in alive_at_batch_start[1:])
+
     def test_adversarial_epoch_still_reports_accuracy(self, tiny_dataset):
         # Strategies without shared clean logits fall back to the extra pass.
         model = fresh_model()
