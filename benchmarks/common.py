@@ -35,9 +35,9 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.attacks import AttackSpec
+from repro.attacks import AttackSpec, paper_suite_specs
 from repro.core import IBRARConfig
-from repro.evaluation import RobustnessReport, paper_attack_suite_specs
+from repro.evaluation import RobustnessReport
 from repro.data import SyntheticImageDataset, build_dataset
 from repro.experiments import (
     ArtifactStore,
@@ -407,7 +407,7 @@ def bench_suite_specs(cw_steps_cap: Optional[int] = None, **overrides) -> List[A
     if cw_steps_cap is not None:
         params["cw_steps"] = min(params["cw_steps"], cw_steps_cap)
     params.update(overrides)
-    return paper_attack_suite_specs(**params)
+    return paper_suite_specs(**params)
 
 
 def record_bench_timings(label: str, reports: List[RobustnessReport]) -> None:

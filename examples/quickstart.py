@@ -18,8 +18,8 @@ Run with:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro.attacks import format_telemetry
-from repro.evaluation import format_table, paper_attack_suite_specs
+from repro.attacks import format_telemetry, paper_suite_specs
+from repro.evaluation import format_table
 from repro.experiments import ExperimentSpec, run_grid
 from repro.utils import get_logger, log_section
 
@@ -46,7 +46,7 @@ def make_specs() -> list:
         # The suite is a list of model-free attack specs: build it once,
         # evaluate every model with it.  The engine computes the clean pass
         # once and drops already-misclassified examples from attack batches.
-        attacks=paper_attack_suite_specs(pgd_steps=5, cw_steps=15),
+        attacks=paper_suite_specs(pgd_steps=5, cw_steps=15),
         eval_examples=EVAL_EXAMPLES,
         seed=0,
     )

@@ -1,20 +1,19 @@
 """White-box adversarial attacks used by the paper's evaluation.
 
-PGD, FGSM, CW, FAB and NIFGSM (the Tables 1-2 attack suite), the adaptive
-IB-aware attack of Section A.2, the MIFGSM/DeepFool extensions, and the
-worst-case :class:`EnsembleAttack` composition.  All attacks share the
+PGD, FGSM, CW, FAB and NIFGSM (the Tables 1-2 attack suite) and the adaptive
+IB-aware attack of Section A.2 (Table 6).  All attacks share the
 ``attack(images, labels)`` interface defined by :class:`Attack`.
 
 The composable layer lives in :mod:`repro.attacks.engine`:
 
 * an attack *configuration* is an :class:`AttackSpec` — registry name plus
   hyperparameters, no model.  ``spec.build(model)`` instantiates it against
-  any classifier, and ``attack.spec()`` round-trips a constructed attack
-  back through ``ATTACK_REGISTRY``;
+  any classifier through ``ATTACK_REGISTRY``;
 * suites are lists of specs, reusable across every model in a table row;
-* :class:`AttackEngine` runs a suite against one model with batched
-  early-exit (the clean forward pass is shared, already-misclassified
-  examples are dropped from attack batches) and per-attack telemetry.
+* :class:`AttackEngine` builds each spec afresh for every run and runs the
+  suite against one model with batched early exit (the clean forward pass
+  is shared, already-misclassified examples are dropped from attack
+  batches) and per-attack telemetry.
 
 Use :func:`build_attack` to construct attacks by name; it validates
 hyperparameter names against the attack's constructor and raises
@@ -24,10 +23,18 @@ hyperparameter names against the attack's constructor and raises
 from .adaptive import AdaptiveIBAttack, make_ib_loss_fn
 from .base import Attack, AttackConfigError
 from .cw import CW
-from .deepfool import DeepFool
+from .engine import (
+    AttackEngine,
+    AttackSpec,
+    AttackTelemetry,
+    EngineResult,
+    ForwardPassCounter,
+    format_telemetry,
+    normalize_suite,
+    paper_suite_specs,
+)
 from .fab import FAB
 from .fgsm import FGSM
-from .mifgsm import MIFGSM
 from .nifgsm import NIFGSM
 from .pgd import PGD
 
@@ -39,10 +46,7 @@ __all__ = [
     "CW",
     "FAB",
     "NIFGSM",
-    "MIFGSM",
-    "DeepFool",
     "AdaptiveIBAttack",
-    "EnsembleAttack",
     "make_ib_loss_fn",
     "ATTACK_REGISTRY",
     "AttackSpec",
@@ -63,8 +67,6 @@ ATTACK_REGISTRY = {
     "cw": CW,
     "fab": FAB,
     "nifgsm": NIFGSM,
-    "mifgsm": MIFGSM,
-    "deepfool": DeepFool,
     "adaptive-ib": AdaptiveIBAttack,
 }
 
@@ -74,15 +76,12 @@ def available_attacks() -> list:
     return sorted(ATTACK_REGISTRY)
 
 
-def build_attack(name: str, model, strict: bool = True, **kwargs) -> Attack:
+def build_attack(name: str, model, **kwargs) -> Attack:
     """Instantiate an attack by name with the paper's defaults.
 
     Hyperparameter names are validated against the attack's constructor:
     unknown ones raise :class:`AttackConfigError` naming the attack and the
     accepted hyperparameters (e.g. passing ``eps`` to the L2 ``CW`` attack).
-    With ``strict=False`` unknown hyperparameters are silently dropped
-    instead, which lets shared suite defaults fan out across heterogeneous
-    attacks.
     """
     key = name.lower()
     if key not in ATTACK_REGISTRY:
@@ -91,27 +90,8 @@ def build_attack(name: str, model, strict: bool = True, **kwargs) -> Attack:
     accepted = attack_cls.accepted_hyperparameters()
     unknown = sorted(set(kwargs) - set(accepted))
     if unknown:
-        if strict:
-            raise AttackConfigError(
-                f"attack '{key}' ({attack_cls.__name__}) does not accept "
-                f"hyperparameter(s) {unknown}; accepted: {sorted(accepted)}"
-            )
-        kwargs = {k: v for k, v in kwargs.items() if k in accepted}
+        raise AttackConfigError(
+            f"attack '{key}' ({attack_cls.__name__}) does not accept "
+            f"hyperparameter(s) {unknown}; accepted: {sorted(accepted)}"
+        )
     return attack_cls(model, **kwargs)
-
-
-# The engine imports build_attack lazily, and EnsembleAttack builds its
-# sub-attacks through the registry, so it is imported (and registered) last.
-from .engine import (  # noqa: E402
-    AttackEngine,
-    AttackSpec,
-    AttackTelemetry,
-    EngineResult,
-    EnsembleAttack,
-    ForwardPassCounter,
-    format_telemetry,
-    normalize_suite,
-    paper_suite_specs,
-)
-
-ATTACK_REGISTRY["ensemble"] = EnsembleAttack

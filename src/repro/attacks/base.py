@@ -17,7 +17,7 @@ untouched.
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -65,11 +65,6 @@ class Attack:
 
     name = "attack"
 
-    #: constructor parameters that are *not* part of the serializable spec
-    #: (``loss_fn`` is an arbitrary callable; attacks that need a custom loss,
-    #: like the adaptive IB attack, rebuild it from their own hyperparameters).
-    spec_exclude: Tuple[str, ...] = ("loss_fn",)
-
     def __init__(
         self,
         model: ImageClassifier,
@@ -92,14 +87,15 @@ class Attack:
         self._compiled = None
 
     def use_compiled(self, compiled) -> "Attack":
-        """Route model queries through a compiled plan (``None`` clears it).
+        """Route model queries through a compiled plan (``None``: eager).
 
-        Loss gradients use the plan's fused cross-entropy while the loss is
-        the default one (:meth:`_input_gradient`); differentiable logits
-        (:meth:`_logits`, CW) and per-class Jacobians
-        (:meth:`_class_jacobian`, FAB and DeepFool) always use it.  The
-        plan falls back to eager per call, so results are produced either
-        way.
+        :class:`~repro.attacks.engine.AttackEngine` installs its run's plan
+        on every attack it builds.  Loss gradients use the plan's fused
+        cross-entropy while the loss is the default one
+        (:meth:`_input_gradient`); differentiable logits (:meth:`_logits`,
+        CW) and per-class Jacobians (:meth:`_class_jacobian`, FAB) always
+        use it.  The plan falls back to eager per call, so results are
+        produced either way.
         """
         self._compiled = compiled
         return self
@@ -171,7 +167,7 @@ class Attack:
     def _generate(self, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    # -- spec support -------------------------------------------------------------
+    # -- registry support ---------------------------------------------------------
     @classmethod
     def accepted_hyperparameters(cls) -> Tuple[str, ...]:
         """Constructor parameter names (excluding ``self`` and ``model``)."""
@@ -184,32 +180,6 @@ class Attack:
                 continue
             names.append(name)
         return tuple(names)
-
-    def hyperparameters(self) -> Dict[str, Any]:
-        """The constructor hyperparameters of this attack, read back from it.
-
-        Every attack stores each constructor argument under the same name, so
-        the spec round-trip ``AttackSpec.from_attack(a).build(model)`` yields
-        an attack with identical hyperparameters.  Parameters listed in
-        ``spec_exclude`` (non-serializable callables) are omitted.
-        """
-        params: Dict[str, Any] = {}
-        for name in self.accepted_hyperparameters():
-            if name in self.spec_exclude:
-                continue
-            if not hasattr(self, name):
-                raise AttributeError(
-                    f"{type(self).__name__} does not store its '{name}' hyperparameter; "
-                    "store it in __init__ (or add it to spec_exclude) to support specs"
-                )
-            params[name] = getattr(self, name)
-        return params
-
-    def spec(self):
-        """Return the model-free :class:`~repro.attacks.engine.AttackSpec`."""
-        from .engine import AttackSpec
-
-        return AttackSpec.from_attack(self)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(eps={self.eps:.4f})"

@@ -4,25 +4,19 @@ This module decouples *what an attack is* from *which model it runs against*:
 
 * :class:`AttackSpec` — a frozen, serializable description of an attack
   (registry name + hyperparameters, **no model**).  A spec can be built
-  against any model via :meth:`AttackSpec.build`, and every constructed
-  :class:`~repro.attacks.base.Attack` can be turned back into a spec via
-  ``attack.spec()``.  Suites become plain lists of specs that are reusable
-  across every model in a table row.
-* :class:`AttackEngine` — runs a suite of specs (or pre-built attacks)
-  against one model with *batched early exit*: the clean forward pass is
-  computed once and shared, examples the model already misclassifies are
-  dropped from every attack batch, and (in cascade mode) examples fooled by
-  an earlier attack are dropped from later ones.  Per-attack wall time and
-  model-forward-pass counts are recorded as telemetry.
-* :class:`EnsembleAttack` — an AutoAttack-style worst-case composition: an
-  ``Attack`` built from multiple specs that keeps, per example, the
-  perturbation achieving the lowest true-class margin.  Registered in the
-  attack registry as ``"ensemble"``.
+  against any model via :meth:`AttackSpec.build`.  Suites are plain lists
+  of specs that are reusable across every model in a table row.
+* :class:`AttackEngine` — runs a suite of specs against one model with
+  *batched early exit*: the clean forward pass is computed once and shared,
+  and examples the model already misclassifies are dropped from every
+  attack batch.  Each run builds its attacks afresh from the specs.
+  Per-attack wall time and model-forward-pass counts are recorded as
+  telemetry.
 
 Early exit issues strictly fewer model forward passes than the legacy
 per-attack loop.  For attacks that perturb each example independently of its
 batch (every deterministic attack here — FGSM, PGD without random start,
-NIFGSM, MIFGSM, CW, FAB, DeepFool) the accuracy numbers are *identical*:
+NIFGSM, CW, FAB) the accuracy numbers are *identical*:
 skipped examples are counted as misclassified, which is what the attack
 would conclude anyway.  Attacks that draw batch-shaped randomness (PGD with
 ``random_start=True``) see different draws once batches shrink, so their
@@ -37,11 +31,11 @@ import json
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..nn import Tensor, no_grad
+from ..nn import Tensor
 from ..models.base import ImageClassifier, predict_batched as _predict_batched
 from ..obs import trace as _trace
 from .base import Attack, AttackConfigError
@@ -51,7 +45,6 @@ __all__ = [
     "AttackEngine",
     "AttackTelemetry",
     "EngineResult",
-    "EnsembleAttack",
     "ForwardPassCounter",
     "format_telemetry",
     "paper_suite_specs",
@@ -63,39 +56,24 @@ __all__ = [
 # --------------------------------------------------------------------------- #
 def _freeze_value(value: Any) -> Any:
     """Normalize a hyperparameter value into a hashable, comparable form."""
-    if isinstance(value, AttackSpec):
-        return value
     if isinstance(value, np.generic):
         return value.item()
     if isinstance(value, np.ndarray):
         return tuple(_freeze_value(v) for v in value.tolist())
     if isinstance(value, (list, tuple)):
         return tuple(_freeze_value(v) for v in value)
-    if isinstance(value, Mapping):
-        if set(value) >= {"name"} and set(value) <= {"name", "params"}:
-            return AttackSpec.from_dict(value)
-        raise AttackConfigError(f"mapping hyperparameter values are not supported: {value!r}")
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     raise AttackConfigError(
         f"hyperparameter value {value!r} of type {type(value).__name__} is not "
-        "serializable; add the parameter to the attack's `spec_exclude`"
+        "serializable; an AttackSpec holds numbers, strings, booleans, None "
+        "and sequences of them"
     )
 
 
 def _jsonable(value: Any) -> Any:
-    if isinstance(value, AttackSpec):
-        return value.as_dict()
     if isinstance(value, tuple):
         return [_jsonable(v) for v in value]
-    return value
-
-
-def _revive(value: Any) -> Any:
-    if isinstance(value, Mapping):
-        return AttackSpec.from_dict(value)
-    if isinstance(value, list):
-        return tuple(_revive(v) for v in value)
     return value
 
 
@@ -106,12 +84,12 @@ class AttackSpec:
     Parameters
     ----------
     name:
-        Registry name (``"pgd"``, ``"cw"``, ``"ensemble"``, ...).
+        Registry name (``"pgd"``, ``"cw"``, ``"adaptive-ib"``, ...).
     params:
         Hyperparameters as a mapping (or an iterable of ``(key, value)``
         pairs); normalized to a sorted tuple of pairs so specs are hashable
-        and comparable.  Values may be scalars, strings, ``None``, nested
-        sequences, or other :class:`AttackSpec` objects (the ensemble case).
+        and comparable.  Values may be scalars, strings, ``None`` or nested
+        sequences of them.
     """
 
     name: str
@@ -133,28 +111,14 @@ class AttackSpec:
         """Hyperparameters as a plain keyword dict (build-ready)."""
         return dict(self.params)
 
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.kwargs.get(key, default)
-
-    def with_params(self, **updates: Any) -> "AttackSpec":
-        """Return a new spec with some hyperparameters replaced/added."""
-        merged = self.kwargs
-        merged.update(updates)
-        return AttackSpec(self.name, merged)
-
     # -- model binding -----------------------------------------------------------
     def build(self, model: ImageClassifier, **overrides: Any) -> Attack:
-        """Instantiate this attack against ``model`` (strict kwarg checking)."""
+        """Instantiate this attack against ``model`` through :func:`build_attack`."""
         from . import build_attack
 
         kwargs = self.kwargs
         kwargs.update(overrides)
         return build_attack(self.name, model, **kwargs)
-
-    @classmethod
-    def from_attack(cls, attack: Attack) -> "AttackSpec":
-        """Recover the spec of a constructed attack (``attack.spec()``)."""
-        return cls(attack.name, attack.hyperparameters())
 
     # -- serialization -----------------------------------------------------------
     def as_dict(self) -> Dict[str, Any]:
@@ -162,31 +126,25 @@ class AttackSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AttackSpec":
-        return cls(data["name"], {k: _revive(v) for k, v in dict(data.get("params", {})).items()})
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AttackSpec":
-        return cls.from_dict(json.loads(text))
+        return cls(data["name"], data.get("params", {}))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in self.params)
         return f"AttackSpec({self.name!r}, {inner})" if inner else f"AttackSpec({self.name!r})"
 
 
-def coerce_spec(entry: Union["AttackSpec", Attack, str, Mapping[str, Any]]) -> "AttackSpec":
-    """Turn a spec / attack / registry name / dict into an :class:`AttackSpec`."""
+def coerce_spec(entry: Union["AttackSpec", str, Mapping[str, Any]]) -> "AttackSpec":
+    """Turn a spec / registry name / ``{name, params}`` dict into an :class:`AttackSpec`."""
     if isinstance(entry, AttackSpec):
         return entry
-    if isinstance(entry, Attack):
-        return entry.spec()
     if isinstance(entry, str):
         return AttackSpec(entry)
     if isinstance(entry, Mapping):
         return AttackSpec.from_dict(entry)
-    raise AttackConfigError(f"cannot interpret {entry!r} as an attack spec")
+    raise AttackConfigError(
+        f"cannot interpret {entry!r} as an attack spec; pass an AttackSpec, a "
+        "registry name or a {name, params} dict"
+    )
 
 
 def paper_suite_specs(
@@ -316,14 +274,13 @@ class EngineResult:
     worst_case: float
     telemetry: List[AttackTelemetry] = field(default_factory=list)
     early_exit: bool = True
-    cascade: bool = False
     #: whether this run executed through a compiled plan (``compile=True``
     #: and the model captured successfully).
     compiled: bool = False
     #: capture/planning failure message when ``compile=True`` fell back.
     compile_error: Optional[str] = None
     #: per-example survival mask after the whole suite (clean-correct AND
-    #: unfooled by every attack) — the worst-case ensemble outcome.
+    #: unfooled by every attack) — the suite's worst case.
     survivors: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
@@ -350,7 +307,6 @@ class EngineResult:
             "adversarial": dict(self.adversarial),
             "worst_case": self.worst_case,
             "early_exit": self.early_exit,
-            "cascade": self.cascade,
             "compiled": self.compiled,
             "compile_error": self.compile_error,
             "total_forward_calls": self.total_forward_calls,
@@ -368,7 +324,8 @@ class EngineResult:
 
         The per-example ``survivors`` mask is not serialized, so it comes
         back as ``None``; the aggregate ``total_*`` values are recomputed
-        from the revived telemetry.
+        from the revived telemetry.  Records written before cascade mode was
+        removed carry ``"cascade": false``, which is ignored.
         """
         return cls(
             method=data["method"],
@@ -377,7 +334,6 @@ class EngineResult:
             worst_case=data["worst_case"],
             telemetry=[AttackTelemetry.from_dict(t) for t in data.get("telemetry", [])],
             early_exit=data.get("early_exit", True),
-            cascade=data.get("cascade", False),
             compiled=data.get("compiled", False),
             compile_error=data.get("compile_error"),
         )
@@ -412,31 +368,24 @@ def format_telemetry(result: EngineResult) -> str:
 # --------------------------------------------------------------------------- #
 # AttackEngine
 # --------------------------------------------------------------------------- #
-SuiteLike = Union[
-    None,
-    Sequence[Union[AttackSpec, Attack, str, Mapping[str, Any]]],
-    Mapping[str, Union[AttackSpec, Attack]],
-]
+SpecLike = Union[AttackSpec, str, Mapping[str, Any]]
+SuiteLike = Union[None, Sequence[SpecLike], Mapping[str, SpecLike]]
 
 
-def normalize_suite(suite: SuiteLike) -> "OrderedDict[str, Union[AttackSpec, Attack]]":
-    """Normalize any accepted suite shape into an ordered name -> entry map.
+def normalize_suite(suite: SuiteLike) -> "OrderedDict[str, AttackSpec]":
+    """Normalize any accepted suite shape into an ordered name -> spec map.
 
-    Accepts ``None`` (the paper suite), a mapping of name to spec/attack, or a
-    sequence of specs / attacks / registry names / spec dicts.  Duplicate
-    names are disambiguated with ``#2``, ``#3``, ... suffixes.
+    Accepts ``None`` (the paper suite), a mapping of name to spec, or a
+    sequence of specs / registry names / spec dicts.  Duplicate names are
+    disambiguated with ``#2``, ``#3``, ... suffixes.
     """
     if suite is None:
         suite = paper_suite_specs()
     if isinstance(suite, Mapping):
-        return OrderedDict(
-            (str(name), entry if isinstance(entry, Attack) else coerce_spec(entry))
-            for name, entry in suite.items()
-        )
-    normalized: "OrderedDict[str, Union[AttackSpec, Attack]]" = OrderedDict()
+        return OrderedDict((str(name), coerce_spec(entry)) for name, entry in suite.items())
+    normalized: "OrderedDict[str, AttackSpec]" = OrderedDict()
     for entry in suite:
-        if not isinstance(entry, Attack):
-            entry = coerce_spec(entry)
+        entry = coerce_spec(entry)
         name = entry.name
         if name in normalized:
             index = 2
@@ -455,8 +404,9 @@ class AttackEngine:
     suite:
         Anything :func:`normalize_suite` accepts: ``None`` (the paper's five
         attacks), a list of :class:`AttackSpec` (the idiomatic shape — specs
-        are model-free and reusable across every model in a table), a mapping
-        of name to spec, or legacy mappings/lists of pre-built attacks.
+        are model-free and reusable across every model in a table) or a
+        mapping of name to spec.  Each :meth:`run` builds its attacks afresh
+        from the specs.
     batch_size:
         Attack and prediction batch size.
     early_exit:
@@ -467,20 +417,14 @@ class AttackEngine:
         per-example-deterministic attacks; attacks drawing batch-shaped
         randomness (random-start PGD) get different draws on the smaller
         batches, so their numbers match statistically, not bitwise.
-    cascade:
-        Additionally drop examples *fooled by an earlier attack* from later
-        attack batches (AutoAttack-style worst-case evaluation).  Per-attack
-        accuracies then become cumulative ("accuracy after attacks so far"),
-        ending at the worst-case ensemble accuracy; use this mode when only
-        the worst-case number matters and speed does.
     compile:
         Capture the model into a static, buffer-pooled execution plan
         (:mod:`repro.compile`) once per :meth:`run` and drive every attack's
         model queries through it: predictions, the PGD-family loss
-        gradients, FAB's (and DeepFool's) per-class Jacobians and CW's
-        differentiable logits.  Falls back to eager execution — per call
-        for unseen shapes, wholesale when the model cannot be captured — so
-        results are produced either way; ``EngineResult.compiled`` /
+        gradients, FAB's per-class Jacobians and CW's differentiable
+        logits.  Falls back to eager execution — per call for unseen
+        shapes, wholesale when the model cannot be captured — so results
+        are produced either way; ``EngineResult.compiled`` /
         ``compile_error`` report what happened and the telemetry counts
         compiled vs eager passes.
     """
@@ -490,26 +434,14 @@ class AttackEngine:
         suite: SuiteLike = None,
         batch_size: int = 64,
         early_exit: bool = True,
-        cascade: bool = False,
         compile: bool = False,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         self.suite = normalize_suite(suite)
         self.batch_size = batch_size
-        self.early_exit = bool(early_exit) or bool(cascade)
-        self.cascade = bool(cascade)
+        self.early_exit = bool(early_exit)
         self.compile = bool(compile)
-
-    def _resolve(self, entry: Union[AttackSpec, Attack], model: ImageClassifier) -> Attack:
-        if isinstance(entry, AttackSpec):
-            return entry.build(model)
-        if entry.model is not model:
-            raise AttackConfigError(
-                f"attack {entry!r} is bound to a different model; pass an AttackSpec "
-                "(attack.spec()) to run a suite against arbitrary models"
-            )
-        return entry
 
     def _compile_model(self, model: ImageClassifier, images: np.ndarray):
         """Best-effort model capture; returns ``(compiled_or_None, error_or_None)``."""
@@ -569,11 +501,6 @@ class AttackEngine:
             )
         finally:
             model.train(was_training)
-            # Pre-built suite attacks outlive the run; never leave this
-            # run's plans (bound to this model) wired into them.
-            for entry in self.suite.values():
-                if isinstance(entry, Attack):
-                    entry.use_compiled(None)
 
     def _run_pinned(
         self,
@@ -616,19 +543,9 @@ class AttackEngine:
 
             alive = clean_correct.copy()
             adversarial: "OrderedDict[str, float]" = OrderedDict()
-            for name, entry in self.suite.items():
-                attack = self._resolve(entry, model)
-                # Always (re)install — None clears any plan a previous run
-                # left behind; run()'s finally clears pre-built attacks
-                # again once this run is over.
-                attack.use_compiled(compiled)
-                if self.cascade:
-                    active = alive
-                elif self.early_exit:
-                    active = clean_correct
-                else:
-                    active = np.ones(n, dtype=bool)
-                indices = np.flatnonzero(active)
+            indices = np.flatnonzero(clean_correct) if self.early_exit else np.arange(n)
+            for name, spec in self.suite.items():
+                attack = spec.build(model).use_compiled(compiled)
                 survived = np.zeros(n, dtype=bool)
                 calls_before, examples_before = counter.snapshot()
                 compiled_before = compiled_snapshot()
@@ -643,7 +560,7 @@ class AttackEngine:
                         predictions = predict(adversarial_batch)
                         survived[batch] = predictions == labels[batch]
                 alive = alive & survived
-                accuracy = float(alive.mean() if self.cascade else survived.mean()) if n else 0.0
+                accuracy = float(survived.mean()) if n else 0.0
                 adversarial[name] = accuracy
                 calls_after, examples_after = counter.snapshot()
                 compiled_after = compiled_snapshot()
@@ -668,77 +585,7 @@ class AttackEngine:
             worst_case=float(alive.mean()) if n else 0.0,
             telemetry=telemetry,
             early_exit=self.early_exit,
-            cascade=self.cascade,
             compiled=compiled is not None,
             compile_error=compile_error,
             survivors=alive,
         )
-
-
-# --------------------------------------------------------------------------- #
-# worst-case ensemble attack
-# --------------------------------------------------------------------------- #
-class EnsembleAttack(Attack):
-    """Worst-case composition of several attacks (AutoAttack-style).
-
-    Runs each sub-attack (built fresh from its spec, so the ensemble is
-    reusable and picklable at the spec level) and keeps, per example, the
-    perturbation achieving the **lowest true-class margin**
-    ``Z_y - max_{k != y} Z_k``.  With ``cascade=True`` (the default, matching
-    AutoAttack) examples already fooled by an earlier sub-attack are dropped
-    from later sub-attack batches.
-
-    Each sub-attack enforces its own perturbation constraint (the paper's
-    suite mixes L_inf attacks with the L2 CW attack); the ensemble does not
-    re-project their outputs.
-    """
-
-    name = "ensemble"
-
-    def __init__(
-        self,
-        model: ImageClassifier,
-        specs: Optional[Iterable[Union[AttackSpec, str, Mapping[str, Any]]]] = None,
-        cascade: bool = True,
-        eps: float = 8.0 / 255.0,
-        clip_min: float = 0.0,
-        clip_max: float = 1.0,
-    ) -> None:
-        super().__init__(model, eps=eps, clip_min=clip_min, clip_max=clip_max)
-        entries = list(specs) if specs is not None else paper_suite_specs(eps=eps)
-        if not entries:
-            raise AttackConfigError("an ensemble needs at least one sub-attack spec")
-        self.specs = tuple(coerce_spec(entry) for entry in entries)
-        self.cascade = bool(cascade)
-
-    def _margins(self, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """True-class margin per example (negative means misclassified)."""
-        if self._compiled is not None:
-            logits = self._compiled(images)
-        else:
-            with no_grad():
-                logits = self.model.forward(Tensor(images)).data
-        true_logit = logits[np.arange(len(labels)), labels]
-        masked = logits.copy()
-        masked[np.arange(len(labels)), labels] = -np.inf
-        return true_logit - masked.max(axis=1)
-
-    def _generate(self, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        best = images.copy()
-        best_margin = self._margins(images, labels)
-        for spec in self.specs:
-            if self.cascade:
-                indices = np.flatnonzero(best_margin > 0.0)
-                if indices.size == 0:
-                    break
-            else:
-                indices = np.arange(len(images))
-            sub_attack = spec.build(self.model)
-            if self._compiled is not None:
-                sub_attack.use_compiled(self._compiled)
-            candidates = sub_attack.attack(images[indices], labels[indices])
-            margins = self._margins(candidates, labels[indices])
-            improved = margins < best_margin[indices]
-            best[indices[improved]] = candidates[improved]
-            best_margin[indices[improved]] = margins[improved]
-        return best

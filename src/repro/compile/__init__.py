@@ -44,9 +44,8 @@ Entry points:
   (logits as an autograd node whose backward replays the plan), with
   automatic eager fallback for unseen shapes, training mode, uncompilable
   graphs or reallocated parameter storage.
-* ``AttackEngine(..., compile=True)`` / ``evaluate_robustness(...,
-  compile=True)`` / ``ExperimentSpec(eval_compile=True)`` — opt the
-  evaluation stack in; every attack of the paper suite runs through the
+* ``AttackEngine(..., compile=True)`` /
+  ``ExperimentSpec(eval_compile=True)`` — opt the evaluation stack in; every attack of the paper suite runs through the
   plan (PGD-family attacks through ``value_and_grad``, FAB through
   ``jacobian``, CW's eager objective over ``forward``) and telemetry
   reports compiled vs eager pass counts.
@@ -54,7 +53,7 @@ Entry points:
   the training loop in; per-batch eager fallback keeps it always safe and
   ``TrainingHistory.compile_stats`` reports the split.
 * :mod:`repro.compile.kernels` — fused sign/step/project elementwise chains
-  shared by the FGSM/PGD/NIFGSM/MIFGSM update rules, the PGD loop shared by
+  shared by the FGSM/PGD/NIFGSM update rules, the PGD loop shared by
   the eager attack and the compiled adversarial-training adapters, and the
   pooled dropout-mask kernel of the ``rng_mask`` plan node.
 

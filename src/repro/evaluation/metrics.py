@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 import numpy as np
 
 from ..models.base import ImageClassifier, predict_batched as _batched_predict
 
-__all__ = ["accuracy", "clean_accuracy", "adversarial_accuracy", "attack_success_rate"]
+__all__ = ["accuracy", "clean_accuracy", "adversarial_accuracy"]
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -47,27 +45,3 @@ def adversarial_accuracy(
         total += len(batch_labels)
     return correct / max(total, 1)
 
-
-def attack_success_rate(
-    model: ImageClassifier,
-    attack,
-    images: np.ndarray,
-    labels: np.ndarray,
-    batch_size: int = 64,
-) -> float:
-    """Fraction of originally-correct examples the attack flips."""
-    labels = np.asarray(labels).reshape(-1)
-    clean_predictions = _batched_predict(model, images, batch_size)
-    correct_mask = clean_predictions == labels
-    if not correct_mask.any():
-        return 0.0
-    eligible_images = images[correct_mask]
-    eligible_labels = labels[correct_mask]
-    flipped = 0
-    for start in range(0, len(eligible_images), batch_size):
-        batch = eligible_images[start : start + batch_size]
-        batch_labels = eligible_labels[start : start + batch_size]
-        adversarial = attack.attack(batch, batch_labels)
-        predictions = _batched_predict(model, adversarial, batch_size)
-        flipped += int((predictions != batch_labels).sum())
-    return flipped / int(correct_mask.sum())

@@ -248,7 +248,6 @@ class ExperimentRunner:
             spec.attacks,
             batch_size=spec.eval_batch_size,
             early_exit=spec.eval_early_exit,
-            cascade=spec.eval_cascade,
             compile=spec.eval_compile,
         )
         return engine.run(model, images, labels, method_name=spec.label)

@@ -97,9 +97,10 @@ class ExperimentSpec:
         Training length, mini-batch size and the single base seed from which
         every per-component seed is derived (:func:`repro.utils.derive_seeds`).
     attacks:
-        Evaluation suite as :class:`~repro.attacks.AttackSpec` entries
-        (anything ``coerce_spec`` accepts).  Empty means natural-accuracy
-        evaluation only.
+        Evaluation suite: :class:`~repro.attacks.AttackSpec` entries,
+        registry names or ``{name, params}`` dicts (a built ``Attack`` is
+        refused; pass its spec).  Empty means natural-accuracy evaluation
+        only.
     eval_examples:
         How many test examples to evaluate on (``None`` = all).
     eval_batch_size:
@@ -138,7 +139,6 @@ class ExperimentSpec:
     eval_examples: Optional[int] = None
     eval_batch_size: int = 64
     eval_early_exit: bool = True
-    eval_cascade: bool = False
     eval_compile: bool = False
     train_compile: bool = False
     name: str = ""
@@ -277,7 +277,8 @@ class ExperimentSpec:
             "examples": self.eval_examples,
             "batch_size": self.eval_batch_size,
             "early_exit": bool(self.eval_early_exit),
-            "cascade": bool(self.eval_cascade),
+            # Cascade mode is gone; the constant stays so no hash moves.
+            "cascade": False,
         }
         # Omitted when False so every pre-existing spec (and its cached
         # report in the artifact store) keeps its content hash.
@@ -354,6 +355,12 @@ class ExperimentSpec:
             raise ExperimentSpecError(
                 f"unknown eval key(s) {eval_unknown}; accepted: {sorted(eval_known)}"
             )
+        # as_dict() still writes "cascade": false, so every stored spec
+        # carries it; a spec that asked for cascade mode cannot be honoured.
+        if eval_section.get("cascade", False):
+            raise ExperimentSpecError(
+                'eval cascade mode was removed; this spec asks for it ("cascade": true)'
+            )
         return cls(
             dataset=dataset,
             model=model,
@@ -369,7 +376,6 @@ class ExperimentSpec:
             eval_examples=eval_section.get("examples"),
             eval_batch_size=eval_section.get("batch_size", 64),
             eval_early_exit=eval_section.get("early_exit", True),
-            eval_cascade=eval_section.get("cascade", False),
             eval_compile=eval_section.get("compile", False),
             train_compile=data.get("train_compile", False),
             name=data.get("name", ""),

@@ -86,9 +86,8 @@ def get_default_dtype() -> np.dtype:
 class no_grad:
     """Disable gradient tracking, as a context manager or a decorator.
 
-    Mirrors ``torch.no_grad()``.  Used by evaluation loops and by the attack
-    implementations for forward-only passes (e.g. the batched predictions of
-    the attack engine and the ensemble attack's margin computation)::
+    Mirrors ``torch.no_grad()``.  Used by evaluation loops for forward-only
+    passes (e.g. the batched predictions of the attack engine)::
 
         with no_grad():
             logits = model.forward(x)

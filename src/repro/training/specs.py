@@ -120,13 +120,12 @@ def _revive(name: str, kwargs: Dict[str, Any]) -> Dict[str, Any]:
     return revived
 
 
-def build_loss(name: str, strict: bool = True, **kwargs) -> LossStrategy:
+def build_loss(name: str, **kwargs) -> LossStrategy:
     """Instantiate a training loss by registry name with validated kwargs.
 
     Unknown names raise :class:`LossConfigError` listing the registry;
-    unknown hyperparameters raise (or, with ``strict=False``, are dropped)
-    with the accepted names in the message — the same contract as
-    :func:`repro.attacks.build_attack`.
+    unknown hyperparameters raise with the accepted names in the message —
+    the same contract as :func:`repro.attacks.build_attack`.
     """
     key = str(name).lower()
     if key not in LOSS_REGISTRY:
@@ -136,12 +135,10 @@ def build_loss(name: str, strict: bool = True, **kwargs) -> LossStrategy:
     accepted = _accepted_hyperparameters(key)
     unknown = sorted(set(kwargs) - set(accepted))
     if unknown:
-        if strict:
-            raise LossConfigError(
-                f"training loss '{key}' does not accept hyperparameter(s) "
-                f"{unknown}; accepted: {sorted(accepted)}"
-            )
-        kwargs = {k: v for k, v in kwargs.items() if k in accepted}
+        raise LossConfigError(
+            f"training loss '{key}' does not accept hyperparameter(s) "
+            f"{unknown}; accepted: {sorted(accepted)}"
+        )
     return LOSS_REGISTRY[key](**_revive(key, kwargs))
 
 
@@ -219,7 +216,7 @@ class LossSpec:
 
     # -- construction ------------------------------------------------------------
     def build(self, **overrides: Any) -> LossStrategy:
-        """Instantiate the strategy (strict hyperparameter checking)."""
+        """Instantiate the strategy through :func:`build_loss`."""
         kwargs = self.kwargs
         kwargs.update(overrides)
         return build_loss(self.name, **kwargs)

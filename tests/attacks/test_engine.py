@@ -2,16 +2,17 @@
 
 Covers the redesign's contracts:
 
-* every registry entry round-trips through ``AttackSpec`` (same
-  hyperparameters after ``from_attack(a).build(model)``);
-* ``build_attack`` rejects (or, non-strict, filters) hyperparameters an
-  attack does not accept, with an actionable error;
+* every registry entry builds from an ``AttackSpec`` with the spec's
+  hyperparameters, and specs survive the JSON an ``ExperimentSpec`` stores;
+* ``build_attack`` rejects hyperparameters an attack does not accept, with
+  an actionable error, and suites hold specs, never built attacks;
 * the engine with early exit produces **byte-identical** accuracy numbers to
-  the legacy per-attack loop while issuing strictly fewer forward passes;
-* the worst-case ensemble keeps the per-example strongest perturbation.
+  the legacy per-attack loop while issuing strictly fewer forward passes.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -21,19 +22,25 @@ from repro.attacks import (
     AttackConfigError,
     AttackEngine,
     AttackSpec,
-    EnsembleAttack,
+    EngineResult,
     ForwardPassCounter,
     available_attacks,
     build_attack,
-    paper_suite_specs,
 )
 from repro.attacks.engine import format_telemetry, normalize_suite
-from repro.evaluation import adversarial_accuracy, clean_accuracy
+from repro.evaluation import PAPER_ATTACK_ORDER, adversarial_accuracy, clean_accuracy
 from repro.nn import Tensor
 
-# Small step counts so every registry entry stays fast; build_attack with
-# strict=False drops the ones an attack does not accept (e.g. steps for FGSM).
-SMALL_PARAMS = dict(steps=2, seed=1)
+# Small step counts so every registry entry stays fast; each entry gets only
+# hyperparameters it accepts.
+SMALL_PARAMS = {
+    "adaptive-ib": dict(steps=2, seed=1, layers=("conv_block1",)),
+    "cw": dict(steps=2),
+    "fab": dict(steps=2, seed=1),
+    "fgsm": dict(eps=0.02),
+    "nifgsm": dict(steps=2),
+    "pgd": dict(steps=2, seed=1),
+}
 
 # A deterministic suite (no random starts) so early-exit on/off comparisons
 # are exact: every attack below perturbs each example independently of the
@@ -54,18 +61,19 @@ def eval_batch(tiny_dataset):
 class TestAttackSpec:
     @pytest.mark.parametrize("name", sorted(ATTACK_REGISTRY))
     def test_registry_round_trip(self, name, trained_small_cnn):
-        attack = build_attack(name, trained_small_cnn, strict=False, **SMALL_PARAMS)
-        spec = AttackSpec.from_attack(attack)
-        assert spec.name == name
-        rebuilt = spec.build(trained_small_cnn)
-        assert type(rebuilt) is type(attack)
-        assert rebuilt.hyperparameters() == attack.hyperparameters()
-        assert rebuilt.spec() == spec
+        spec = AttackSpec(name, SMALL_PARAMS[name])
+        attack = spec.build(trained_small_cnn)
+        assert type(attack) is ATTACK_REGISTRY[name]
+        assert attack.name == spec.name == name
+        for key, value in spec.params:
+            assert getattr(attack, key) == value
 
     @pytest.mark.parametrize("name", sorted(ATTACK_REGISTRY))
-    def test_json_round_trip(self, name, trained_small_cnn):
-        spec = build_attack(name, trained_small_cnn, strict=False, **SMALL_PARAMS).spec()
-        assert AttackSpec.from_json(spec.to_json()) == spec
+    def test_json_round_trip(self, name):
+        spec = AttackSpec(name, SMALL_PARAMS[name])
+        text = json.dumps(spec.as_dict(), sort_keys=True)
+        assert AttackSpec.from_dict(json.loads(text)) == spec
+        assert json.dumps(AttackSpec.from_dict(json.loads(text)).as_dict(), sort_keys=True) == text
 
     def test_specs_are_hashable_and_comparable(self):
         a = AttackSpec("pgd", dict(steps=3, eps=0.03))
@@ -74,10 +82,14 @@ class TestAttackSpec:
         assert hash(a) == hash(b)
         assert a != AttackSpec("pgd", dict(steps=4, eps=0.03))
 
-    def test_with_params(self):
-        spec = AttackSpec("pgd", dict(steps=3))
-        assert spec.with_params(steps=7).get("steps") == 7
-        assert spec.get("steps") == 3  # original is frozen
+    def test_mapping_params_rejected(self):
+        # A parameter holds numbers, strings, booleans, None or sequences
+        # of them; a mapping is not a nested spec.
+        for value in ({"name": "fgsm"}, {"steps": 2}, [{"name": "pgd"}]):
+            with pytest.raises(AttackConfigError, match="AttackSpec"):
+                AttackSpec("pgd", dict(steps=value))
+        with pytest.raises(AttackConfigError):
+            AttackSpec.from_dict({"name": "pgd", "params": {"steps": {"n": 2}}})
 
     def test_build_applies_overrides(self, trained_small_cnn):
         attack = AttackSpec("pgd", dict(steps=3)).build(trained_small_cnn, steps=5)
@@ -96,7 +108,8 @@ class TestRegistryHygiene:
         names = available_attacks()
         assert names == sorted(names)
         assert set(names) == set(ATTACK_REGISTRY)
-        assert "ensemble" in names
+        # The paper's Tables 1-2 suite plus the adaptive attack of Table 6.
+        assert set(names) == set(PAPER_ATTACK_ORDER) | {"adaptive-ib"}
 
     def test_unknown_kwarg_raises_config_error(self, trained_small_cnn):
         with pytest.raises(AttackConfigError) as excinfo:
@@ -107,10 +120,6 @@ class TestRegistryHygiene:
     def test_config_error_is_a_type_error(self, trained_small_cnn):
         with pytest.raises(TypeError):
             build_attack("fgsm", trained_small_cnn, steps=3)
-
-    def test_non_strict_filters_unknown_kwargs(self, trained_small_cnn):
-        attack = build_attack("cw", trained_small_cnn, strict=False, eps=0.1, steps=4)
-        assert attack.steps == 4
 
     def test_unknown_attack_raises_key_error(self, trained_small_cnn):
         with pytest.raises(KeyError):
@@ -183,22 +192,6 @@ class TestEngineEarlyExit:
         assert result.worst_case <= result.natural
         assert result.survivors is not None and result.survivors.mean() == result.worst_case
 
-    def test_cascade_matches_worst_case_with_fewer_forwards(
-        self, trained_small_cnn, eval_batch
-    ):
-        images, labels = eval_batch
-        plain = AttackEngine(DETERMINISTIC_SUITE, early_exit=True).run(
-            trained_small_cnn, images, labels
-        )
-        cascade = AttackEngine(DETERMINISTIC_SUITE, cascade=True).run(
-            trained_small_cnn, images, labels
-        )
-        assert cascade.worst_case == plain.worst_case
-        # Cumulative accuracies decrease monotonically along the cascade.
-        values = list(cascade.adversarial.values())
-        assert all(b <= a for a, b in zip(values, values[1:]))
-        assert cascade.total_forward_examples <= plain.total_forward_examples
-
     def test_telemetry_records_every_attack_and_formats(self, trained_small_cnn, eval_batch):
         images, labels = eval_batch
         result = AttackEngine(DETERMINISTIC_SUITE).run(trained_small_cnn, images, labels)
@@ -211,17 +204,14 @@ class TestEngineEarlyExit:
         payload = result.as_dict()
         assert payload["total_forward_examples"] == result.total_forward_examples
 
-    def test_accepts_prebuilt_attacks_and_mappings(self, trained_small_cnn, eval_batch):
-        images, labels = eval_batch
-        suite = {"fgsm": AttackSpec("fgsm").build(trained_small_cnn)}
-        result = AttackEngine(suite).run(trained_small_cnn, images, labels)
-        assert set(result.adversarial) == {"fgsm"}
-
-    def test_rejects_attack_bound_to_other_model(self, trained_small_cnn, small_cnn, eval_batch):
-        images, labels = eval_batch
-        foreign = AttackSpec("fgsm").build(small_cnn)
-        with pytest.raises(AttackConfigError):
-            AttackEngine({"fgsm": foreign}).run(trained_small_cnn, images, labels)
+    def test_rejects_attack_bound_to_other_model(self, trained_small_cnn, small_cnn):
+        # Each run builds its attacks from specs, so a built attack is
+        # refused whichever model it is bound to, in either suite shape.
+        for model in (small_cnn, trained_small_cnn):
+            built = AttackSpec("fgsm").build(model)
+            for suite in ([built], {"fgsm": built}, [AttackSpec("pgd"), built]):
+                with pytest.raises(AttackConfigError, match="AttackSpec"):
+                    AttackEngine(suite)
 
     def test_mapping_values_are_coerced_like_sequence_entries(self, trained_small_cnn, eval_batch):
         images, labels = eval_batch
@@ -241,50 +231,41 @@ class TestEngineEarlyExit:
             AttackEngine(DETERMINISTIC_SUITE).run(trained_small_cnn, images[:4], labels[:3])
 
 
-class TestEnsembleAttack:
-    def test_registered(self):
-        assert ATTACK_REGISTRY["ensemble"] is EnsembleAttack
 
-    def test_default_suite_is_the_paper_suite(self, trained_small_cnn):
-        ensemble = EnsembleAttack(trained_small_cnn)
-        assert [s.name for s in ensemble.specs] == [s.name for s in paper_suite_specs()]
+class TestEngineResult:
+    #: ``EngineResult.as_dict()`` as the engine wrote it before cascade mode
+    #: was removed (a SmallCNN under FGSM and one-step PGD, 6 examples).
+    RECORD = {
+        "adversarial": {"fgsm": 0.16666666666666666, "pgd": 0.16666666666666666},
+        "cascade": False,
+        "compile_error": None,
+        "compiled": False,
+        "early_exit": True,
+        "method": "CE",
+        "natural": 0.16666666666666666,
+        "telemetry": [
+            {"accuracy": 0.16666666666666666, "compiled_fallbacks": 0, "compiled_forward_calls": 0,
+             "compiled_grad_calls": 0, "examples_attacked": 6, "examples_skipped": 0,
+             "forward_calls": 2, "forward_examples": 6, "name": "clean", "seconds": 0.000762},
+            {"accuracy": 0.16666666666666666, "compiled_fallbacks": 0, "compiled_forward_calls": 0,
+             "compiled_grad_calls": 0, "examples_attacked": 1, "examples_skipped": 5,
+             "forward_calls": 2, "forward_examples": 2, "name": "fgsm", "seconds": 0.001062},
+            {"accuracy": 0.16666666666666666, "compiled_fallbacks": 0, "compiled_forward_calls": 0,
+             "compiled_grad_calls": 0, "examples_attacked": 1, "examples_skipped": 5,
+             "forward_calls": 2, "forward_examples": 2, "name": "pgd", "seconds": 0.00094},
+        ],
+        "total_forward_calls": 6,
+        "total_forward_examples": 10,
+        "total_seconds": 0.002764,
+        "worst_case": 0.16666666666666666,
+    }
 
-    def test_at_least_as_strong_as_each_member(self, trained_small_cnn, eval_batch):
-        images, labels = eval_batch
-        specs = DETERMINISTIC_SUITE[:3]
-        individual = [
-            clean_accuracy(trained_small_cnn, spec.build(trained_small_cnn).attack(images, labels), labels)
-            for spec in specs
-        ]
-        ensemble = EnsembleAttack(trained_small_cnn, specs=specs)
-        ensemble_accuracy = clean_accuracy(trained_small_cnn, ensemble.attack(images, labels), labels)
-        assert ensemble_accuracy <= min(individual)
-
-    def test_spec_round_trip_with_nested_specs(self, trained_small_cnn):
-        ensemble = EnsembleAttack(trained_small_cnn, specs=DETERMINISTIC_SUITE, cascade=False)
-        spec = ensemble.spec()
-        rebuilt = spec.build(trained_small_cnn)
-        assert isinstance(rebuilt, EnsembleAttack)
-        assert rebuilt.specs == ensemble.specs
-        assert rebuilt.cascade is False
-        assert AttackSpec.from_json(spec.to_json()) == spec
-
-    def test_composes_with_adaptive_ib_attack(self, trained_small_cnn, eval_batch):
-        images, labels = eval_batch
-        ensemble = EnsembleAttack(
-            trained_small_cnn,
-            specs=[AttackSpec("adaptive-ib", dict(steps=2, seed=0)), AttackSpec("fgsm")],
-        )
-        adversarial = ensemble.attack(images[:12], labels[:12])
-        assert adversarial.shape == images[:12].shape
-        assert adversarial.min() >= 0.0 and adversarial.max() <= 1.0
-
-    def test_usable_through_the_engine(self, trained_small_cnn, eval_batch):
-        images, labels = eval_batch
-        suite = [AttackSpec("ensemble", dict(specs=(AttackSpec("fgsm"), AttackSpec("pgd", dict(steps=2, random_start=False)))))]
-        result = AttackEngine(suite).run(trained_small_cnn, images[:24], labels[:24])
-        assert "ensemble" in result.adversarial
-
-    def test_empty_specs_rejected(self, trained_small_cnn):
-        with pytest.raises(AttackConfigError):
-            EnsembleAttack(trained_small_cnn, specs=[])
+    def test_record_with_cascade_key_loads(self):
+        result = EngineResult.from_dict(json.loads(json.dumps(self.RECORD)))
+        assert result.method == "CE" and result.early_exit and not result.compiled
+        assert dict(result.adversarial) == self.RECORD["adversarial"]
+        assert [t.name for t in result.telemetry] == ["clean", "fgsm", "pgd"]
+        assert result.total_forward_examples == 10
+        rewritten = result.as_dict()
+        assert "cascade" not in rewritten
+        assert rewritten == {k: v for k, v in self.RECORD.items() if k != "cascade"}

@@ -633,26 +633,6 @@ class TestEngineIntegration:
             ends.append([p.data.copy() for p in model.parameters()])
         assert all(np.array_equal(a, b) for a, b in zip(*ends))
 
-    def test_eager_run_clears_stale_plan_from_prebuilt_attack(
-        self, trained_small_cnn, tiny_dataset
-    ):
-        from repro.attacks import PGD
-
-        images, labels = tiny_dataset.x_test[:8], tiny_dataset.y_test[:8]
-        attack = PGD(trained_small_cnn, steps=2, seed=0)
-        suite = {"pgd": attack}
-        result = AttackEngine(suite, batch_size=8, compile=True).run(
-            trained_small_cnn, images, labels
-        )
-        # The plan drove the run but must not outlive it: a later direct
-        # attack.attack() (after further training) would replay stale weights.
-        assert result.compiled
-        assert result.telemetry[-1].compiled_grad_calls + result.telemetry[-1].compiled_fallbacks == 2
-        assert attack._compiled is None
-        eager = AttackEngine(suite, batch_size=8).run(trained_small_cnn, images, labels)
-        assert attack._compiled is None
-        assert not eager.compiled
-
     def test_run_restores_train_mode_on_attack_error(self, trained_small_cnn, tiny_dataset):
         images, labels = tiny_dataset.x_test[:8], tiny_dataset.y_test[:8]
         # steps=0 raises while building the attack, mid-run with eval pinned.
@@ -708,15 +688,6 @@ class TestEngineIntegration:
         # prediction on the adversarial batch.
         assert fab.compiled_forward_calls == steps + 2
         assert cw.compiled_forward_calls == steps + 1
-
-    def test_ensemble_propagates_compiled_plan(self, trained_small_cnn, tiny_dataset):
-        images, labels = tiny_dataset.x_test[:16], tiny_dataset.y_test[:16]
-        suite = [AttackSpec("ensemble", dict(specs=(AttackSpec("fgsm"), AttackSpec("pgd", dict(steps=2, seed=0)))))]
-        eager = AttackEngine(suite, batch_size=16).run(trained_small_cnn, images, labels)
-        compiled = AttackEngine(suite, batch_size=16, compile=True).run(
-            trained_small_cnn, images, labels
-        )
-        assert dict(compiled.adversarial) == dict(eager.adversarial)
 
 
 class TestExperimentSpecCompile:

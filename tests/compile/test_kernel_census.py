@@ -5,8 +5,9 @@ contains; a graph holding any other op raises ``CompileError`` at bind and
 quietly runs eagerly.  This census turns such a silent fallback into a
 failure: each registry model, in its smallest configuration (VGG16 also
 with dropout and without batch norm), trains one compiled epoch of two
-batches under each paper loss with no fallback, and then runs the compiled
-paper suite plus DeepFool and MI-FGSM with no compile error.
+batches under each paper loss with no fallback, and then runs one step of
+every registry attack (the paper suite and the adaptive IB attack) compiled,
+with no compile error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.attacks import AttackEngine, AttackSpec
+from repro.attacks import ATTACK_REGISTRY, AttackEngine, AttackSpec
 from repro.core.config import IBRARConfig
 from repro.core.losses import AdversarialMILoss, MILoss
 from repro.data import ArrayDataset, DataLoader
@@ -69,20 +70,17 @@ LOSSES = {
     ),
 }
 
+#: one step of every registry attack (FGSM takes a single step anyway)
 ATTACKS = [
-    AttackSpec("pgd", dict(steps=1)),
-    AttackSpec("cw", dict(steps=1)),
-    AttackSpec("fgsm"),
-    AttackSpec("fab", dict(steps=1)),
-    AttackSpec("nifgsm", dict(steps=1)),
-    AttackSpec("deepfool", dict(steps=1)),
-    AttackSpec("mifgsm", dict(steps=1)),
+    AttackSpec(name, dict(steps=1) if "steps" in attack.accepted_hyperparameters() else {})
+    for name, attack in ATTACK_REGISTRY.items()
 ]
 
 
 def test_census_covers_the_registry():
     covered = {MODEL_REGISTRY[registered] for registered, _, _ in MODELS.values()}
     assert covered == set(MODEL_REGISTRY.values())
+    assert sorted(spec.name for spec in ATTACKS) == sorted(ATTACK_REGISTRY)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))

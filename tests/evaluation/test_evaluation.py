@@ -1,20 +1,18 @@
-"""Tests for the evaluation harness (metrics and multi-attack reports)."""
+"""Tests for the evaluation harness (metrics and Table 1-2 report rows)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.attacks import FGSM, PGD, AttackSpec
+from repro.attacks import FGSM, PGD, paper_suite_specs
 from repro.evaluation import (
     PAPER_ATTACK_ORDER,
     RobustnessReport,
     accuracy,
     adversarial_accuracy,
     clean_accuracy,
-    evaluate_robustness,
     format_table,
-    paper_attack_suite_specs,
 )
 
 
@@ -66,47 +64,8 @@ class TestRobustnessReport:
         assert RobustnessReport("x", 0.5).mean_adversarial() == 0.0
 
     def test_paper_attack_suite_contains_all_five(self):
-        specs = paper_attack_suite_specs(pgd_steps=2, cw_steps=2)
+        specs = paper_suite_specs(pgd_steps=2, cw_steps=2)
         assert tuple(spec.name for spec in specs) == PAPER_ATTACK_ORDER
-
-    def test_evaluate_robustness_custom_suite(self, trained_small_cnn, tiny_dataset):
-        suite = {"fgsm": FGSM(trained_small_cnn), "pgd": PGD(trained_small_cnn, steps=2)}
-        report = evaluate_robustness(
-            trained_small_cnn,
-            tiny_dataset.x_test[:16],
-            tiny_dataset.y_test[:16],
-            attacks=suite,
-            method_name="CE",
-        )
-        assert report.method == "CE"
-        assert set(report.adversarial) == {"fgsm", "pgd"}
-        assert all(0.0 <= v <= 1.0 for v in report.adversarial.values())
-
-    def test_evaluate_robustness_with_specs_records_engine_result(
-        self, trained_small_cnn, tiny_dataset
-    ):
-        suite = [AttackSpec("fgsm"), AttackSpec("pgd", dict(steps=2, random_start=False))]
-        report = evaluate_robustness(
-            trained_small_cnn,
-            tiny_dataset.x_test[:24],
-            tiny_dataset.y_test[:24],
-            attacks=suite,
-            method_name="CE",
-        )
-        assert set(report.adversarial) == {"fgsm", "pgd"}
-        assert report.worst_case is not None
-        assert report.worst_case <= min(report.adversarial.values())
-        assert report.result is not None
-        assert report.result.total_forward_calls > 0
-
-    def test_evaluate_robustness_early_exit_matches_off(self, trained_small_cnn, tiny_dataset):
-        suite = [AttackSpec("fgsm"), AttackSpec("pgd", dict(steps=2, random_start=False))]
-        images, labels = tiny_dataset.x_test[:32], tiny_dataset.y_test[:32]
-        fast = evaluate_robustness(trained_small_cnn, images, labels, suite, early_exit=True)
-        slow = evaluate_robustness(trained_small_cnn, images, labels, suite, early_exit=False)
-        assert fast.natural == slow.natural
-        assert fast.adversarial == slow.adversarial
-        assert fast.result.total_forward_examples < slow.result.total_forward_examples
 
     def test_format_table_layout(self):
         reports = [

@@ -11,10 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.attacks import PGD, AdaptiveIBAttack
+from repro.attacks import PGD, AdaptiveIBAttack, AttackEngine, AttackSpec
 from repro.core import IBRAR, FeatureChannelMask, IBRARConfig, MILoss
 from repro.data import ArrayDataset, DataLoader, synthetic_cifar10
-from repro.evaluation import adversarial_accuracy, clean_accuracy, evaluate_robustness
+from repro.evaluation import adversarial_accuracy, clean_accuracy
 from repro.ib import HBaRLoss, VIBClassifier, vib_loss
 from repro.models import SmallCNN
 from repro.nn import Tensor
@@ -98,16 +98,13 @@ class TestEndToEndPipelines:
 
     def test_multi_attack_report_pipeline(self, dataset):
         model = train_with(CrossEntropyLoss(), dataset, epochs=2)
-        from repro.attacks import FGSM
-
-        report = evaluate_robustness(
-            model,
-            dataset.x_test[:24],
-            dataset.y_test[:24],
-            attacks={"fgsm": FGSM(model), "pgd": PGD(model, steps=3)},
-            method_name="CE",
+        suite = [AttackSpec("fgsm"), AttackSpec("pgd", dict(steps=3))]
+        result = AttackEngine(suite).run(
+            model, dataset.x_test[:24], dataset.y_test[:24], method_name="CE"
         )
-        assert set(report.adversarial) == {"fgsm", "pgd"}
+        assert result.method == "CE"
+        assert set(result.adversarial) == {"fgsm", "pgd"}
+        assert result.worst_case <= min(result.adversarial.values())
 
 
 class TestPaperClaims:

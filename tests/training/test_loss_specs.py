@@ -32,11 +32,6 @@ class TestRegistry:
         with pytest.raises(LossConfigError, match="accepted"):
             build_loss("trades", epsilon=0.1)
 
-    def test_non_strict_drops_unknown(self):
-        strategy = build_loss("trades", strict=False, epsilon=0.1, beta=2.0)
-        assert isinstance(strategy, TRADESLoss)
-        assert strategy.beta == 2.0
-
 
 class TestRoundTrips:
     @pytest.mark.parametrize(
